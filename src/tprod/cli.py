@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,15 +38,68 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_MATH = 3
 
-VERIFY_KINDS = {
-    # kind: (number of factor files, factor names)
-    "tsvd": (3, ("U", "S", "V")),
-    "tschur": (2, ("U", "T")),
-    "tjordan": (2, ("P", "J")),
-    "idem": (3, ("U", "E", "V")),
-    "pinv": (1, ("X",)),
-    "drazin": (1, ("X",)),
-    "group": (1, ("X",)),
+
+@dataclass(frozen=True)
+class Op:
+    """One computing subcommand.
+
+    ``compute(a, args)`` returns a result whose ``attrs`` hold the factors
+    and whose ``report`` verifies them, or, when ``attrs`` is empty, the one
+    factor itself.  ``report(a, factors, tol, res)`` checks given factors;
+    ``res`` is None under ``verify``.  One factor is written to ``-o``,
+    several to ``<prefix>_<name>.tns``.
+    """
+
+    help: str
+    factors: tuple[str, ...]
+    attrs: tuple[str, ...]
+    compute: Callable
+    report: Callable
+    verifiable: bool = True
+
+
+OPS = {
+    "tsvd": Op(
+        "real tensor SVD", ("U", "S", "V"), ("u", "s", "v"),
+        lambda a, args: fz.t_svd(a),
+        lambda a, f, tol, res: fz.tsvd_report(a, *f, tol=tol)),
+    "tschur": Op(
+        "real t-Schur decomposition", ("U", "T"), ("u", "t"),
+        lambda a, args: fz.t_schur(a),
+        lambda a, f, tol, res: fz.tschur_report(a, *f, tol=tol)),
+    "tjordan": Op(
+        "real block-bi-diagonal similarity", ("P", "J"), ("p", "j"),
+        lambda a, args: fz.t_jordan(a),
+        lambda a, f, tol, res: fz.tjordan_report(a, *f, tol=tol)),
+    "idem": Op(
+        "factorization through a real idempotent", ("U", "E", "V"),
+        ("u", "e", "v"),
+        lambda a, args: fz.idempotent_factorization(a),
+        lambda a, f, tol, res: fz.idem_report(a, *f, tol=tol)),
+    "tinv": Op(
+        "t-inverse", ("X",), (),
+        lambda a, args: gi.t_inverse(a),
+        lambda a, f, tol, res: gi.inverse_report(a, *f, tol=tol),
+        verifiable=False),
+    "pinv": Op(
+        "Moore-Penrose inverse", ("X",), (),
+        lambda a, args: gi.t_pinv(a, route=args.route),
+        lambda a, f, tol, res: gi.penrose_report(a, *f, tol=tol)),
+    # verified at the index of the computed result, else at the input's
+    "drazin": Op(
+        "Drazin inverse", ("X",), ("ad",),
+        lambda a, args: gi.t_drazin(a),
+        lambda a, f, tol, res: gi.drazin_report(
+            a, *f, gi.t_index(a) if res is None else res.index, tol=tol)),
+    "group": Op(
+        "group inverse", ("X",), (),
+        lambda a, args: gi.t_group(a),
+        lambda a, f, tol, res: gi.group_report(a, *f, tol=tol)),
+    "witness": Op(
+        "invertible von Neumann inverse", ("X",), ("w",),
+        lambda a, args: gi.unit_regular_witness(a),
+        lambda a, f, tol, res: gi.witness_report(a, *f, tol=tol),
+        verifiable=False),
 }
 
 
@@ -77,37 +132,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("-o", "--output", required=True)
+    sp.set_defaults(run=_run_tprod)
 
-    for name, help_text in [
-        ("tsvd", "real tensor SVD"),
-        ("tschur", "real t-Schur decomposition"),
-        ("tjordan", "real block-bi-diagonal similarity"),
-        ("idem", "factorization through a real idempotent"),
-    ]:
-        sp = sub.add_parser(name, parents=[common], help=help_text)
+    for name, op in OPS.items():
+        sp = sub.add_parser(name, parents=[common], help=op.help)
         sp.add_argument("a")
-        sp.add_argument("--out-prefix", required=True)
-
-    for name, help_text in [
-        ("tinv", "t-inverse"),
-        ("drazin", "Drazin inverse"),
-        ("group", "group inverse"),
-        ("witness", "invertible von Neumann inverse"),
-    ]:
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("a")
-        sp.add_argument("-o", "--output", required=True)
-
-    sp = sub.add_parser("pinv", parents=[common], help="Moore-Penrose inverse")
-    sp.add_argument("a")
-    sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--route", choices=("blocks", "svd"), default="blocks")
+        if len(op.factors) > 1:
+            sp.add_argument("--out-prefix", required=True)
+        else:
+            sp.add_argument("-o", "--output", required=True)
+        sp.set_defaults(run=_run_op)
+    sub.choices["pinv"].add_argument(
+        "--route", choices=("blocks", "svd"), default="blocks")
 
     sp = sub.add_parser("verify", parents=[common],
                         help="verify factors from files against an input")
-    sp.add_argument("--kind", required=True, choices=sorted(VERIFY_KINDS))
+    sp.add_argument("--kind", required=True,
+                    choices=sorted(k for k, op in OPS.items() if op.verifiable))
     sp.add_argument("factors", nargs="+")
     sp.add_argument("--input", required=True)
+    sp.set_defaults(run=_run_verify)
 
     sp = sub.add_parser("gen", parents=[common], help="generate a seeded tensor")
     sp.add_argument("--seed", type=int, required=True)
@@ -115,129 +159,59 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("M", "N", "P"))
     sp.add_argument("--kind", choices=KINDS, default="dense")
     sp.add_argument("-o", "--output", required=True)
+    sp.set_defaults(run=_run_gen)
 
     return parser
 
 
-def _run(args) -> ResidualReport:
-    if args.command == "gen":
-        m, n, p = args.dims
-        write_tensor(args.output, gen(args.seed, m, n, p, args.kind))
-        return ResidualReport("gen")
+def _run_gen(args) -> ResidualReport:
+    m, n, p = args.dims
+    write_tensor(args.output, gen(args.seed, m, n, p, args.kind))
+    return ResidualReport("gen")
 
-    if args.command == "tprod":
-        a = read_tensor(args.a)
-        b = read_tensor(args.b)
-        c = tprod(a, b, path="direct")
-        write_tensor(args.output, c)
-        c_fourier = tprod(a, b, path="fourier")
-        report = ResidualReport("tprod").start()
-        scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
-        tol = args.tol if args.tol is not None else 1e-11 * scale
-        report.add(
-            "dual_path_agreement",
-            np.abs((c - c_fourier).array).max(),
-            tol,
-        )
-        return report.stop()
 
-    if args.command == "verify":
-        return _run_verify(args)
-
+def _run_tprod(args) -> ResidualReport:
     a = read_tensor(args.a)
+    b = read_tensor(args.b)
+    c = tprod(a, b, path="direct")
+    write_tensor(args.output, c)
+    c_fourier = tprod(a, b, path="fourier")
+    report = ResidualReport("tprod").start()
+    scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
+    tol = args.tol if args.tol is not None else 1e-11 * scale
+    report.add(
+        "dual_path_agreement",
+        np.abs((c - c_fourier).array).max(),
+        tol,
+    )
+    return report.stop()
 
-    if args.command == "tsvd":
-        res = fz.t_svd(a)
-        _write_factors(args.out_prefix, ("U", "S", "V"), (res.u, res.s, res.v))
-        if args.tol is None:
-            return res.report
-        return fz.tsvd_report(a, res.u, res.s, res.v, tol=args.tol)
 
-    if args.command == "tschur":
-        res = fz.t_schur(a)
-        _write_factors(args.out_prefix, ("U", "T"), (res.u, res.t))
-        if args.tol is None:
-            return res.report
-        return fz.tschur_report(a, res.u, res.t, res.realized_partition,
-                                tol=args.tol)
-
-    if args.command == "tjordan":
-        res = fz.t_jordan(a)
-        _write_factors(args.out_prefix, ("P", "J"), (res.p, res.j))
-        if args.tol is None:
-            return res.report
-        return fz.tjordan_report(a, res.p, res.j, res.realized_partition,
-                                 tol=args.tol)
-
-    if args.command == "idem":
-        res = fz.idempotent_factorization(a)
-        _write_factors(args.out_prefix, ("U", "E", "V"), (res.u, res.e, res.v))
-        if args.tol is None:
-            return res.report
-        return fz.idem_report(a, res.u, res.e, res.v, tol=args.tol)
-
-    if args.command == "tinv":
-        x = gi.t_inverse(a)
-        write_tensor(args.output, x)
-        return gi.inverse_report(a, x, tol=args.tol)
-
-    if args.command == "pinv":
-        x = gi.t_pinv(a, route=args.route)
-        write_tensor(args.output, x)
-        return gi.penrose_report(a, x, tol=args.tol)
-
-    if args.command == "drazin":
-        res = gi.t_drazin(a)
-        write_tensor(args.output, res.ad)
-        if args.tol is None:
-            return res.report
-        return gi.drazin_report(a, res.ad, res.index, tol=args.tol)
-
-    if args.command == "group":
-        x = gi.t_group(a)
-        write_tensor(args.output, x)
-        return gi.group_report(a, x, tol=args.tol)
-
-    if args.command == "witness":
-        res = gi.unit_regular_witness(a)
-        write_tensor(args.output, res.w)
-        if args.tol is None:
-            return res.report
-        return gi.witness_report(a, res.w, tol=args.tol)
-
-    raise _UsageError(f"unknown command {args.command!r}")
+def _run_op(args) -> ResidualReport:
+    op = OPS[args.command]
+    a = read_tensor(args.a)
+    res = op.compute(a, args)
+    factors = tuple(getattr(res, attr) for attr in op.attrs) or (res,)
+    if len(factors) == 1:
+        write_tensor(args.output, factors[0])
+    else:
+        for name, tensor in zip(op.factors, factors):
+            write_tensor(f"{args.out_prefix}_{name}.tns", tensor)
+    if op.attrs and args.tol is None:
+        return res.report
+    return op.report(a, factors, args.tol, res)
 
 
 def _run_verify(args) -> ResidualReport:
-    expected, names = VERIFY_KINDS[args.kind]
-    if len(args.factors) != expected:
+    names = OPS[args.kind].factors
+    if len(args.factors) != len(names):
         raise _UsageError(
-            f"verify --kind {args.kind} takes {expected} factor files "
+            f"verify --kind {args.kind} takes {len(names)} factor files "
             f"({', '.join(names)}), got {len(args.factors)}"
         )
     a = read_tensor(args.input)
     factors = [read_tensor(path) for path in args.factors]
-    tol = args.tol
-    if args.kind == "tsvd":
-        return fz.tsvd_report(a, *factors, tol=tol)
-    if args.kind == "tschur":
-        return fz.tschur_report(a, *factors, tol=tol)
-    if args.kind == "tjordan":
-        return fz.tjordan_report(a, *factors, tol=tol)
-    if args.kind == "idem":
-        return fz.idem_report(a, *factors, tol=tol)
-    if args.kind == "pinv":
-        return gi.penrose_report(a, factors[0], tol=tol)
-    if args.kind == "drazin":
-        return gi.drazin_report(a, factors[0], gi.t_index(a), tol=tol)
-    if args.kind == "group":
-        return gi.group_report(a, factors[0], tol=tol)
-    raise _UsageError(f"unknown verify kind {args.kind!r}")
-
-
-def _write_factors(prefix: str, names, tensors) -> None:
-    for name, tensor in zip(names, tensors):
-        write_tensor(f"{prefix}_{name}.tns", tensor)
+    return OPS[args.kind].report(a, factors, args.tol, None)
 
 
 def cli_main(argv=None) -> int:
@@ -248,7 +222,7 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
 
     try:
-        report = _run(args)
+        report = args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,19 @@ class NotBlockCirculant(TprodError):
 
 
 class MathError(TprodError):
-    """Base class for failures of a mathematical precondition or algorithm."""
+    """Base class for failures of a mathematical precondition or algorithm.
+
+    ``block_index`` names the Fourier block a per-block operation failed on
+    (the lift sets it); the message then leads with that block.
+    """
+
+    block_index = None
+
+    def __str__(self):
+        message = super().__str__()
+        if self.block_index is None:
+            return message
+        return f"Fourier block {self.block_index}: {message}"
 
 
 class PairingViolation(MathError):

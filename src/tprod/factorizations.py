@@ -20,25 +20,18 @@ must share a partition).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .core import Tensor3, transpose, tprod
-from .errors import (
-    BlockOpError,
-    DimensionError,
-    MathError,
-    PartitionViolation,
-)
+from .errors import DimensionError, PartitionViolation
 from .fourier import (
     FourierBlocks,
     assemble_real,
     inverse_transform,
     lift_multi,
-    mirror_blocks,
     real_tolerance,
     to_fourier,
 )
@@ -59,22 +52,6 @@ def orth_tolerance(n: int, p: int) -> float:
 def structure_tolerance(t: Tensor3) -> float:
     """Allowance for entries that must vanish structurally."""
     return rec_tolerance(t)
-
-
-@contextmanager
-def _unwrap_kernel_errors():
-    """Re-raise the matrix-kernel error carried by a BlockOpError.
-
-    The factorization operations surface kernel failures (DefectiveBlock,
-    ConvergenceError, ...) directly; the originating block index stays
-    available on the chained exception.
-    """
-    try:
-        yield
-    except BlockOpError as exc:
-        if isinstance(exc.__cause__, MathError):
-            raise exc.__cause__ from exc
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +209,7 @@ def t_svd(a: Tensor3) -> TSvdResult:
         dec = kernels.svd(block)
         return dec.u, dec.sigma_matrix(), dec.v
 
-    with _unwrap_kernel_errors():
-        fb_u, fb_s, fb_v = lift_multi(fb, op)
+    fb_u, fb_s, fb_v = lift_multi(fb, op)
     u, im_u = assemble_real(fb_u)
     s, im_s = assemble_real(fb_s)
     v, im_v = assemble_real(fb_v)
@@ -322,8 +298,7 @@ def t_schur(a: Tensor3) -> TSchurResult:
             dec = kernels.schur_complex(block)
         return dec.u, dec.t
 
-    with _unwrap_kernel_errors():
-        fb_u, fb_t = lift_multi(fb, op)
+    fb_u, fb_t = lift_multi(fb, op)
     u, im_u = assemble_real(fb_u)
     t, im_t = assemble_real(fb_t)
 
@@ -408,8 +383,7 @@ def t_jordan(a: Tensor3) -> TJordanResult:
             dec = kernels.jordan_complex(block)
         return dec.p, dec.j
 
-    with _unwrap_kernel_errors():
-        fb_p, fb_j = lift_multi(fb, op)
+    fb_p, fb_j = lift_multi(fb, op)
     pt, im_p = assemble_real(fb_p)
     j, im_j = assemble_real(fb_j)
 
@@ -422,25 +396,6 @@ def t_jordan(a: Tensor3) -> TJordanResult:
     realness = (max(im_p, im_j), max(fb_p.max_abs, fb_j.max_abs))
     report = tjordan_report(a, pt, j, partition, realness=realness)
     return TJordanResult(pt, j, partition, report)
-
-
-def _blockwise_inverse(t: Tensor3) -> Tensor3:
-    """Inverse through the Fourier blocks."""
-    from .errors import Singular
-
-    fb = to_fourier(t)
-    inv = []
-    for k in fb.evaluated:
-        block = fb.blocks[k].real if k in fb.real_forced else fb.blocks[k]
-        try:
-            inv.append(np.linalg.inv(block))
-        except np.linalg.LinAlgError as exc:
-            raise Singular(
-                f"Fourier block {k} of the transforming tensor is singular",
-                block_index=k,
-            ) from exc
-    out = FourierBlocks(mirror_blocks(inv, fb.p), real_origin=True)
-    return assemble_real(out)[0]
 
 
 def _condition_estimate(fb: FourierBlocks) -> float:
@@ -485,7 +440,9 @@ def tjordan_report(
     t_rec = tol if tol is not None else rec_tolerance(a) * kappa
     t_struct = tol if tol is not None else structure_tolerance(j)
 
-    p_inv = _blockwise_inverse(pt)
+    from .ginverses import t_inverse  # ginverses imports this module
+
+    p_inv = t_inverse(pt)
     recon = tprod(tprod(pt, j), p_inv)
     report.add("reconstruction", np.abs((recon - a).array).max(), t_rec)
     eye = Tensor3.identity(n, p)
@@ -531,8 +488,7 @@ def idempotent_factorization(
         rnf = kernels.rank_normal_form(block, rtol)
         return rnf.u, rnf.canonical(), rnf.v
 
-    with _unwrap_kernel_errors():
-        fb_u, fb_e, fb_v = lift_multi(fb, op)
+    fb_u, fb_e, fb_v = lift_multi(fb, op)
     u, im_u = assemble_real(fb_u)
     e, im_e = assemble_real(fb_e)
     v, im_v = assemble_real(fb_v)
@@ -602,8 +558,7 @@ def t_svd_naive_real_blocks(
     fb = to_fourier(a)
     us, ss, vs = [], [], []
     for k in range(p):
-        block = fb.blocks[k].real if k in fb.real_forced else fb.blocks[k]
-        dec = kernels.svd(block)
+        dec = kernels.svd(fb.block(k))
         us.append(dec.u.astype(complex))
         ss.append(dec.sigma_matrix().astype(complex))
         vs.append(dec.v.astype(complex))

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Tensor3
-from .errors import BlockOpError, PairingViolation, RealnessViolation
+from .errors import BlockOpError, MathError, PairingViolation, RealnessViolation
 from .report import ResidualReport
 
 
@@ -96,7 +96,7 @@ class FourierBlocks:
 
     ``blocks`` has shape (p, m, n).  ``real_origin`` records that the
     blocks came from a real tensor (or from a mirrored lift) and therefore
-    satisfy the conjugate-pairing relations; it gates :func:`lift`.
+    satisfy the conjugate-pairing relations; it gates :func:`lift_multi`.
     """
 
     blocks: np.ndarray
@@ -135,6 +135,11 @@ class FourierBlocks:
     @property
     def max_abs(self) -> float:
         return float(np.abs(self.blocks).max())
+
+    def block(self, k: int) -> np.ndarray:
+        """Block k, real on the real-forced indices (whose imaginary part
+        is transform rounding), complex elsewhere."""
+        return self.blocks[k].real if k in self.real_forced else self.blocks[k]
 
 
 def mirror_blocks(evaluated: list[np.ndarray], p: int) -> np.ndarray:
@@ -214,21 +219,6 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     return Tensor3(slices.real), max_imag
 
 
-def from_fourier(fb: FourierBlocks, realness: str = "require_real"):
-    """Inverse block transform.
-
-    In "require_real" mode the pairing relations are validated (within the
-    pairing tolerance), the reconstruction is certified to have negligible
-    imaginary part, and a real :class:`Tensor3` is returned.  In
-    "allow_complex" mode the raw complex (p, m, n) array is returned.
-    """
-    if realness == "allow_complex":
-        return inverse_transform(fb)
-    if realness != "require_real":
-        raise ValueError(f"unknown realness mode {realness!r}")
-    return assemble_real(fb)[0]
-
-
 def check_pairing(fb: FourierBlocks) -> ResidualReport:
     """Residuals of the conjugate-pairing relations.
 
@@ -255,91 +245,65 @@ def check_pairing(fb: FourierBlocks) -> ResidualReport:
     return report.stop()
 
 
-@dataclass(frozen=True)
-class BlockMap:
-    """A per-index family of matrix operations to lift over Fourier blocks.
-
-    ``op(block, k)`` receives the k-th block (real ndarray on real-forced
-    indices, complex elsewhere) and returns a matrix.  In "mirrored" mode
-    only the non-redundant indices are evaluated and partners are filled by
-    exact conjugation, so the output pairing holds bit-exactly regardless of
-    how equivariant the underlying routine is numerically.
-    """
-
-    op: Callable[[np.ndarray, int], np.ndarray]
-    mode: str = "mirrored"
-
-    def __post_init__(self):
-        if self.mode != "mirrored":
-            raise ValueError(f"unsupported BlockMap mode {self.mode!r}")
-
-
-def lift(fb: FourierBlocks, phi: BlockMap) -> FourierBlocks:
-    """Apply a blockwise matrix map with conjugate mirroring.
-
-    Evaluates ``phi`` on blocks 0..floor(p/2) only and fills the remaining
-    blocks with exact conjugates of the computed ones.  The input must be
-    tagged real-origin; the output is real-origin by construction.
-    """
-    return lift_multi(fb, lambda block, k: (phi.op(block, k),))[0]
+def mirrored(evaluated: list[np.ndarray], p: int) -> FourierBlocks:
+    """Mirror the non-redundant half and tag the result real-origin."""
+    return FourierBlocks(mirror_blocks(evaluated, p), real_origin=True)
 
 
 def lift_multi(
     fb: FourierBlocks, op: Callable[[np.ndarray, int], tuple]
 ) -> tuple[FourierBlocks, ...]:
-    """Mirrored lift of a blockwise map returning several matrices at once.
+    """Apply a blockwise map with conjugate mirroring.
 
-    The factorizations decompose each block into a tuple of factors
-    (e.g. U, S, V); mirroring each factor family separately keeps the
-    per-block decompositions compatible across conjugate pairs.
+    ``op(block, k)`` runs on blocks 0..floor(p/2) only, gets
+    :meth:`FourierBlocks.block` (real on the real-forced indices) and
+    returns a tuple of matrices.  Each factor family is mirrored onto the
+    conjugate partners separately, so the per-block decompositions stay
+    compatible across pairs.  A :class:`MathError` raised by ``op`` surfaces
+    with ``block_index`` set; any other failure becomes a BlockOpError.
     """
     if not fb.real_origin:
         raise ValueError("lift requires blocks tagged real-origin")
     per_family: list[list[np.ndarray]] | None = None
     for k in fb.evaluated:
-        real_forced = k in fb.real_forced
-        block = fb.blocks[k].real if real_forced else fb.blocks[k]
         try:
-            outs = op(block, k)
-        except BlockOpError:
+            outs = op(fb.block(k), k)
+        except MathError as exc:
+            if exc.block_index is None:
+                exc.block_index = k
             raise
         except Exception as exc:
-            raise BlockOpError(
-                f"block operation failed at Fourier block {k}: {exc}", k
-            ) from exc
+            raise BlockOpError(f"block operation failed: {exc}", k) from exc
         if not isinstance(outs, tuple):
             raise BlockOpError(
-                f"block operation must return a tuple of matrices, got "
-                f"{type(outs).__name__} at block {k}", k
+                "block operation must return a tuple of matrices, got "
+                f"{type(outs).__name__}", k
             )
         outs = tuple(np.asarray(out) for out in outs)
-        if real_forced:
+        if k in fb.real_forced:
             for j, out in enumerate(outs):
                 if np.iscomplexobj(out):
                     raise BlockOpError(
-                        f"factor {j} is complex at real-forced Fourier "
-                        f"block {k}", k
+                        f"factor {j} is complex at a real-forced block", k
                     )
         if per_family is None:
             per_family = [[] for _ in outs]
         for family, out in zip(per_family, outs):
             family.append(out)
     assert per_family is not None
-    return tuple(
-        FourierBlocks(mirror_blocks(family, fb.p), real_origin=True)
-        for family in per_family
-    )
+    return tuple(mirrored(family, fb.p) for family in per_family)
 
 
 def tprod_fourier(a: Tensor3, b: Tensor3) -> Tensor3:
     """Transform-domain t-product: blockwise matrix products, mirrored."""
     fa = to_fourier(a)
     fbk = to_fourier(b)
-    prod = [
-        np.asarray(fa.blocks[k] @ fbk.blocks[k])
-        for k in fa.evaluated
-    ]
-    for k in fa.real_forced:
-        prod[k] = prod[k].real
-    out = FourierBlocks(mirror_blocks(prod, fa.p), real_origin=True)
-    return from_fourier(out, "require_real")
+
+    def op(block, k):
+        # multiply the complex blocks, not the lift's real parts: at p/2 the
+        # factors' imaginary rounding enters the real part of the product
+        prod = fa.blocks[k] @ fbk.blocks[k]
+        return (prod.real if k in fa.real_forced else prod,)
+
+    (out,) = lift_multi(fa, op)
+    return assemble_real(out)[0]

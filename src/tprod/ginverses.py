@@ -16,20 +16,9 @@ import numpy as np
 
 from . import kernels
 from .core import Tensor3, power, tprod, transpose
-from .errors import DimensionError, GroupInverseNotExist, Singular
-from .factorizations import (
-    IdempotentFactorization,
-    _unwrap_kernel_errors,
-    idempotent_factorization,
-    t_svd,
-)
-from .fourier import (
-    FourierBlocks,
-    assemble_real,
-    lift_multi,
-    mirror_blocks,
-    to_fourier,
-)
+from .errors import DimensionError, Singular
+from .factorizations import IdempotentFactorization, idempotent_factorization, t_svd
+from .fourier import assemble_real, lift_multi, mirrored, to_fourier
 from .report import ResidualReport
 
 
@@ -45,31 +34,22 @@ def _require_square(a: Tensor3, name: str) -> None:
         raise DimensionError(f"{name} requires square slices, got {m}x{n}")
 
 
-def _check_invertible_blocks(fb: FourierBlocks, rtol: float | None) -> None:
-    for k in fb.evaluated:
-        sigma = np.linalg.svd(fb.blocks[k], compute_uv=False)
-        cutoff = (rtol if rtol is not None
-                  else kernels.default_rank_rtol(fb.blocks[k])) * sigma[0]
-        if sigma[0] == 0.0 or sigma[-1] <= cutoff:
-            raise Singular(
-                f"Fourier block {k} is not invertible "
-                f"(smallest singular value {sigma[-1]:.3e})",
-                block_index=k,
-                sigma_min=float(sigma[-1]),
-            )
-
-
 def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Two-sided t-inverse; requires every Fourier block invertible."""
     _require_square(a, "t_inverse")
-    fb = to_fourier(a)
-    _check_invertible_blocks(fb, rtol)
-    inv = [
-        np.linalg.inv(fb.blocks[k].real if k in fb.real_forced
-                      else fb.blocks[k])
-        for k in fb.evaluated
-    ]
-    out = FourierBlocks(mirror_blocks(inv, fb.p), real_origin=True)
+
+    def op(block, k):
+        sigma = np.linalg.svd(block, compute_uv=False)
+        cutoff = (rtol if rtol is not None
+                  else kernels.default_rank_rtol(block)) * sigma[0]
+        if sigma[0] == 0.0 or sigma[-1] <= cutoff:
+            raise Singular(
+                f"not invertible (smallest singular value {sigma[-1]:.3e})",
+                sigma_min=float(sigma[-1]),
+            )
+        return (np.linalg.inv(block),)
+
+    (out,) = lift_multi(to_fourier(a), op)
     return assemble_real(out)[0]
 
 
@@ -86,11 +66,9 @@ def inverse_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> Residual
 
 def t_pinv_blocks(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Moore-Penrose inverse via blockwise matrix pseudoinverses."""
-    fb = to_fourier(a)
-    with _unwrap_kernel_errors():
-        (out,) = lift_multi(
-            fb, lambda block, k: (kernels.mp_inverse(block, rtol),)
-        )
+    (out,) = lift_multi(
+        to_fourier(a), lambda block, k: (kernels.mp_inverse(block, rtol),)
+    )
     return assemble_real(out)[0]
 
 
@@ -114,8 +92,7 @@ def t_pinv_svd(a: Tensor3, rtol: float | None = None) -> Tensor3:
         block = np.zeros((n, m))
         np.fill_diagonal(block, inv)
         blocks.append(block)
-    fb_sp = FourierBlocks(mirror_blocks(blocks, p), real_origin=True)
-    s_pinv = assemble_real(fb_sp)[0]
+    s_pinv = assemble_real(mirrored(blocks, p))[0]
     return tprod(tprod(dec.v, s_pinv), transpose(dec.u))
 
 
@@ -173,8 +150,7 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
         indices.append(idx)
         return (mat,)
 
-    with _unwrap_kernel_errors():
-        (out,) = lift_multi(fb, op)
+    (out,) = lift_multi(fb, op)
     ad = assemble_real(out)[0]
     index = max(indices)
     report = drazin_report(a, ad, index)
@@ -209,21 +185,9 @@ def drazin_report(
 def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block."""
     _require_square(a, "t_group")
-    fb = to_fourier(a)
-    blocks = []
-    for k in fb.evaluated:
-        block = fb.blocks[k].real if k in fb.real_forced else fb.blocks[k]
-        try:
-            blocks.append(kernels.group_inverse(block, rtol))
-        except GroupInverseNotExist as exc:
-            raise GroupInverseNotExist(
-                f"Fourier block {k}: {exc}",
-                block_index=k,
-                rank=exc.rank,
-                rank_sq=exc.rank_sq,
-                margin=exc.margin,
-            ) from exc
-    out = FourierBlocks(mirror_blocks(blocks, fb.p), real_origin=True)
+    (out,) = lift_multi(
+        to_fourier(a), lambda block, k: (kernels.group_inverse(block, rtol),)
+    )
     return assemble_real(out)[0]
 
 
@@ -273,20 +237,11 @@ def unit_regular_witness(
     """
     _require_square(a, "unit_regular_witness")
     idem = idempotent_factorization(a, rtol)
-    fb_u = to_fourier(idem.u)
     fb_v = to_fourier(idem.v)
-    blocks = []
-    for k in fb_u.evaluated:
-        if k in fb_u.real_forced:
-            blocks.append(
-                np.linalg.inv(fb_v.blocks[k].real)
-                @ np.linalg.inv(fb_u.blocks[k].real)
-            )
-        else:
-            blocks.append(
-                np.linalg.inv(fb_v.blocks[k]) @ np.linalg.inv(fb_u.blocks[k])
-            )
-    out = FourierBlocks(mirror_blocks(blocks, fb_u.p), real_origin=True)
+    (out,) = lift_multi(
+        to_fourier(idem.u),
+        lambda block, k: (np.linalg.inv(fb_v.block(k)) @ np.linalg.inv(block),),
+    )
     w = assemble_real(out)[0]
     report = witness_report(a, w)
     return UnitRegularWitness(w, idem.u, idem.e, idem.v, report)

@@ -19,10 +19,11 @@ from tprod import (
     PairingViolation,
     Tensor3,
     bcirc,
+    assemble_real,
     check_pairing,
-    from_fourier,
     gen,
     idempotent_factorization,
+    inverse_transform,
     is_f_diagonal,
     read_tensor,
     t_drazin,
@@ -96,7 +97,7 @@ def test_criterion_2_jordan_obstruction(jordan_example):
             np.diag([1 + SQRT2 * 1j, 1 - SQRT2 * 1j]),
             np.diag([-1.0 + 0j, -1j]),
         ]))
-        slices = from_fourier(naive_forms, "allow_complex")
+        slices = inverse_transform(naive_forms)
         expected_diag = 0.25 * np.array(
             [-1 + (SQRT2 - 1) * 1j, 1 + (1 - SQRT2) * 1j]
         )
@@ -154,7 +155,7 @@ def test_criterion_4_pairing_necessity_sufficiency():
                     blk = blk.real
                 blocks.append(blk)
             fb = FourierBlocks(mirror_blocks(blocks, p), real_origin=True)
-            assert isinstance(from_fourier(fb, "require_real"), Tensor3)
+            assert isinstance(assemble_real(fb)[0], Tensor3)
 
         broken = 0
         for trial in range(20):
@@ -168,7 +169,7 @@ def test_criterion_4_pairing_necessity_sufficiency():
             )
             blocks[-1 if p > 2 else 1, 0, 0] += 1e-3j
             with pytest.raises(PairingViolation):
-                from_fourier(FourierBlocks(blocks), "require_real")
+                assemble_real(FourierBlocks(blocks))
             broken += 1
         assert broken == 20
         assert time.perf_counter() - started < 5.0
@@ -228,7 +229,7 @@ def _singular_f_diagonal(seed: int, n: int, p: int) -> Tensor3:
         vals[-1] = 0.0
         blocks.append(np.diag(vals))
     fb = FourierBlocks(mirror_blocks(blocks, p), real_origin=True)
-    return from_fourier(fb, "require_real")
+    return assemble_real(fb)[0]
 
 
 def test_criterion_6_generalized_inverse_suite():

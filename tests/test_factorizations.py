@@ -149,8 +149,22 @@ class TestTJordan:
 
     def test_defective_block_rejected(self):
         a = Tensor3(np.array([[[1.0, 1.0], [0.0, 1.0]]]))
-        with pytest.raises(DefectiveBlock):
+        with pytest.raises(DefectiveBlock) as excinfo:
             t_jordan(a)
+        assert excinfo.value.block_index == 0
+        assert str(excinfo.value).count("Fourier block") == 1
+
+    def test_defective_later_block_named(self):
+        # p = 2: block 0 = slice sum = diag(1, 2), block 1 = slice
+        # difference = the Jordan block [[1, 1], [0, 1]], both exact
+        a = Tensor3(np.array([
+            [[1.0, 0.5], [0.0, 1.5]],
+            [[0.0, -0.5], [0.0, 0.5]],
+        ]))
+        with pytest.raises(DefectiveBlock) as excinfo:
+            t_jordan(a)
+        assert excinfo.value.block_index == 1
+        assert str(excinfo.value).count("Fourier block 1") == 1
 
     def test_verification_rejects_bad_transform(self):
         from tprod import Singular

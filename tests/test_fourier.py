@@ -2,23 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprod import (
-    BlockMap,
     BlockOpError,
+    DefectiveBlock,
     FourierBlocks,
     PairingViolation,
     Tensor3,
+    assemble_real,
     bcirc,
     check_pairing,
-    from_fourier,
     gen,
     get_context,
-    lift,
+    inverse_transform,
+    lift_multi,
     to_fourier,
     tprod,
 )
-from tprod.fourier import mirror_blocks, real_forced_indices
+from tprod.fourier import mirror_blocks, partner, real_forced_indices
 from tprod.kernels import mp_inverse
 
 from conftest import max_abs
@@ -89,33 +92,29 @@ class TestFromFourier:
     def test_round_trip(self):
         for seed in range(30):
             t = gen(seed, 3, 2, 1 + seed % 8)
-            back = from_fourier(to_fourier(t))
+            back = assemble_real(to_fourier(t))[0]
             assert max_abs((back - t).array) <= 1e-12
 
     def test_constant_blocks_concentrate_in_slice_one(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         fb = FourierBlocks(np.stack([m, m, m, m]).astype(complex), real_origin=True)
-        t = from_fourier(fb)
+        t = assemble_real(fb)[0]
         assert max_abs(t.slice(0) - m) <= 1e-14
         assert max_abs(t.array[1:]) <= 1e-14
 
     def test_naive_jordan_blocks_fail_require_real(self):
         fb = FourierBlocks(np.stack(NAIVE_JORDAN_BLOCKS))
         with pytest.raises(PairingViolation):
-            from_fourier(fb, "require_real")
+            assemble_real(fb)
 
     def test_naive_jordan_blocks_complex_slice_value(self):
         fb = FourierBlocks(np.stack(NAIVE_JORDAN_BLOCKS))
-        slices = from_fourier(fb, "allow_complex")
+        slices = inverse_transform(fb)
         expected = 0.25 * np.diag(
             [-1 + (SQRT2 - 1) * 1j, 1 + (1 - SQRT2) * 1j]
         )
         assert max_abs(slices[0] - expected) <= 1e-14
         assert max_abs(slices.imag) >= 0.1
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            from_fourier(to_fourier(gen(0, 2, 2, 2)), "whatever")
 
 
 class TestCheckPairing:
@@ -179,7 +178,7 @@ class TestPairingSufficiency:
         for seed in range(50):
             p = 1 + seed % 8
             fb = self._synthetic_paired(seed, 3, p)
-            t = from_fourier(fb)
+            t = assemble_real(fb)[0]
             assert isinstance(t, Tensor3)
 
     def test_broken_pairing_raises(self):
@@ -189,7 +188,7 @@ class TestPairingSufficiency:
             blocks = fb.blocks.copy()
             blocks[-1, 0, 0] += 1e-3j if p > 1 else 0
             with pytest.raises(PairingViolation):
-                from_fourier(FourierBlocks(blocks), "require_real")
+                assemble_real(FourierBlocks(blocks))
 
     def test_even_p_mid_block_real(self):
         for p in (2, 4, 6, 8):
@@ -206,7 +205,7 @@ class TestPairingSufficiency:
 class TestLift:
     def test_identity_map_remirrors(self):
         fb = to_fourier(gen(4, 3, 3, 5))
-        out = lift(fb, BlockMap(lambda block, k: block))
+        (out,) = lift_multi(fb, lambda block, k: (block,))
         assert max_abs(out.blocks - fb.blocks) <= 1e-14
         # mirrored halves are exact conjugates
         for k in range(3, 5):
@@ -217,30 +216,33 @@ class TestLift:
     def test_square_map_matches_tprod(self):
         for seed in range(10):
             t = gen(seed, 3, 3, 4)
-            out = from_fourier(lift(to_fourier(t), BlockMap(lambda b, k: b @ b)))
+            (sq,) = lift_multi(to_fourier(t), lambda b, k: (b @ b,))
+            out = assemble_real(sq)[0]
             expected = tprod(t, t)
             assert max_abs((out - expected).array) <= 1e-11 * (1 + t.max_abs) ** 2
 
     def test_pinv_map_matches_bcirc_oracle(self):
         for seed in range(5):
             t = gen(seed, 2, 3, 3)
-            x = from_fourier(
-                lift(to_fourier(t), BlockMap(lambda b, k: mp_inverse(b)))
-            )
+            (fx,) = lift_multi(to_fourier(t), lambda b, k: (mp_inverse(b),))
+            x = assemble_real(fx)[0]
             oracle = np.linalg.pinv(bcirc(t).matrix)
             assert max_abs(bcirc(x).matrix - oracle) <= 1e-9
 
     def test_deterministic(self):
         fb = to_fourier(gen(9, 3, 3, 6))
-        phi = BlockMap(lambda b, k: mp_inverse(b))
-        first = lift(fb, phi)
-        second = lift(fb, phi)
+
+        def phi(b, k):
+            return (mp_inverse(b),)
+
+        (first,) = lift_multi(fb, phi)
+        (second,) = lift_multi(fb, phi)
         np.testing.assert_array_equal(first.blocks, second.blocks)
 
     def test_requires_real_origin(self):
         fb = FourierBlocks(to_fourier(gen(0, 2, 2, 2)).blocks)
         with pytest.raises(ValueError):
-            lift(fb, BlockMap(lambda b, k: b))
+            lift_multi(fb, lambda b, k: (b,))
 
     def test_block_op_error_carries_index(self):
         fb = to_fourier(gen(1, 2, 2, 5))
@@ -248,17 +250,65 @@ class TestLift:
         def explode(block, k):
             if k == 2:
                 raise RuntimeError("boom")
-            return block
+            return (block,)
 
         with pytest.raises(BlockOpError) as excinfo:
-            lift(fb, BlockMap(explode))
+            lift_multi(fb, explode)
         assert excinfo.value.block_index == 2
 
     def test_complex_output_on_real_forced_block_rejected(self):
         fb = to_fourier(gen(2, 2, 2, 4))
         with pytest.raises(BlockOpError) as excinfo:
-            lift(fb, BlockMap(lambda b, k: b.astype(complex) * 1j))
+            lift_multi(fb, lambda b, k: (b.astype(complex) * 1j,))
         assert excinfo.value.block_index == 0
+
+
+@st.composite
+def lift_cases(draw):
+    """A real tensor (m, n in 1..4, p in 1..9) and an evaluated index."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p = draw(st.integers(1, 9))
+    t = gen(draw(st.integers(0, 10**6)), m, n, p)
+    return t, draw(st.integers(0, p // 2))
+
+
+class TestLiftProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(lift_cases())
+    def test_mirrored_pairs_and_real_forced_blocks(self, case):
+        t, _ = case
+        fb = to_fourier(t)
+        seen = []
+
+        def op(block, k):
+            seen.append(k)
+            return block, block @ block.conj().T
+
+        outs = lift_multi(fb, op)
+        assert seen == list(range(fb.p // 2 + 1))
+        for out in outs:
+            for k in range(fb.p):
+                np.testing.assert_array_equal(
+                    out.blocks[partner(k, fb.p)], np.conj(out.blocks[k])
+                )
+            for k in fb.real_forced:
+                assert not out.blocks[k].imag.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lift_cases(), st.booleans())
+    def test_failure_names_its_block(self, case, math_error):
+        t, bad = case
+        exc_type = DefectiveBlock if math_error else RuntimeError
+
+        def op(block, k):
+            if k == bad:
+                raise exc_type("boom")
+            return (block,)
+
+        with pytest.raises(DefectiveBlock if math_error else BlockOpError) as excinfo:
+            lift_multi(to_fourier(t), op)
+        assert excinfo.value.block_index == bad
+        assert str(excinfo.value).count("Fourier block") == 1
 
 
 class TestSimilarityIdentity:

@@ -20,7 +20,7 @@ from tprod import (
     transpose,
     unit_regular_witness,
 )
-from tprod.ginverses import penrose_report
+from tprod.ginverses import penrose_report, witness_report
 from tprod.kernels import drazin_inverse, group_inverse
 
 from conftest import max_abs
@@ -252,6 +252,19 @@ class TestUnitRegularWitness:
             residual = max_abs((tprod(tprod(a, res.w), a) - a).array)
             assert residual <= 1e-9 * (1 + a.max_abs) ** 2 * p
             t_inverse(res.w)  # must not raise
+
+    def test_lu_singular_block_raises_singular(self):
+        # Fourier block 1 is [[1, 1], [1, 1]] up to a 1e-13 imaginary part,
+        # which hides the singularity from a complex SVD; LU on the real
+        # block meets an exact zero pivot
+        w = Tensor3(np.array([
+            [[1001.0, 1.0], [1.0, 1001.0]],
+            [[1000.0, 0.0], [0.0, 1000.0]],
+        ]))
+        with pytest.raises(Singular) as excinfo:
+            witness_report(Tensor3.identity(2, 2), w)
+        assert excinfo.value.block_index == 1
+        assert str(excinfo.value).count("Fourier block 1") == 1
 
     def test_witness_from_factorization(self):
         a = gen(13, 3, 3, 3, "rank_deficient")

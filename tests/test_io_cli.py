@@ -215,6 +215,14 @@ class TestCli:
                          "--quiet"])
         assert code == 3
 
+    def test_witness_singular_block_exits_3(self, tmp_path, capsys):
+        a = self._gen_file(tmp_path, dims=(2, 2, 4), seed=209,
+                           kind="rank_deficient")
+        code = cli_main(["witness", str(a), "-o", str(tmp_path / "w.tns"),
+                         "--quiet"])
+        assert code == 3
+        assert "Fourier block 2" in capsys.readouterr().err
+
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.tns"
         bad.write_text("0 2 2\n")
