@@ -245,12 +245,8 @@ def transpose(t: Tensor3) -> Tensor3:
 
     Satisfies bcirc(transpose(t)) == bcirc(t).T exactly.
     """
-    m, n, p = t.dims
-    out = np.empty((p, n, m))
-    out[0] = t.slice(0).T
-    for k in range(1, p):
-        out[k] = t.slice(p - k).T
-    return Tensor3(out)
+    arr = t.array
+    return Tensor3(np.concatenate((arr[:1], arr[:0:-1])).transpose(0, 2, 1))
 
 
 def add(a: Tensor3, b: Tensor3) -> Tensor3:

@@ -202,7 +202,6 @@ def t_svd(a: Tensor3) -> TSvdResult:
     Works for any m x n x p input.  Per-block singular values (which the
     Moore-Penrose route reuses) are exposed on the result.
     """
-    m, n, p = a.dims
     fb = to_fourier(a)
 
     def op(block, k):
@@ -214,9 +213,7 @@ def t_svd(a: Tensor3) -> TSvdResult:
     s, im_s = assemble_real(fb_s)
     v, im_v = assemble_real(fb_v)
 
-    sigma = np.empty((p, min(m, n)))
-    for k in range(p):
-        sigma[k] = np.diagonal(fb_s.blocks[k]).real[:min(m, n)]
+    sigma = np.diagonal(fb_s.blocks, axis1=1, axis2=2).real.copy()
 
     realness = max(im_u, im_s, im_v)
     max_abs = max(fb_u.max_abs, fb_s.max_abs, fb_v.max_abs)

@@ -125,7 +125,7 @@ def t_index(a: Tensor3, rtol: float | None = None) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks."""
     _require_square(a, "t_index")
     fb = to_fourier(a)
-    return max(kernels.matrix_index(fb.blocks[k], rtol) for k in fb.evaluated)
+    return max(kernels.matrix_index(fb.block(k), rtol) for k in fb.evaluated)
 
 
 @dataclass

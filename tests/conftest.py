@@ -4,10 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tprod import Tensor3, read_tensor
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Property tests draw the same examples on every run, and no example fails
+# for taking long on a slow or busy machine.
+settings.register_profile("tprod", deadline=None, derandomize=True)
+settings.load_profile("tprod")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprod import (
     BlockCirculant,
@@ -170,6 +172,20 @@ class TestTprod:
             assert max_abs((direct - fourier).array) <= 1e-12 * (
                 (1 + a.max_abs) * (1 + b.max_abs)
             )
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+        st.integers(1, 9), st.integers(0, 10**6),
+    )
+    def test_fourier_path_matches_direct(self, m, n, ell, p, seed):
+        a = gen(seed, m, n, p)
+        b = gen(seed + 1, n, ell, p)
+        direct = tprod(a, b, path="direct")
+        fourier = tprod(a, b, path="fourier")
+        assert max_abs((direct - fourier).array) <= 1e-11 * (
+            (1 + a.max_abs) * (1 + b.max_abs)
+        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -163,6 +163,97 @@ class TestCheckPairing:
         assert report.passed
 
 
+def loop_pairing_residuals(blocks):
+    """Reference: the pairing residuals as a loop over every block k >= 1."""
+    p = len(blocks)
+    out = [("block1_realness", float(np.abs(blocks[0].imag).max()))]
+    if p > 1:
+        dev = 0.0
+        for k in range(1, p):
+            dev = max(dev, float(np.abs(blocks[p - k] - np.conj(blocks[k])).max()))
+        out.append(("conjugate_pairing", dev))
+    if p % 2 == 0 and p > 1:
+        out.append(("mid_block_realness", float(np.abs(blocks[p // 2].imag).max())))
+    return out
+
+
+@st.composite
+def stack_dims(draw, min_p=1):
+    """(p, m, n) with p in min_p..12 and m, n in 1..3, plus a data seed."""
+    return (draw(st.integers(min_p, 12)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 10**6)))
+
+
+def evaluated_half(p, m, n, sample):
+    """Blocks 0..p//2 drawn by ``sample(shape)``, real where real-forced."""
+    half = []
+    for k in range(p // 2 + 1):
+        blk = sample((m, n))
+        if k not in real_forced_indices(p):
+            blk = blk + 1j * sample((m, n))
+        half.append(blk)
+    return half
+
+
+class TestPairingProperties:
+    @settings(max_examples=80)
+    @given(stack_dims(), st.booleans(), st.integers(-5, 5))
+    def test_check_matches_per_block_loop(self, dims, near_paired, scale):
+        p, m, n, seed = dims
+        rng = np.random.default_rng(seed)
+        blocks = rng.standard_normal((p, m, n)) + 1j * rng.standard_normal((p, m, n))
+        if near_paired:
+            blocks = mirror_blocks(blocks[:p // 2 + 1], p)
+            blocks += 1e-12 * rng.standard_normal((p, m, n))
+        blocks *= 10.0 ** scale
+        report = check_pairing(FourierBlocks(blocks))
+        got = [(c.name, c.residual) for c in report.checks]
+        assert got == loop_pairing_residuals(blocks)
+
+    @settings(max_examples=80)
+    @given(stack_dims(min_p=2), st.data(), st.integers(0, 30))
+    def test_perturbation_residual(self, dims, data, e):
+        p, m, n, seed = dims
+        rng = np.random.default_rng(seed)
+        # small integers and a power-of-two eps keep the arithmetic exact
+        half = evaluated_half(p, m, n, lambda s: rng.integers(-8, 9, s) * 1.0)
+        blocks = mirror_blocks(half, p)
+        assert check_pairing(FourierBlocks(blocks.copy())).residual(
+            "conjugate_pairing") == 0.0
+        k = data.draw(st.integers(1, p - 1))
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        eps = 2.0 ** -e
+        blocks[k, i, j] += 1j * eps
+        expected = 2 * eps if 2 * k == p else eps
+        report = check_pairing(FourierBlocks(blocks))
+        assert report.residual("conjugate_pairing") == expected
+
+    @settings(max_examples=80)
+    @given(stack_dims())
+    def test_to_fourier_exact_partners_and_matches_fft(self, dims):
+        p, m, n, seed = dims
+        t = gen(seed, m, n, p)
+        fb = to_fourier(t)
+        for k in range(1, (p + 1) // 2):
+            np.testing.assert_array_equal(fb.blocks[p - k], np.conj(fb.blocks[k]))
+        bound = 1e3 * np.finfo(float).eps * p * t.max_abs
+        assert max_abs(fb.blocks - np.fft.fft(t.array, axis=0)) <= bound
+
+
+class TestMirrorBlocks:
+    @pytest.mark.parametrize("p", [1, 2, 5, 6])
+    def test_list_and_stacked_array_agree(self, p):
+        half = evaluated_half(p, 2, 3, np.random.default_rng(p).standard_normal)
+        from_list = mirror_blocks(half, p)
+        from_stack = mirror_blocks(np.stack(half), p)
+        assert from_list.dtype == from_stack.dtype == np.complex128
+        np.testing.assert_array_equal(from_list, from_stack)
+        for k in range(p):
+            np.testing.assert_array_equal(
+                from_list[partner(k, p)], np.conj(from_list[k])
+            )
+
+
 class TestPairingSufficiency:
     def _synthetic_paired(self, seed, n, p):
         rng = np.random.default_rng(seed)
@@ -273,7 +364,7 @@ def lift_cases(draw):
 
 
 class TestLiftProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lift_cases())
     def test_mirrored_pairs_and_real_forced_blocks(self, case):
         t, _ = case
@@ -294,7 +385,7 @@ class TestLiftProperties:
             for k in fb.real_forced:
                 assert not out.blocks[k].imag.any()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lift_cases(), st.booleans())
     def test_failure_names_its_block(self, case, math_error):
         t, bad = case

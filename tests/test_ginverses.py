@@ -186,6 +186,13 @@ class TestTDrazin:
             assert t_index(a) == brute
             assert t_drazin(a).index == brute
 
+    def test_index_agrees_with_drazin_on_real_forced_block(self):
+        # block 0's index is decided on its real part by both; on the
+        # complex block the rounding residue made t_index read 1
+        a = gen(10, 2, 2, 4, "rank_deficient")
+        assert t_drazin(a).index == 2
+        assert t_index(a) == 2
+
 
 class TestTGroup:
     def test_invertible_matches_inverse(self):

@@ -275,6 +275,25 @@ class TestCli:
             "--input", str(a), "--quiet",
         ]) == 0
 
+    def test_verify_drazin_checks_at_the_computed_index(self, tmp_path):
+        a = self._gen_file(tmp_path, dims=(2, 2, 4), seed=10,
+                           kind="rank_deficient")
+        x = tmp_path / "X.tns"
+        own, checked = tmp_path / "own.json", tmp_path / "verify.json"
+        # the result fails its own checks here (the rank cutoff sits below
+        # the transform noise); verify must report the very same failure
+        code = cli_main(["drazin", str(a), "-o", str(x), "--report", str(own),
+                         "--quiet"])
+        assert cli_main(["verify", "--kind", "drazin", str(x),
+                         "--input", str(a), "--report", str(checked),
+                         "--quiet"]) == code
+
+        def residuals(path):
+            return [(c["name"], c["residual"])
+                    for c in json.loads(path.read_text())["checks"]]
+
+        assert residuals(checked) == residuals(own)
+
     def test_report_written_even_on_failure(self, tmp_path):
         a = self._gen_file(tmp_path)
         report_path = tmp_path / "r.json"
