@@ -30,8 +30,11 @@ from .errors import DimensionError, PartitionViolation
 from .fourier import (
     FourierBlocks,
     assemble_real,
+    half_batches,
     inverse_transform,
+    join_batches,
     lift_multi,
+    map_batches,
     real_tolerance,
     to_fourier,
 )
@@ -199,16 +202,18 @@ class TSvdResult:
 def t_svd(a: Tensor3) -> TSvdResult:
     """Real tensor SVD: orthogonal u, v and f-diagonal s with a = u*s*v^T.
 
-    Works for any m x n x p input.  Per-block singular values (which the
-    Moore-Penrose route reuses) are exposed on the result.
+    Works for any m x n x p input.  The blocks are decomposed by one
+    batched SVD per half-spectrum batch.  Per-block singular values (which
+    the Moore-Penrose route reuses) are exposed on the result.
     """
-    fb = to_fourier(a)
-
-    def op(block, k):
-        dec = kernels.svd(block)
-        return dec.u, dec.sigma_matrix(), dec.v
-
-    fb_u, fb_s, fb_v = lift_multi(fb, op)
+    m, n, p = a.dims
+    batches = half_batches(to_fourier(a))
+    parts = map_batches(batches, kernels.svd_stack)
+    fb_u = join_batches(batches, [u for u, _, _ in parts], p)
+    fb_s = join_batches(
+        batches, [kernels.sigma_matrices(s, m, n) for _, s, _ in parts], p
+    )
+    fb_v = join_batches(batches, [v for _, _, v in parts], p)
     u, im_u = assemble_real(fb_u)
     s, im_s = assemble_real(fb_s)
     v, im_v = assemble_real(fb_v)
@@ -474,18 +479,20 @@ def idempotent_factorization(
 ) -> IdempotentFactorization:
     """a = u * e * v with u, v t-invertible and e real idempotent.
 
-    Built from the per-block rank normal form; the block ranks decide e.
+    Built from the per-block rank normal forms of one batched SVD per
+    half-spectrum batch; the block ranks, taken at the tensor's rank
+    cutoff, decide e.
     """
     m, n, p = a.dims
     if m != n:
         raise DimensionError("idempotent_factorization requires square slices")
-    fb = to_fourier(a)
-
-    def op(block, k):
-        rnf = kernels.rank_normal_form(block, rtol)
-        return rnf.u, rnf.canonical(), rnf.v
-
-    fb_u, fb_e, fb_v = lift_multi(fb, op)
+    batches = half_batches(to_fourier(a))
+    parts = map_batches(batches, kernels.svd_stack)
+    cutoff = kernels.rank_cutoff([s for _, s, _ in parts], a.dims, rtol)
+    factors = [kernels.rank_normal_factors(*part, cutoff) for part in parts]
+    fb_u, fb_e, fb_v = (
+        join_batches(batches, [f[i] for f in factors], p) for i in range(3)
+    )
     u, im_u = assemble_real(fb_u)
     e, im_e = assemble_real(fb_e)
     v, im_v = assemble_real(fb_v)

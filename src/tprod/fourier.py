@@ -1,5 +1,5 @@
 """Fourier-domain engine: block transforms, conjugate pairing, and the
-mirrored lift that turns blockwise matrix maps into real tensor maps.
+mirrored maps that turn blockwise matrix maps into real tensor maps.
 
 Convention lock
 ---------------
@@ -18,11 +18,20 @@ conjugate of block k (1-based), and for even p the middle block is real.
 Every real construction in this library *enforces* that structure by
 evaluating only the non-redundant indices 0..floor(p/2) and filling the
 partners with exact conjugates, rather than hoping independent
-computations come out compatible.  The forward transform does the same
-with rows 0..floor(p/2) of its power table, so pairing holds by
-construction and the pairing check certifies the realness of the DC and,
-for even p, Nyquist blocks.  Mirroring, the pairing check and stacked
-block products are array expressions that give the bits of a block loop.
+computations come out compatible.
+
+The transforms are numpy's FFTs along the slice axis.  ``np.fft.rfft``
+computes exactly blocks 0..floor(p/2), with a real DC block and, for even
+p, a real Nyquist block, so pairing holds by construction.  The real
+inverse is ``np.fft.irfft`` of the same blocks.  irfft ignores the
+imaginary parts of the DC and Nyquist blocks, so they are certified and
+reported before it runs, never silently dropped.
+
+Blockwise maps run in one of two ways.  :func:`lift_multi` calls a
+per-block op on each block 0..floor(p/2).  :func:`half_batches`,
+:func:`map_batches` and :func:`join_batches` run a batched kernel twice:
+once on the real parts of the real-forced blocks and once on the complex
+rest.  Either way a failure names its Fourier block.
 """
 
 from __future__ import annotations
@@ -49,18 +58,16 @@ def real_tolerance(max_abs: float, p: int) -> float:
 
 
 class FourierContext:
-    """Cached transform data for a fixed slice count p.
+    """Transform constants for a fixed slice count p.
 
     Attributes
     ----------
     p : slice count
     xi : primitive root exp(-2*pi*i/p)
     dft_matrix : the normalized p x p Fourier matrix (unitary)
-    forward_matrix : the unnormalized forward table xi^(i*k)
-    inverse_matrix : its conjugate, the inverse table without the 1/p
     """
 
-    __slots__ = ("p", "xi", "dft_matrix", "forward_matrix", "inverse_matrix")
+    __slots__ = ("p", "xi", "dft_matrix")
 
     def __init__(self, p: int):
         if p < 1:
@@ -69,11 +76,8 @@ class FourierContext:
         self.xi = np.exp(-2j * np.pi / p)
         powers = np.exp(-2j * np.pi * np.arange(p) / p)
         idx = (np.arange(p)[:, None] * np.arange(p)[None, :]) % p
-        self.forward_matrix = powers[idx]
-        self.dft_matrix = self.forward_matrix / np.sqrt(p)
-        self.inverse_matrix = np.conj(self.forward_matrix)
-        for table in (self.forward_matrix, self.dft_matrix, self.inverse_matrix):
-            table.setflags(write=False)
+        self.dft_matrix = powers[idx] / np.sqrt(p)
+        self.dft_matrix.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +106,8 @@ class FourierBlocks:
 
     ``blocks`` has shape (p, m, n).  ``real_origin`` records that the
     blocks came from a real tensor (or from a mirrored lift) and therefore
-    satisfy the conjugate-pairing relations; it gates :func:`lift_multi`.
+    satisfy the conjugate-pairing relations; it gates :func:`lift_multi`
+    and :func:`half_batches`.
     """
 
     blocks: np.ndarray
@@ -112,7 +117,9 @@ class FourierBlocks:
         arr = np.asarray(self.blocks)
         if arr.ndim != 3:
             raise ValueError("blocks must have shape (p, m, n)")
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
+        # freeze a view: the caller's array, which ascontiguousarray may
+        # return as it is, stays writable
+        arr = np.ascontiguousarray(arr, dtype=np.complex128).view()
         arr.setflags(write=False)
         object.__setattr__(self, "blocks", arr)
 
@@ -173,41 +180,48 @@ def mirror_blocks(evaluated, p: int) -> np.ndarray:
 def to_fourier(t: Tensor3) -> FourierBlocks:
     """Forward block transform of a real tensor.
 
-    Evaluates blocks 0..floor(p/2) against rows 0..floor(p/2) of the
-    cached power table (direct O(p^2) sums) and fills their partners with
-    exact conjugates, so pairing holds by construction.  The pairing check
-    still runs: it certifies that the DC block and, for even p, the
-    Nyquist block are real before the output is tagged real-origin.
+    ``np.fft.rfft`` along the slice axis gives blocks 0..floor(p/2), with
+    exactly real DC and Nyquist blocks; their partners are filled with
+    exact conjugates, so pairing holds by construction.
     """
-    m, n, p = t.dims
-    ctx = get_context(p)
-    half = np.tensordot(
-        ctx.forward_matrix[:p // 2 + 1], t.array, axes=([1], [0])
-    )
-    fb = mirrored(half, p)
-    report = check_pairing(fb)
-    if not report.passed:
-        raise PairingViolation(
-            "forward transform of a real tensor violated conjugate pairing; "
-            "this indicates non-finite or corrupted data",
-            report=report,
-        )
-    return fb
+    return mirrored(np.fft.rfft(t.array, axis=0), t.dims[2])
 
 
 def inverse_transform(fb: FourierBlocks) -> np.ndarray:
     """Raw inverse transform: complex (p, m, n) slice stack."""
-    ctx = get_context(fb.p)
-    return np.tensordot(ctx.inverse_matrix, fb.blocks, axes=([1], [0])) / fb.p
+    return np.fft.ifft(fb.blocks, axis=0)
+
+
+def _certified_irfft(half: np.ndarray, p: int, max_abs: float):
+    """irfft of blocks 0..floor(p/2), after certifying what it drops.
+
+    irfft ignores the imaginary parts of the DC and, for even p, Nyquist
+    blocks.  Their sum divided by p bounds what they would add to any
+    slice entry; that residue is checked against the realness tolerance
+    and returned with the tensor.
+    """
+    max_imag = float(
+        np.abs(half[list(real_forced_indices(p))].imag).sum(axis=0).max()
+    ) / p
+    tol = real_tolerance(max_abs, p)
+    if max_imag > tol:
+        raise RealnessViolation(
+            f"reconstruction has imaginary residue {max_imag:.3e} beyond "
+            f"{tol:.3e} in the DC or Nyquist block",
+            max_imag=max_imag,
+            tolerance=tol,
+        )
+    return Tensor3(np.fft.irfft(half, n=p, axis=0)), max_imag
 
 
 def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     """Certified real inverse transform.
 
-    Validates the pairing relations, inverse-transforms, and certifies the
-    imaginary residue before discarding it.  Returns the tensor together
-    with the measured residue (useful for residual reports).  Large
-    imaginary parts are an error, never silently truncated.
+    Validates the pairing relations, certifies the imaginary residue of
+    the DC and Nyquist blocks, and inverse-transforms blocks 0..floor(p/2)
+    with irfft.  Returns the tensor together with the residue (useful for
+    residual reports).  Large imaginary parts are an error, never silently
+    truncated.
     """
     report = check_pairing(fb)
     if not report.passed:
@@ -216,17 +230,7 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
             "would not be real",
             report=report,
         )
-    slices = inverse_transform(fb)
-    max_imag = float(np.abs(slices.imag).max())
-    tol = real_tolerance(fb.max_abs, fb.p)
-    if max_imag > tol:
-        raise RealnessViolation(
-            f"reconstruction has imaginary residue {max_imag:.3e} beyond "
-            f"{tol:.3e} despite valid pairing (upstream bug)",
-            max_imag=max_imag,
-            tolerance=tol,
-        )
-    return Tensor3(slices.real), max_imag
+    return _certified_irfft(fb.blocks[:fb.p // 2 + 1], fb.p, fb.max_abs)
 
 
 def check_pairing(fb: FourierBlocks) -> ResidualReport:
@@ -237,9 +241,9 @@ def check_pairing(fb: FourierBlocks) -> ResidualReport:
     imaginary part), and for even p the realness of the middle block.
     The conjugate relation is evaluated once per pair k = 1..floor(p/2):
     |A_(p-k) - conj(A_k)| = |A_k - conj(A_(p-k))| exactly, so the residual
-    equals the maximum over all k.  On :func:`to_fourier` output only the
-    self-paired middle block can contribute; the realness checks are what
-    certify that output.
+    equals the maximum over all k.  On :func:`to_fourier` output every
+    residual is exactly zero: rfft returns real DC and Nyquist blocks and
+    the partners are exact conjugates.
     """
     report = ResidualReport("check_pairing").start()
     tol = pair_tolerance(fb.max_abs)
@@ -305,16 +309,64 @@ def lift_multi(
     return tuple(mirrored(family, fb.p) for family in per_family)
 
 
+def half_batches(fb: FourierBlocks) -> tuple:
+    """Blocks 0..floor(p/2) as the stacks that batched kernels run on.
+
+    Returns ``(indices, stack)`` pairs: the real parts of the real-forced
+    blocks, then the complex blocks 1..ceil(p/2)-1 (absent for p <= 2).
+    """
+    if not fb.real_origin:
+        raise ValueError("batched maps require blocks tagged real-origin")
+    rf = fb.real_forced
+    batches = [(rf, fb.blocks[list(rf)].real)]
+    if fb.p > 2:
+        stop = (fb.p + 1) // 2
+        batches.append((tuple(range(1, stop)), fb.blocks[1:stop]))
+    return tuple(batches)
+
+
+def map_batches(batches, fn: Callable, *args) -> list:
+    """``fn(stack, *batch_args)`` on each batch of :func:`half_batches`.
+
+    Each of ``args`` holds one entry per batch, stacked like the batch.  A
+    failing batch is re-run block by block, so that a :class:`MathError`
+    comes out with ``block_index`` set to its Fourier block and any other
+    failure as a BlockOpError, as from :func:`lift_multi`.
+    """
+    out = []
+    for i, (indices, stack) in enumerate(batches):
+        extra = [arg[i] for arg in args]
+        try:
+            out.append(fn(stack, *extra))
+        except Exception:
+            _raise_at_block(fn, indices, stack, extra)
+            raise
+    return out
+
+
+def _raise_at_block(fn, indices, stack, extra) -> None:
+    for j, k in enumerate(indices):
+        try:
+            fn(stack[j:j + 1], *(x[j:j + 1] for x in extra))
+        except MathError as exc:
+            if exc.block_index is None:
+                exc.block_index = k
+            raise
+        except Exception as exc:
+            raise BlockOpError(f"block operation failed: {exc}", k) from exc
+
+
+def join_batches(batches, outs, p: int) -> FourierBlocks:
+    """Mirrored blocks from one result stack per batch of
+    :func:`half_batches`; real-forced results are stored as real."""
+    half = np.empty((p // 2 + 1,) + outs[0].shape[1:], dtype=np.complex128)
+    for (indices, _), out in zip(batches, outs):
+        half[list(indices)] = out
+    return mirrored(half, p)
+
+
 def tprod_fourier(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Transform-domain t-product: blockwise matrix products, mirrored."""
-    fa = to_fourier(a)
-    h = a.dims[2] // 2 + 1
-    # multiply the complex blocks, not the lift's real parts: at p/2 the
-    # factors' imaginary rounding enters the real part of the product
-    prods = fa.blocks[:h] @ to_fourier(b).blocks[:h]
-
-    def op(block, k):
-        return (prods[k].real if k in fa.real_forced else prods[k],)
-
-    (out,) = lift_multi(fa, op)
-    return assemble_real(out)[0]
+    """Transform-domain t-product: rfft, one stacked product of blocks
+    0..floor(p/2), and an irfft that certifies the DC and Nyquist blocks."""
+    prods = np.fft.rfft(a.array, axis=0) @ np.fft.rfft(b.array, axis=0)
+    return _certified_irfft(prods, a.dims[2], float(np.abs(prods).max()))[0]

@@ -3,14 +3,17 @@
 All constructions run blockwise in the Fourier domain with conjugate
 mirroring, so every output is a real tensor.  The Moore-Penrose inverse
 has two routes: blockwise matrix pseudoinverses (the default, cheaper) and
-the t-SVD route; their agreement is a built-in cross-check.  Residual
-allowances scale quadratically with the data magnitude because the
-defining identities are triple products.
+the t-SVD route; their agreement is a built-in cross-check.  Every rank
+decision, and the ``rtol`` keyword of every op, is relative to the
+tensor's scale S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
+Residual allowances scale quadratically with the data magnitude because
+the defining identities are triple products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +21,15 @@ from . import kernels
 from .core import Tensor3, power, tprod, transpose
 from .errors import DimensionError, Singular
 from .factorizations import IdempotentFactorization, idempotent_factorization, t_svd
-from .fourier import assemble_real, lift_multi, mirrored, to_fourier
+from .fourier import (
+    assemble_real,
+    half_batches,
+    join_batches,
+    lift_multi,
+    map_batches,
+    mirrored,
+    to_fourier,
+)
 from .report import ResidualReport
 
 
@@ -34,23 +45,35 @@ def _require_square(a: Tensor3, name: str) -> None:
         raise DimensionError(f"{name} requires square slices, got {m}x{n}")
 
 
+def _half_spectrum(a: Tensor3, rtol: float | None):
+    """The Fourier blocks of ``a``, their half-spectrum batches, the
+    batches' singular values and the tensor's rank cutoff taken from them.
+    """
+    fb = to_fourier(a)
+    batches = half_batches(fb)
+    sigmas = map_batches(batches, kernels.singular_values)
+    return fb, batches, sigmas, kernels.rank_cutoff(sigmas, a.dims, rtol)
+
+
 def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
-    """Two-sided t-inverse; requires every Fourier block invertible."""
+    """Two-sided t-inverse; requires every Fourier block invertible,
+    i.e. its smallest singular value above the tensor's rank cutoff."""
     _require_square(a, "t_inverse")
-
-    def op(block, k):
-        sigma = np.linalg.svd(block, compute_uv=False)
-        cutoff = (rtol if rtol is not None
-                  else kernels.default_rank_rtol(block)) * sigma[0]
-        if sigma[0] == 0.0 or sigma[-1] <= cutoff:
-            raise Singular(
-                f"not invertible (smallest singular value {sigma[-1]:.3e})",
-                sigma_min=float(sigma[-1]),
-            )
-        return (np.linalg.inv(block),)
-
-    (out,) = lift_multi(to_fourier(a), op)
-    return assemble_real(out)[0]
+    p = a.dims[2]
+    _, batches, sigmas, cutoff = _half_spectrum(a, rtol)
+    sigma_min = np.empty(p // 2 + 1)
+    for (indices, _), sigma in zip(batches, sigmas):
+        sigma_min[list(indices)] = sigma[:, -1]
+    singular = np.flatnonzero(~(sigma_min > cutoff.at()))
+    if singular.size:
+        k = int(singular[0])
+        raise Singular(
+            f"not invertible (smallest singular value {sigma_min[k]:.3e})",
+            block_index=k,
+            sigma_min=float(sigma_min[k]),
+        )
+    inverses = map_batches(batches, np.linalg.inv)
+    return assemble_real(join_batches(batches, inverses, p))[0]
 
 
 def inverse_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> ResidualReport:
@@ -65,34 +88,28 @@ def inverse_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> Residual
 
 
 def t_pinv_blocks(a: Tensor3, rtol: float | None = None) -> Tensor3:
-    """Moore-Penrose inverse via blockwise matrix pseudoinverses."""
-    (out,) = lift_multi(
-        to_fourier(a), lambda block, k: (kernels.mp_inverse(block, rtol),)
-    )
-    return assemble_real(out)[0]
+    """Moore-Penrose inverse via blockwise matrix pseudoinverses, from one
+    batched SVD per half-spectrum batch."""
+    batches = half_batches(to_fourier(a))
+    svds = map_batches(batches, kernels.svd_reduced)
+    threshold = kernels.rank_cutoff([s for _, s, _ in svds], a.dims, rtol).at()
+    inverses = [kernels.pinv_from_svd(u, s, vh, threshold) for u, s, vh in svds]
+    return assemble_real(join_batches(batches, inverses, a.dims[2]))[0]
 
 
 def t_pinv_svd(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Moore-Penrose inverse through the t-SVD: v * pinv(s) * u^T.
 
     pinv(s) is assembled from the reciprocal per-block singular values
-    (zeros below the rank cutoff stay zero), mirrored like every other
-    block family.
+    that t_svd computed (zeros at or below the rank cutoff stay zero),
+    mirrored like every other block family.
     """
     m, n, p = a.dims
     dec = t_svd(a)
-    blocks = []
-    for k in range(p // 2 + 1):
-        sigma = dec.fourier_singular_values[k]
-        smax = sigma.max(initial=0.0)
-        cutoff = (rtol if rtol is not None
-                  else max(m, n) * np.finfo(np.float64).eps) * smax
-        inv = np.where(sigma > cutoff, 1.0, 0.0)
-        inv = np.divide(inv, sigma, out=np.zeros_like(sigma), where=inv > 0)
-        block = np.zeros((n, m))
-        np.fill_diagonal(block, inv)
-        blocks.append(block)
-    s_pinv = assemble_real(mirrored(blocks, p))[0]
+    sigma = dec.fourier_singular_values[:p // 2 + 1]
+    threshold = kernels.rank_cutoff([sigma], a.dims, rtol).at()
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > threshold)
+    s_pinv = assemble_real(mirrored(kernels.sigma_matrices(inv, n, m), p))[0]
     return tprod(tprod(dec.v, s_pinv), transpose(dec.u))
 
 
@@ -121,11 +138,22 @@ def penrose_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> Residual
     return report.stop()
 
 
+def _drazin_batches(a: Tensor3, rtol: float | None, fn: Callable) -> tuple:
+    """The half-spectrum batches of ``a`` and ``fn(stack, cutoff, sigma)``
+    on each, with the tensor's rank cutoff and the batch's singular values.
+    """
+    _, batches, sigmas, cutoff = _half_spectrum(a, rtol)
+    return batches, map_batches(
+        batches, lambda stack, sigma: fn(stack, cutoff, sigma), sigmas
+    )
+
+
 def t_index(a: Tensor3, rtol: float | None = None) -> int:
-    """Drazin index of a tensor: largest matrix index over Fourier blocks."""
+    """Drazin index of a tensor: largest matrix index over Fourier blocks,
+    decided by the same routine as :func:`t_drazin`."""
     _require_square(a, "t_index")
-    fb = to_fourier(a)
-    return max(kernels.matrix_index(fb.block(k), rtol) for k in fb.evaluated)
+    _, outs = _drazin_batches(a, rtol, kernels.drazin_indices)
+    return max(int(index.max()) for index, _ in outs)
 
 
 @dataclass
@@ -139,20 +167,14 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
     """Drazin inverse; always exists as a real tensor.
 
     The tensor index is the largest matrix index over the Fourier blocks
-    (conjugate partners share theirs).
+    (conjugate partners share theirs).  The blocks' indices and inverses
+    come from :func:`kernels.drazin_stack`, one call per half-spectrum
+    batch.
     """
     _require_square(a, "t_drazin")
-    fb = to_fourier(a)
-    indices: list[int] = []
-
-    def op(block, k):
-        mat, idx = kernels.drazin_inverse(block, rtol)
-        indices.append(idx)
-        return (mat,)
-
-    (out,) = lift_multi(fb, op)
-    ad = assemble_real(out)[0]
-    index = max(indices)
+    batches, outs = _drazin_batches(a, rtol, kernels.drazin_stack)
+    ad = assemble_real(join_batches(batches, [x for x, _ in outs], a.dims[2]))[0]
+    index = max(int(idx.max()) for _, idx in outs)
     report = drazin_report(a, ad, index)
     return DrazinResult(ad, index, report)
 
@@ -183,10 +205,12 @@ def drazin_report(
 
 
 def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
-    """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block."""
+    """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
+    both ranks taken at the tensor's rank cutoff."""
     _require_square(a, "t_group")
+    fb, _, _, cutoff = _half_spectrum(a, rtol)
     (out,) = lift_multi(
-        to_fourier(a), lambda block, k: (kernels.group_inverse(block, rtol),)
+        fb, lambda block, k: (kernels.group_inverse(block, cutoff),)
     )
     return assemble_real(out)[0]
 

@@ -3,8 +3,12 @@
 These are thin, contract-checked wrappers over LAPACK (via numpy/scipy)
 plus the pieces LAPACK does not provide: deterministic phase conventions,
 real-first Schur ordering, a diagonalizable-regime Jordan form, the rank
-normal form, and Drazin/group inverses.  Everything here is deterministic
-for fixed input, which the mirrored conjugate lift upstream relies on.
+normal form, and Drazin/group inverses.  The SVD, pseudoinverse and Drazin
+kernels also take stacks of matrices, which the tensor ops use to run one
+batched LAPACK call per half-spectrum batch; the matrix functions are the
+stack of one.  Every rank decision goes through one :class:`RankCutoff`.
+Everything here is deterministic for fixed input, which the mirrored
+conjugate lift upstream relies on.
 """
 
 from __future__ import annotations
@@ -29,53 +33,113 @@ EIG_CLUSTER_GAP = 1e-8   # relative gap under which eigenvalues cluster
 DEFECT_RANK_TOL = 1e-6   # eigenvector-basis rank cutoff inside a cluster
 
 
-def default_rank_rtol(a: np.ndarray) -> float:
-    """Standard numerical-rank relative tolerance: max(m, n) * eps."""
-    return max(a.shape) * np.finfo(np.float64).eps
+EPS = np.finfo(np.float64).eps
 
 
-def numerical_rank(a: np.ndarray, rtol: float | None = None) -> int:
-    """Number of singular values above rtol * sigma_max."""
+@dataclass(frozen=True)
+class RankCutoff:
+    """The rule behind every rank decision on a tensor or a matrix.
+
+    A singular value of the j-th power of a block counts toward its rank
+    when it exceeds ``rtol * scale**j``.  ``scale`` is one number for the
+    whole tensor, so a small block is judged against the transform noise
+    of the tensor, not against its own size.
+    """
+
+    rtol: float
+    scale: float
+
+    def at(self, power: int = 1) -> float:
+        """The threshold for singular values of the power-th power."""
+        return self.rtol * float(np.float64(self.scale) ** power)
+
+    def rank(self, sigma: np.ndarray, power: int = 1) -> np.ndarray:
+        """Ranks from singular values ``sigma`` of shape (..., r)."""
+        return np.count_nonzero(sigma > self.at(power), axis=-1)
+
+
+def rank_cutoff(sigmas, dims, rtol: float | None = None) -> RankCutoff:
+    """The rank cutoff of an m x n x p tensor.
+
+    ``sigmas`` holds the singular values of its Fourier blocks in one or
+    more arrays, and the scale is their largest, S = max_k sigma_1(A_k) =
+    ||bcirc(A)||_2.  The default ``rtol`` p * max(m, n) * eps is
+    ``numpy.linalg.matrix_rank``'s rule for the mp x np matrix bcirc(A).
+    A matrix is the case p = 1, with S its largest singular value.
+    """
+    m, n, p = dims
+    if rtol is None:
+        rtol = p * max(m, n) * EPS
+    scale = max((float(s.max(initial=0.0)) for s in sigmas), default=0.0)
+    return RankCutoff(rtol, scale)
+
+
+def _matrix_cutoff(a: np.ndarray, sigma: np.ndarray) -> RankCutoff:
+    return rank_cutoff([sigma], (*a.shape[-2:], 1))
+
+
+def _lapack_svd(a: np.ndarray, **kwargs):
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, nonincreasing, of a matrix or a stack of them."""
+    return _lapack_svd(a, compute_uv=False)
+
+
+def svd_reduced(a: np.ndarray):
+    """Thin (u, sigma, vh) of a matrix or a stack, without phase fixing."""
+    return _lapack_svd(a, full_matrices=False)
+
+
+def numerical_rank(a: np.ndarray, cutoff: RankCutoff | None = None) -> int:
+    """Number of singular values above the cutoff (default: a's own)."""
     a = np.asarray(a)
     if a.size == 0:
         return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    if rtol is None:
-        rtol = default_rank_rtol(a)
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
+    sigma = singular_values(a)
+    if cutoff is None:
+        cutoff = _matrix_cutoff(a, sigma)
+    return int(cutoff.rank(sigma))
 
 
-def _fix_phases(u: np.ndarray, v: np.ndarray | None):
-    """Deterministic phase convention for singular-vector pairs.
+def _pivot_phases(x: np.ndarray) -> np.ndarray:
+    """Unit phase of the largest-magnitude entry of each column of a
+    stack (b, r, c); 1 for a zero column."""
+    mag = np.abs(x)
+    rows = np.argmax(mag, axis=1)
+    at = (np.arange(x.shape[0])[:, None], rows, np.arange(x.shape[2]))
+    pivot, size = x[at], mag[at]
+    return np.divide(pivot, size, out=np.ones_like(pivot), where=size != 0)
+
+
+def _fix_phases(u: np.ndarray, v: np.ndarray):
+    """Deterministic phase convention for stacks of singular-vector pairs.
 
     The largest-magnitude entry of each left singular vector is made real
     positive; the matching right singular vector absorbs the same factor so
     the product is unchanged.  Surplus columns (null-space completions) are
     normalized independently.
     """
-    u = u.copy()
-    v = None if v is None else v.copy()
-    paired = u.shape[1] if v is None else min(u.shape[1], v.shape[1])
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot == 0:
-            continue
-        phase = pivot / abs(pivot)
-        u[:, j] = col * np.conj(phase)
-        if v is not None and j < paired:
-            v[:, j] = v[:, j] * np.conj(phase)
-    if v is not None:
-        for j in range(paired, v.shape[1]):
-            col = v[:, j]
-            idx = int(np.argmax(np.abs(col)))
-            pivot = col[idx]
-            if pivot != 0:
-                v[:, j] = col * np.conj(pivot / abs(pivot))
+    paired = min(u.shape[-1], v.shape[-1])
+    phase = np.conj(_pivot_phases(u))
+    u = u * phase[..., None, :]
+    v = v.copy()
+    v[..., :paired] *= phase[..., None, :paired]
+    if v.shape[-1] > paired:
+        v[..., paired:] *= np.conj(_pivot_phases(v[..., paired:]))[..., None, :]
     return u, v
+
+
+def sigma_matrices(sigma: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The m x n diagonal matrices of singular values (..., min(m, n))."""
+    out = np.zeros(sigma.shape[:-1] + (m, n))
+    r = np.arange(sigma.shape[-1])
+    out[..., r, r] = sigma
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,35 +155,36 @@ class MatrixSvd:
         return self.u.shape[0], self.v.shape[0]
 
     def sigma_matrix(self) -> np.ndarray:
-        m, n = self.shape
-        out = np.zeros((m, n))
-        np.fill_diagonal(out, self.sigma)
-        return out
+        return sigma_matrices(self.sigma, *self.shape)
 
     def reconstruct(self) -> np.ndarray:
         return self.u @ self.sigma_matrix().astype(self.u.dtype) @ self.v.conj().T
 
 
-def svd(a: np.ndarray) -> MatrixSvd:
-    """Singular value decomposition with a deterministic phase convention.
+def svd_stack(stack: np.ndarray):
+    """Full SVDs of a stack of matrices with a deterministic phase convention.
 
-    Returns full orthogonal/unitary factors.  Real input yields real
-    factors.  The zero matrix gets identity factors by convention.
+    Returns stacks (u, sigma, v) with a = u @ diag(sigma) @ v^H, full
+    orthogonal/unitary factors, real for real input.  A zero matrix gets
+    identity factors by convention.
     """
-    a = np.asarray(a)
-    m, n = a.shape
-    if not np.isfinite(a).all():
+    stack = np.asarray(stack)
+    m, n = stack.shape[-2:]
+    if not np.isfinite(stack).all():
         raise ValueError("svd requires finite entries")
-    if np.abs(a).max() == 0.0:
-        eye = np.eye(m) if np.isrealobj(a) else np.eye(m, dtype=complex)
-        eyen = np.eye(n) if np.isrealobj(a) else np.eye(n, dtype=complex)
-        return MatrixSvd(eye, np.zeros(min(m, n)), eyen)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    u, v = _fix_phases(u, vh.conj().T)
-    return MatrixSvd(u, s, v)
+    u, s, vh = _lapack_svd(stack, full_matrices=True)
+    u, v = _fix_phases(u, np.conj(vh.swapaxes(-1, -2)))
+    zero = ~stack.any(axis=(-2, -1))
+    if zero.any():
+        u[zero] = np.eye(m)
+        v[zero] = np.eye(n)
+    return u, s, v
+
+
+def svd(a: np.ndarray) -> MatrixSvd:
+    """Singular value decomposition of one matrix; see :func:`svd_stack`."""
+    u, s, v = svd_stack(np.asarray(a)[None])
+    return MatrixSvd(u[0], s[0], v[0])
 
 
 @dataclass(frozen=True)
@@ -336,85 +401,139 @@ class RankNormalForm:
         return e
 
 
-def rank_normal_form(a: np.ndarray, rtol: float | None = None) -> RankNormalForm:
-    """Rank normal form built from the SVD.
+def rank_normal_factors(u, sigma, v, cutoff: RankCutoff):
+    """Stacks (u', e, v') of rank normal forms a = u' @ e @ v' from the
+    full SVD stacks of :func:`svd_stack`.
 
-    u absorbs the r leading singular values (padded with ones so it stays
-    invertible); v is the conjugate-transposed right factor.
+    e is [[I_r, 0], [0, 0]] with r the number of singular values above the
+    cutoff; u' absorbs those r singular values (padded with ones so it
+    stays invertible) and v' is the conjugate-transposed right factor.
     """
+    m, n = u.shape[-1], v.shape[-1]
+    r = min(m, n)
+    keep = sigma > cutoff.at()
+    scale = np.ones(sigma.shape[:-1] + (m,))
+    scale[..., :r] = np.where(keep, sigma, 1.0)
+    e = np.zeros(sigma.shape[:-1] + (m, n))
+    e[..., np.arange(r), np.arange(r)] = keep
+    return u * scale[..., None, :], e, np.conj(v.swapaxes(-1, -2))
+
+
+def rank_normal_form(
+    a: np.ndarray, cutoff: RankCutoff | None = None
+) -> RankNormalForm:
+    """Rank normal form built from the SVD; see :func:`rank_normal_factors`.
+    The rank counts the singular values above the cutoff (default: a's
+    own)."""
     a = np.asarray(a)
-    dec = svd(a)
-    if rtol is None:
-        rtol = default_rank_rtol(a)
-    smax = dec.sigma[0] if dec.sigma.size else 0.0
-    r = int(np.count_nonzero(dec.sigma > rtol * smax)) if smax > 0 else 0
-    scale = np.ones(a.shape[0])
-    scale[:r] = dec.sigma[:r]
-    u = dec.u @ np.diag(scale).astype(dec.u.dtype)
-    v = dec.v.conj().T
-    return RankNormalForm(u, v, r)
+    u, sigma, v = svd_stack(a[None])
+    if cutoff is None:
+        cutoff = _matrix_cutoff(a, sigma)
+    u, _, v = rank_normal_factors(u, sigma, v, cutoff)
+    return RankNormalForm(u[0], v[0], int(cutoff.rank(sigma[0])))
 
 
-def mp_inverse(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via the SVD with an explicit rank cutoff."""
+def pinv_from_svd(u, sigma, vh, threshold: float) -> np.ndarray:
+    """v diag(1/sigma) u^H over the singular values above ``threshold``,
+    from thin SVD factors of a matrix or a stack."""
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > threshold)
+    return np.conj(vh.swapaxes(-1, -2)) @ (
+        inv[..., :, None] * np.conj(u.swapaxes(-1, -2))
+    )
+
+
+def mp_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
+    """Moore-Penrose inverse of a matrix or a stack of matrices, with the
+    singular values at or below the cutoff (default: a's own) as zero."""
     a = np.asarray(a)
-    dec = svd(a)
-    if rtol is None:
-        rtol = default_rank_rtol(a)
-    smax = dec.sigma[0] if dec.sigma.size else 0.0
-    inv = np.where(dec.sigma > rtol * smax, 1.0, 0.0)
-    inv = np.divide(inv, dec.sigma, out=np.zeros_like(dec.sigma), where=inv > 0)
-    m, n = dec.shape
-    sig_pinv = np.zeros((n, m))
-    np.fill_diagonal(sig_pinv, inv)
-    return dec.v @ sig_pinv.astype(dec.v.dtype) @ dec.u.conj().T
+    u, s, vh = svd_reduced(a)
+    if cutoff is None:
+        cutoff = _matrix_cutoff(a, s)
+    return pinv_from_svd(u, s, vh, cutoff.at())
 
 
-def matrix_index(a: np.ndarray, rtol: float | None = None) -> int:
+def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
+    """Drazin indices of a stack of square matrices, and their powers.
+
+    The index of a is the least k with rank(a^(k+1)) == rank(a^k), at most
+    n; rank(a^j) counts the singular values above ``cutoff.at(j)``.
+    ``sigma`` are the singular values of the stack.  Powers are formed one
+    at a time and the loop stops once every index is known, so ``powers[j]``
+    is a^j for j = 1..max(index) + 1.
+    """
+    b, n, _ = stack.shape
+    index = np.full(b, -1)
+    prev = np.full(b, n)
+    powers = [None, stack]
+    for j in range(1, n + 2):
+        if j > 1:
+            powers.append(powers[-1] @ stack)
+            sigma = singular_values(powers[-1])
+        rank = cutoff.rank(sigma, j)
+        index[(index < 0) & (rank == prev)] = j - 1
+        if (index >= 0).all():
+            break
+        prev = rank
+    index[index < 0] = n
+    return index, powers
+
+
+def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
+    """Drazin inverses and indices of a stack of square matrices.
+
+    a^D = a^k @ pinv(a^(2k+1)) @ a^k with k the index from
+    :func:`drazin_indices`, which reduces to pinv(a) at k = 0; one batched
+    pseudoinverse per distinct index, with the cutoff of power 2k+1.
+    """
+    index, powers = drazin_indices(stack, cutoff, sigma)
+    out = np.empty(stack.shape, dtype=stack.dtype)
+    for k in np.unique(index):
+        group = index == k
+        if k == 0:
+            out[group] = pinv_from_svd(*svd_reduced(stack[group]), cutoff.at())
+            continue
+        ak = powers[k][group]
+        middle = pinv_from_svd(
+            *svd_reduced(ak @ powers[k + 1][group]), cutoff.at(2 * k + 1)
+        )
+        out[group] = ak @ middle @ ak
+    return out, index
+
+
+def _square_with_cutoff(a, name, cutoff):
+    """a as a square matrix, its singular values and its cutoff."""
+    a = np.asarray(a)
+    _require_square(a, name)
+    sigma = singular_values(a)
+    return a, sigma, cutoff if cutoff is not None else _matrix_cutoff(a, sigma)
+
+
+def matrix_index(a: np.ndarray, cutoff: RankCutoff | None = None) -> int:
     """Least k with rank(a^(k+1)) == rank(a^k); at most n."""
-    a = np.asarray(a)
-    _require_square(a, "matrix_index")
-    n = a.shape[0]
-    prev_rank = n  # rank of a^0
-    power = np.eye(n, dtype=a.dtype)
-    for k in range(n + 1):
-        power = power @ a
-        rank = numerical_rank(power, rtol)
-        if rank == prev_rank:
-            return k
-        prev_rank = rank
-    return n
+    a, sigma, cutoff = _square_with_cutoff(a, "matrix_index", cutoff)
+    return int(drazin_indices(a[None], cutoff, sigma[None])[0][0])
 
 
 def drazin_inverse(
-    a: np.ndarray, rtol: float | None = None
+    a: np.ndarray, cutoff: RankCutoff | None = None
 ) -> tuple[np.ndarray, int]:
-    """Drazin inverse a^D and the index i(a).
-
-    Uses a^D = a^k @ pinv(a^(2k+1)) @ a^k with k the computed index, which
-    reduces to the ordinary inverse at k = 0 and is robust at desk scale.
-    """
-    a = np.asarray(a)
-    _require_square(a, "drazin_inverse")
-    k = matrix_index(a, rtol)
-    if k == 0:
-        return mp_inverse(a, rtol), 0
-    ak = np.linalg.matrix_power(a, k)
-    middle = mp_inverse(np.linalg.matrix_power(a, 2 * k + 1), rtol)
-    return ak @ middle @ ak, k
+    """Drazin inverse a^D and the index i(a); see :func:`drazin_stack`."""
+    a, sigma, cutoff = _square_with_cutoff(a, "drazin_inverse", cutoff)
+    ad, index = drazin_stack(a[None], cutoff, sigma[None])
+    return ad[0], int(index[0])
 
 
-def group_inverse(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def group_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
     """Group inverse; exists iff rank(a^2) == rank(a).
 
     The failure payload reports how close the rank decision was.
     """
-    a = np.asarray(a)
-    _require_square(a, "group_inverse")
-    rank = numerical_rank(a, rtol)
-    rank_sq = numerical_rank(a @ a, rtol)
+    a, sigma, cutoff = _square_with_cutoff(a, "group_inverse", cutoff)
+    sigma_sq = singular_values(a @ a)
+    rank = int(cutoff.rank(sigma))
+    rank_sq = int(cutoff.rank(sigma_sq, 2))
     if rank_sq != rank:
-        margin = _rank_margin(a, rtol)
+        margin = _rank_margin(cutoff, sigma, sigma_sq)
         raise GroupInverseNotExist(
             f"rank(A^2) = {rank_sq} < rank(A) = {rank}; group inverse does "
             f"not exist (rank-decision margin {margin:.3e})",
@@ -422,30 +541,26 @@ def group_inverse(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
             rank_sq=rank_sq,
             margin=margin,
         )
-    ad, index = drazin_inverse(a, rtol)
-    if index > 1:
+    ad, index = drazin_stack(a[None], cutoff, sigma[None])
+    if index[0] > 1:
         raise GroupInverseNotExist(
-            f"computed Drazin index {index} exceeds 1",
+            f"computed Drazin index {index[0]} exceeds 1",
             rank=rank,
             rank_sq=rank_sq,
-            margin=_rank_margin(a, rtol),
+            margin=_rank_margin(cutoff, sigma, sigma_sq),
         )
-    return ad
+    return ad[0]
 
 
-def _rank_margin(a: np.ndarray, rtol: float | None) -> float:
-    """Smallest relative gap between a singular value of a or a^2 and the
+def _rank_margin(cutoff: RankCutoff, sigma, sigma_sq) -> float:
+    """Smallest relative gap between a singular value of a or a^2 and its
     rank cutoff; small margins mean the existence decision is fragile."""
-    if rtol is None:
-        rtol = default_rank_rtol(a)
     margin = np.inf
-    for mat in (a, a @ a):
-        sigma = np.linalg.svd(mat, compute_uv=False)
-        if sigma.size == 0 or sigma[0] == 0.0:
+    for power, s in ((1, sigma), (2, sigma_sq)):
+        threshold = cutoff.at(power)
+        if s.size == 0 or threshold == 0.0:
             continue
-        cutoff = rtol * sigma[0]
-        gaps = np.abs(sigma - cutoff) / cutoff
-        margin = min(margin, float(gaps.min()))
+        margin = min(margin, float((np.abs(s - threshold) / threshold).min()))
     return margin
 
 

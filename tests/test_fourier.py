@@ -21,7 +21,15 @@ from tprod import (
     to_fourier,
     tprod,
 )
-from tprod.fourier import mirror_blocks, partner, real_forced_indices
+from tprod.fourier import (
+    half_batches,
+    join_batches,
+    map_batches,
+    mirror_blocks,
+    pair_tolerance,
+    partner,
+    real_forced_indices,
+)
 from tprod.kernels import mp_inverse
 
 from conftest import max_abs
@@ -86,6 +94,18 @@ class TestToFourier:
         assert pairing[0] == 0
         if p % 2 == 0 and p > 1:
             assert pairing[p // 2] == p // 2
+
+
+class TestFourierBlocksStorage:
+    def test_caller_array_stays_writable(self):
+        # a C-contiguous complex128 input is what ascontiguousarray returns
+        # as it is; only the stored view may be frozen
+        arr = np.zeros((2, 2, 2), dtype=np.complex128)
+        fb = FourierBlocks(arr)
+        assert arr.flags.writeable
+        assert not fb.blocks.flags.writeable
+        arr[0, 0, 0] = 1.0
+        assert fb.blocks[0, 0, 0] == 1.0
 
 
 class TestFromFourier:
@@ -238,6 +258,30 @@ class TestPairingProperties:
             np.testing.assert_array_equal(fb.blocks[p - k], np.conj(fb.blocks[k]))
         bound = 1e3 * np.finfo(float).eps * p * t.max_abs
         assert max_abs(fb.blocks - np.fft.fft(t.array, axis=0)) <= bound
+
+
+class TestRealnessCertification:
+    @settings(max_examples=80)
+    @given(stack_dims(), st.data(), st.booleans())
+    def test_dropped_imaginary_part_is_certified(self, dims, data, too_big):
+        p, m, n, seed = dims
+        t = gen(seed, m, n, p)
+        fb = to_fourier(t)
+        k = data.draw(st.sampled_from(real_forced_indices(p)))
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        tol = pair_tolerance(fb.max_abs)
+        delta = 2 * tol if too_big else tol / 4
+        blocks = fb.blocks.copy()
+        blocks[k, i, j] += 1j * delta
+        perturbed = FourierBlocks(blocks, real_origin=True)
+        if too_big:
+            # irfft would ignore this block's imaginary part
+            with pytest.raises(PairingViolation):
+                assemble_real(perturbed)
+        else:
+            back, max_imag = assemble_real(perturbed)
+            assert max_imag == pytest.approx(delta / p, rel=1e-6)
+            assert max_abs((back - t).array) <= 1e-12 * (1 + t.max_abs)
 
 
 class TestMirrorBlocks:
@@ -400,6 +444,34 @@ class TestLiftProperties:
             lift_multi(to_fourier(t), op)
         assert excinfo.value.block_index == bad
         assert str(excinfo.value).count("Fourier block") == 1
+
+
+class TestMapBatches:
+    @settings(max_examples=60)
+    @given(lift_cases(), st.booleans())
+    def test_failure_names_its_block(self, case, math_error):
+        t, bad = case
+        fb = to_fourier(t)
+        target = fb.block(bad)
+        exc_type = DefectiveBlock if math_error else RuntimeError
+
+        def fn(stack):
+            if any(np.array_equal(blk, target) for blk in stack):
+                raise exc_type("boom")
+            return stack
+
+        with pytest.raises(DefectiveBlock if math_error else BlockOpError) as excinfo:
+            map_batches(half_batches(fb), fn)
+        assert excinfo.value.block_index == bad
+        assert str(excinfo.value).count("Fourier block") == 1
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
+    def test_identity_round_trip(self, p):
+        fb = to_fourier(gen(p, 2, 3, p))
+        batches = half_batches(fb)
+        out = join_batches(batches, map_batches(batches, lambda s: s), p)
+        np.testing.assert_array_equal(out.blocks, fb.blocks)
+        assert sorted(k for idx, _ in batches for k in idx) == list(range(p // 2 + 1))
 
 
 class TestSimilarityIdentity:
