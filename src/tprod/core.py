@@ -7,7 +7,9 @@ With this layout ``unfold``/``fold`` are plain reshapes.
 
 The t-product itself is ``fold(bcirc(a) @ unfold(b))``; a mathematically
 equivalent Fourier-domain path lives in :mod:`tprod.fourier` and both are
-exposed here for cross-checking.
+exposed here for cross-checking.  ``bcirc`` builds the mp x np matrix
+with one copy, from a strided view of the doubled slice stack in which
+block (r, c) is slice (r - c) mod p, never block by block.
 """
 
 from __future__ import annotations
@@ -134,6 +136,16 @@ class BlockCirculant:
             raise DimensionError(
                 f"matrix shape {mat.shape} is not divisible into {p}x{p} blocks"
             )
+        self._set(mat, p)
+
+    @classmethod
+    def _wrap(cls, mat: np.ndarray, p: int) -> "BlockCirculant":
+        """Wrap a fresh float64 matrix of valid shape without copying it."""
+        b = cls.__new__(cls)
+        b._set(mat, p)
+        return b
+
+    def _set(self, mat: np.ndarray, p: int) -> None:
         mat.setflags(write=False)
         self._matrix = mat
         self._p = p
@@ -153,13 +165,10 @@ class BlockCirculant:
         return self._matrix[r * m:(r + 1) * m, c * n:(c + 1) * n]
 
     def circulant_deviation(self) -> float:
-        """Max deviation of any block from its cyclic predecessor."""
-        dev = 0.0
-        for c in range(1, self._p):
-            for r in range(self._p):
-                ref = self.block((r - c) % self._p, 0)
-                dev = max(dev, float(np.abs(self.block(r, c) - ref).max()))
-        return dev
+        """Max deviation from the block circulant of the first block column."""
+        m, n, p = self.block_dims
+        first = self._matrix[:, :n].reshape(p, m, n)
+        return float(np.abs(self._matrix - _circulant(first)).max())
 
     def __repr__(self) -> str:
         m, n, p = self.block_dims
@@ -191,12 +200,22 @@ def bcirc(t: Tensor3) -> BlockCirculant:
     block column reads slice 1..p top to bottom and each later column is the
     cyclic downshift of the previous one.
     """
-    m, n, p = t.dims
-    mat = np.zeros((m * p, n * p))
-    for c in range(p):
-        for r in range(p):
-            mat[r * m:(r + 1) * m, c * n:(c + 1) * n] = t.slice((r - c) % p)
-    return BlockCirculant(mat, p)
+    return BlockCirculant._wrap(_circulant(t.array), t.dims[2])
+
+
+def _circulant(stack: np.ndarray) -> np.ndarray:
+    """The (mp, np) block circulant of a (p, m, n) slice stack, in one copy.
+
+    With d = (slices 2..p, slices 1..p), block (r, c) is d[p - 1 + r - c]:
+    a strided view of d with step +1 slice down the block rows and -1
+    slice along the block columns.
+    """
+    p, m, n = stack.shape
+    d = np.concatenate((stack[1:], stack))
+    s0, s1, s2 = d.strides
+    blocks = np.ndarray((p, m, p, n), np.float64, d, (p - 1) * s0,
+                        (s0, s1, -s0, s2))
+    return blocks.copy().reshape(m * p, n * p)
 
 
 def bcirc_inv(b: BlockCirculant) -> Tensor3:

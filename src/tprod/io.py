@@ -19,15 +19,12 @@ from .errors import DimensionError, IoError, ParseError
 def write_tensor(path, t: Tensor3) -> None:
     """Write a tensor to ``path`` in the text format."""
     m, n, p = t.dims
-    lines = [f"{m} {n} {p}"]
-    for k in range(p):
-        for i in range(m):
-            lines.append(" ".join(f"{x:.17g}" for x in t.array[k, i]))
-        if k < p - 1:
-            lines.append("")
+    # one %-format pass over every entry; '%.17g' round-trips doubles
+    body = "\n\n".join(["\n".join([" ".join(["%.17g"] * n)] * m)] * p)
+    text = f"{m} {n} {p}\n" + body % tuple(t.array.ravel().tolist()) + "\n"
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -79,6 +76,23 @@ def read_tensor(path) -> Tensor3:
             f"expected {m * p} data rows for a {m}x{n}x{p} tensor, "
             f"got {len(body)}"
         )
+    try:
+        values = np.array([tokens for _, tokens in body], dtype=float)
+    except ValueError:  # a bad token, or rows of unequal width
+        values = None
+    if (values is None or values.shape != (m * p, n)
+            or not np.isfinite(values).all()):
+        values = _parse_rows(body, n)
+    return Tensor3(values.reshape(p, m, n))
+
+
+def _parse_rows(body, n: int) -> np.ndarray:
+    """Parse data rows token by token, raising ParseError at the first bad one.
+
+    ``read_tensor`` parses all tokens in one array conversion and falls back
+    to this loop only when that fails, so that the error names the line and
+    column of the first offending row or token in file order.
+    """
     values = []
     for lineno, tokens in body:
         if len(tokens) != n:
@@ -100,5 +114,4 @@ def read_tensor(path) -> Tensor3:
                 )
             row.append(x)
         values.append(row)
-
-    return Tensor3(np.asarray(values).reshape(p, m, n))
+    return np.asarray(values)

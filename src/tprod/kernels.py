@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -207,6 +206,8 @@ def schur_complex(a: np.ndarray) -> MatrixSchur:
     """Complex Schur decomposition: unitary u, upper triangular t."""
     a = np.asarray(a, dtype=complex)
     _require_square(a, "schur_complex")
+    import scipy.linalg  # here, not at the top: only Schur pays its import
+
     try:
         t, u = scipy.linalg.schur(a, output="complex")
     except np.linalg.LinAlgError as exc:
@@ -222,6 +223,8 @@ def schur_real_ordered(a: np.ndarray) -> MatrixSchur:
     """
     a = np.asarray(a, dtype=np.float64)
     _require_square(a, "schur_real_ordered")
+    import scipy.linalg
+
     try:
         t, u, sdim = scipy.linalg.schur(
             a, output="real", sort=lambda x, y: y == 0

@@ -86,6 +86,16 @@ class TestUnfoldFold:
         np.testing.assert_array_equal(unfold(fold(m, 4)), m)
 
 
+def bcirc_slice_loop(t: Tensor3) -> np.ndarray:
+    """Reference block circulant: block (r, c) is slice (r - c) mod p."""
+    m, n, p = t.dims
+    mat = np.zeros((m * p, n * p))
+    for c in range(p):
+        for r in range(p):
+            mat[r * m:(r + 1) * m, c * n:(c + 1) * n] = t.slice((r - c) % p)
+    return mat
+
+
 class TestBcirc:
     def test_tube_example(self):
         t = Tensor3(np.array([1.0, 2.0]).reshape(2, 1, 1))
@@ -122,6 +132,35 @@ class TestBcirc:
         np.testing.assert_array_equal(
             bcirc(a + b).matrix, bcirc(a).matrix + bcirc(b).matrix
         )
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 9),
+           st.integers(1, 3), st.integers(0, 10**6))
+    def test_matches_slice_loop_construction(self, m, n, p, ell, seed):
+        a = gen(seed, m, n, p)
+        mat = bcirc(a).matrix
+        expected = bcirc_slice_loop(a)
+        assert np.array_equal(mat, expected)
+        assert mat.flags.c_contiguous and not mat.flags.writeable
+        # the direct t-product keeps its exact bits
+        b = gen(seed + 1, n, ell, p)
+        assert np.array_equal(tprod(a, b, path="direct").array,
+                              fold(expected @ unfold(b), p).array)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 9),
+           st.integers(0, 10**6))
+    def test_circulant_deviation_matches_block_loop(self, m, n, p, seed):
+        rng = np.random.default_rng(seed)
+        mat = bcirc(gen(seed, m, n, p)).matrix.copy()
+        mat[rng.integers(m * p), rng.integers(n * p)] += rng.uniform(-1, 1)
+        b = BlockCirculant(mat, p)
+        dev = 0.0
+        for c in range(1, p):
+            for r in range(p):
+                ref = b.block((r - c) % p, 0)
+                dev = max(dev, float(np.abs(b.block(r, c) - ref).max()))
+        assert b.circulant_deviation() == dev
 
 
 class TestBcircInv:

@@ -1,9 +1,15 @@
 """Tests for the file format, the generator, and the CLI."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprod import (
     DimensionError,
@@ -17,9 +23,104 @@ from tprod import (
     tprod,
     write_tensor,
 )
+from tprod import cli
 from tprod.cli import cli_main
 
-from conftest import max_abs
+from conftest import FIXTURES, max_abs
+
+
+def write_tensor_per_element(path, t):
+    """Reference writer: one f-string per entry."""
+    m, n, p = t.dims
+    lines = [f"{m} {n} {p}"]
+    for k in range(p):
+        for i in range(m):
+            lines.append(" ".join(f"{x:.17g}" for x in t.array[k, i]))
+        if k < p - 1:
+            lines.append("")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_tensor_per_token(path):
+    """Reference reader: header, then every token parsed and checked alone."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.readlines()
+    rows = []
+    for lineno, line in enumerate(raw, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append((lineno, stripped.split()))
+    if not rows:
+        raise ParseError("empty tensor file")
+    header_line, header = rows[0]
+    if len(header) != 3:
+        raise ParseError(
+            f"header must be 'm n p', got {len(header)} fields",
+            line=header_line,
+        )
+    dims = []
+    for col, token in enumerate(header, start=1):
+        try:
+            value = int(token)
+        except ValueError:
+            raise ParseError(
+                f"header field {token!r} is not an integer",
+                line=header_line, column=col,
+            ) from None
+        if value < 1:
+            raise ParseError(
+                f"dimension {token!r} must be positive",
+                line=header_line, column=col,
+            )
+        dims.append(value)
+    m, n, p = dims
+    body = rows[1:]
+    if len(body) != m * p:
+        raise DimensionError(
+            f"expected {m * p} data rows for a {m}x{n}x{p} tensor, "
+            f"got {len(body)}"
+        )
+    values = []
+    for lineno, tokens in body:
+        if len(tokens) != n:
+            raise ParseError(
+                f"expected {n} values per row, got {len(tokens)}",
+                line=lineno,
+            )
+        row = []
+        for col, token in enumerate(tokens, start=1):
+            try:
+                x = float(token)
+            except ValueError:
+                raise ParseError(
+                    f"bad number {token!r}", line=lineno, column=col
+                ) from None
+            if not math.isfinite(x):
+                raise ParseError(
+                    f"non-finite value {token!r}", line=lineno, column=col
+                )
+            row.append(x)
+        values.append(row)
+    return Tensor3(np.asarray(values).reshape(p, m, n))
+
+
+def read_outcome(reader, path):
+    """The tensor ``reader`` returns, or its error's class, text and place."""
+    try:
+        return reader(path)
+    except (ParseError, DimensionError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            1e-300)
+# valid and invalid tokens for the reader; 1e400 overflows to inf and 1_0
+# is a valid Python float
+TOKENS = ("1", "-0", "2.5e-3", "5e-324", "1e400", "-1e400", "nan", "inf",
+          "-inf", "1_0", "0x10", "oops", ".5", "1e")
 
 
 class TestTensorFile:
@@ -92,6 +193,87 @@ class TestTensorFile:
         path.write_text("2 2\n")
         with pytest.raises(ParseError):
             read_tensor(path)
+
+
+class TestTensorFileMatchesReference:
+    @settings(max_examples=100)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9),
+           st.data())
+    def test_writer_is_byte_identical(self, tmp_path_factory, m, n, p, data):
+        entries = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(EXTREMES)),
+            min_size=m * n * p, max_size=m * n * p))
+        t = Tensor3(np.array(entries).reshape(p, m, n))
+        d = tmp_path_factory.mktemp("w")
+        write_tensor(d / "new.tns", t)
+        write_tensor_per_element(d / "ref.tns", t)
+        assert (d / "new.tns").read_bytes() == (d / "ref.tns").read_bytes()
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.data())
+    def test_reader_matches_reference(self, tmp_path_factory, m, n, p, data):
+        # rows of drawn tokens, a sometimes wrong width, tab or space
+        # separators, LF or CRLF line ends, comments between slices
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        lines = [f"{m} {n} {p}"]
+        for k in range(p):
+            for _ in range(m):
+                width = data.draw(st.sampled_from([n, n, n, n + 1, n - 1]))
+                tokens = data.draw(st.lists(
+                    st.one_of(st.sampled_from(TOKENS),
+                              st.floats(allow_nan=False).map(repr)),
+                    min_size=width, max_size=width))
+                lines.append(data.draw(st.sampled_from([" ", "\t"]))
+                             .join(tokens))
+            lines.append(data.draw(st.sampled_from(["", "# slice end"])))
+        path = tmp_path_factory.mktemp("r") / "t.tns"
+        path.write_bytes(newline.join(lines).encode("ascii"))
+        self.assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "2 2\n", "0 2 2\n", "1 x 1\n",
+        "1 2 1\n1.0 oops\n", "1 3 1\n1.0 2.0\n", "2 2 2\n1 2\n3 4\n",
+        "1 1 1\nnan\n", "1 1 1\n1e400\n", "1 2 1\n1_0 0x10\n",
+        "1 2 2\n1 inf\n\n1 2 3\n", "1 2 2\n1 2 3\n\nnan 2\n",
+        "# a comment\n1 1 2\n\n3.5\n# another\n\n-1\n",
+        "1 2 1\r\n\t1\t-0 \r\n",
+    ])
+    def test_error_fixtures_match_reference(self, tmp_path, text):
+        path = tmp_path / "t.tns"
+        path.write_bytes(text.encode("ascii"))
+        self.assert_same_outcome(path)
+
+    def test_paper_fixtures_match_reference(self):
+        for path in FIXTURES.glob("*.tns"):
+            self.assert_same_outcome(path)
+
+    @staticmethod
+    def assert_same_outcome(path):
+        new = read_outcome(read_tensor, path)
+        ref = read_outcome(read_tensor_per_token, path)
+        if isinstance(ref, Tensor3):
+            assert isinstance(new, Tensor3) and new == ref
+        else:
+            assert new == ref
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the Schur kernels alone; a module-level import
+    # anywhere on the CLI path would add its load time to every subprocess
+    script = (
+        "import sys, tprod.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from tprod import gen, t_schur\n"
+        "assert t_schur(gen(3, 3, 3, 4)).report.passed\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestGen:
