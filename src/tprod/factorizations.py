@@ -1,11 +1,15 @@
 """Real tensor factorizations built by pairing block decompositions.
 
-Each factorization follows the same pattern: transform to the Fourier
-domain, decompose only the non-redundant blocks (real kernels on the
-real-forced blocks, complex kernels elsewhere), mirror the factors onto
-the conjugate partners, and inverse-transform with realness certification.
-The resulting factors are always real; every operation returns a
-ResidualReport of its defining identities.
+Each factorization follows the same pattern: transform to the half
+spectrum, decompose its blocks 0..floor(p/2) (real kernels on the
+real-forced blocks, complex kernels elsewhere) on the batch engine of
+:mod:`tprod.fourier`, and inverse-transform with realness certification.
+The conjugate partners are never computed: each factor family is a
+:class:`~tprod.fourier.FourierBlocks`, which implies them.  The SVD and the
+idempotent factorization run one batched kernel per batch; Schur and
+Jordan go through :func:`~tprod.fourier.lift_multi`, because their LAPACK
+drivers take one matrix at a time.  The resulting factors are always real;
+every operation returns a ResidualReport of its defining identities.
 
 Structural notions: a tensor is f-diagonal when every frontal slice is
 diagonal; f-quasi-triangular when all slices are block upper triangular
@@ -35,6 +39,7 @@ from .fourier import (
     join_batches,
     lift_multi,
     map_batches,
+    real_forced_indices,
     real_tolerance,
     to_fourier,
 )
@@ -208,21 +213,14 @@ def t_svd(a: Tensor3) -> TSvdResult:
     """
     m, n, p = a.dims
     batches = half_batches(to_fourier(a))
-    parts = map_batches(batches, kernels.svd_stack)
-    fb_u = join_batches(batches, [u for u, _, _ in parts], p)
-    fb_s = join_batches(
-        batches, [kernels.sigma_matrices(s, m, n) for _, s, _ in parts], p
-    )
-    fb_v = join_batches(batches, [v for _, _, v in parts], p)
-    u, im_u = assemble_real(fb_u)
-    s, im_s = assemble_real(fb_s)
-    v, im_v = assemble_real(fb_v)
-
-    sigma = np.diagonal(fb_s.blocks, axis1=1, axis2=2).real.copy()
-
-    realness = max(im_u, im_s, im_v)
-    max_abs = max(fb_u.max_abs, fb_s.max_abs, fb_v.max_abs)
-    report = tsvd_report(a, u, s, v, realness=(realness, max_abs))
+    parts = [(u, kernels.sigma_matrices(s, m, n), v)
+             for u, s, v in map_batches(batches, kernels.svd_stack)]
+    fb_u, fb_s, fb_v = (join_batches(batches, f, p) for f in zip(*parts))
+    (u, s, v), realness = _assemble(fb_u, fb_s, fb_v)
+    # the partners of blocks 1..ceil(p/2)-1 share their singular values
+    k = np.arange(p)
+    sigma = np.diagonal(fb_s.blocks, axis1=1, axis2=2).real[np.minimum(k, p - k)]
+    report = tsvd_report(a, u, s, v, realness=realness)
     return TSvdResult(u, s, v, report, sigma)
 
 
@@ -259,6 +257,14 @@ def tsvd_report(
     return report.stop()
 
 
+def _assemble(*families: FourierBlocks) -> tuple[list[Tensor3], tuple]:
+    """The real tensors of factor families, and the realness pair of their
+    report: the largest certified residue and the largest block entry."""
+    assembled = [assemble_real(fb) for fb in families]
+    realness = (max(im for _, im in assembled), max(fb.max_abs for fb in families))
+    return [t for t, _ in assembled], realness
+
+
 def _add_realness(report, p, tol, realness):
     if realness is None:
         return
@@ -269,6 +275,15 @@ def _add_realness(report, p, tol, realness):
 
 # ---------------------------------------------------------------------------
 # t-Schur
+
+
+def _schur_block(block, k):
+    """Ordered real Schur form of a real-forced block, complex elsewhere."""
+    if np.iscomplexobj(block):
+        dec = kernels.schur_complex(block)
+    else:
+        dec = kernels.schur_real_ordered(block)
+    return dec.u, dec.t
 
 
 @dataclass
@@ -283,7 +298,8 @@ def t_schur(a: Tensor3) -> TSchurResult:
     """Orthogonal similarity to an f-quasi-triangular tensor.
 
     The real-forced blocks get an ordered real Schur form (1x1 blocks
-    first), the rest complex Schur forms, mirrored across conjugate pairs.
+    first), blocks 1..ceil(p/2)-1 complex Schur forms, which their
+    conjugate partners share.
     The common partition is detected a posteriori from the assembled
     slices; if some slice would need a diagonal block larger than 2x2,
     PartitionViolation is raised.
@@ -291,26 +307,13 @@ def t_schur(a: Tensor3) -> TSchurResult:
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_schur requires square slices")
-    fb = to_fourier(a)
-
-    def op(block, k):
-        if k in fb.real_forced:
-            dec = kernels.schur_real_ordered(block)
-        else:
-            dec = kernels.schur_complex(block)
-        return dec.u, dec.t
-
-    fb_u, fb_t = lift_multi(fb, op)
-    u, im_u = assemble_real(fb_u)
-    t, im_t = assemble_real(fb_t)
-
+    (u, t), realness = _assemble(*lift_multi(to_fourier(a), _schur_block))
     partition = finest_partition(t.array, structure_tolerance(t))
     if partition is None:
         raise PartitionViolation(
             "assembled slices admit no common 1x1/2x2 diagonal partition "
             "(incompatible real-forced block orderings)"
         )
-    realness = (max(im_u, im_t), max(fb_u.max_abs, fb_t.max_abs))
     report = tschur_report(a, u, t, partition, realness=realness)
     return TSchurResult(u, t, partition, report)
 
@@ -357,6 +360,15 @@ def tschur_report(
 # t-Jordan (diagonalizable regime)
 
 
+def _jordan_block(block, k):
+    """Real Jordan form of a real-forced block, complex elsewhere."""
+    if np.iscomplexobj(block):
+        dec = kernels.jordan_complex(block)
+    else:
+        dec = kernels.jordan_real(block)
+    return dec.p, dec.j
+
+
 @dataclass
 class TJordanResult:
     p: Tensor3
@@ -376,39 +388,23 @@ def t_jordan(a: Tensor3) -> TJordanResult:
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_jordan requires square slices")
-    fb = to_fourier(a)
-
-    def op(block, k):
-        if k in fb.real_forced:
-            dec = kernels.jordan_real(block)
-        else:
-            dec = kernels.jordan_complex(block)
-        return dec.p, dec.j
-
-    fb_p, fb_j = lift_multi(fb, op)
-    pt, im_p = assemble_real(fb_p)
-    j, im_j = assemble_real(fb_j)
-
+    (pt, j), realness = _assemble(*lift_multi(to_fourier(a), _jordan_block))
     partition = finest_partition(j.array, structure_tolerance(j), bidiagonal=True)
     if partition is None:
         raise PartitionViolation(
             "assembled slices admit no common block-bi-diagonal partition "
             "with blocks of size at most 2"
         )
-    realness = (max(im_p, im_j), max(fb_p.max_abs, fb_j.max_abs))
     report = tjordan_report(a, pt, j, partition, realness=realness)
     return TJordanResult(pt, j, partition, report)
 
 
 def _condition_estimate(fb: FourierBlocks) -> float:
-    """Largest per-block 2-norm condition number."""
-    worst = 1.0
-    for k in fb.evaluated:
-        sigma = np.linalg.svd(fb.blocks[k], compute_uv=False)
-        if sigma[-1] == 0.0:
-            return np.inf
-        worst = max(worst, float(sigma[0] / sigma[-1]))
-    return worst
+    """Largest per-block 2-norm condition number, at least 1."""
+    sigma = kernels.singular_values(fb.blocks)
+    if (sigma[:, -1] == 0.0).any():
+        return np.inf
+    return max(1.0, float((sigma[:, 0] / sigma[:, -1]).max()))
 
 
 def tjordan_report(
@@ -490,14 +486,9 @@ def idempotent_factorization(
     parts = map_batches(batches, kernels.svd_stack)
     cutoff = kernels.rank_cutoff([s for _, s, _ in parts], a.dims, rtol)
     factors = [kernels.rank_normal_factors(*part, cutoff) for part in parts]
-    fb_u, fb_e, fb_v = (
-        join_batches(batches, [f[i] for f in factors], p) for i in range(3)
+    (u, e, v), realness = _assemble(
+        *(join_batches(batches, f, p) for f in zip(*factors))
     )
-    u, im_u = assemble_real(fb_u)
-    e, im_e = assemble_real(fb_e)
-    v, im_v = assemble_real(fb_v)
-    realness = (max(im_u, im_e, im_v),
-                max(fb_u.max_abs, fb_e.max_abs, fb_v.max_abs))
     report = idem_report(a, u, e, v, realness=realness)
     return IdempotentFactorization(u, e, v, report)
 
@@ -541,11 +532,10 @@ def t_jordan_naive(a: Tensor3) -> np.ndarray:
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_jordan_naive requires square slices")
-    fb = to_fourier(a)
-    forms = np.stack(
-        [kernels.jordan_complex(fb.blocks[k]).j for k in range(p)]
+    blocks = to_fourier(a).full()
+    return inverse_transform(
+        np.stack([kernels.jordan_complex(block).j for block in blocks])
     )
-    return inverse_transform(FourierBlocks(forms))
 
 
 def t_svd_naive_real_blocks(
@@ -558,15 +548,11 @@ def t_svd_naive_real_blocks(
     Nothing couples conjugate blocks, so realness of the assembled factors
     is down to luck.
     """
-    m, n, p = a.dims
-    fb = to_fourier(a)
-    us, ss, vs = [], [], []
-    for k in range(p):
-        dec = kernels.svd(fb.block(k))
-        us.append(dec.u.astype(complex))
-        ss.append(dec.sigma_matrix().astype(complex))
-        vs.append(dec.v.astype(complex))
+    p = a.dims[2]
+    blocks = to_fourier(a).full()
+    decs = [kernels.svd(blocks[k].real if k in real_forced_indices(p) else blocks[k])
+            for k in range(p)]
     return tuple(
-        inverse_transform(FourierBlocks(np.stack(stack)))
-        for stack in (us, ss, vs)
+        inverse_transform(np.stack(family))
+        for family in zip(*((d.u, d.sigma_matrix(), d.v) for d in decs))
     )

@@ -1,5 +1,5 @@
-"""Fourier-domain engine: block transforms, conjugate pairing, and the
-mirrored maps that turn blockwise matrix maps into real tensor maps.
+"""Fourier-domain engine: block transforms, the half-spectrum representation
+of a real tensor, and the batch engine that runs matrix kernels on it.
 
 Convention lock
 ---------------
@@ -15,23 +15,27 @@ of the circulant embedding:
 
 For a real tensor the blocks are linked: A_1 is real, block p-k+2 is the
 conjugate of block k (1-based), and for even p the middle block is real.
-Every real construction in this library *enforces* that structure by
-evaluating only the non-redundant indices 0..floor(p/2) and filling the
-partners with exact conjugates, rather than hoping independent
-computations come out compatible.
+So a real tensor is determined by its non-redundant blocks 0..floor(p/2),
+and :class:`FourierBlocks` stores exactly those: the partners are implied,
+so conjugate pairing holds by construction rather than by checking that
+independent computations came out compatible.
 
 The transforms are numpy's FFTs along the slice axis.  ``np.fft.rfft``
 computes exactly blocks 0..floor(p/2), with a real DC block and, for even
-p, a real Nyquist block, so pairing holds by construction.  The real
-inverse is ``np.fft.irfft`` of the same blocks.  irfft ignores the
-imaginary parts of the DC and Nyquist blocks, so they are certified and
-reported before it runs, never silently dropped.
+p, a real Nyquist block.  The real inverse is ``np.fft.irfft`` of the same
+blocks.  irfft ignores the imaginary parts of the DC and Nyquist blocks,
+so they are checked and certified before it runs, never silently dropped.
 
-Blockwise maps run in one of two ways.  :func:`lift_multi` calls a
-per-block op on each block 0..floor(p/2).  :func:`half_batches`,
-:func:`map_batches` and :func:`join_batches` run a batched kernel twice:
-once on the real parts of the real-forced blocks and once on the complex
-rest.  Either way a failure names its Fourier block.
+Blockwise maps run on one engine.  :func:`half_batches` splits the blocks
+into the real parts of the real-forced blocks and the complex rest,
+:func:`map_batches` runs a stacked kernel on each batch and names the
+Fourier block of a failure, and :func:`join_batches` puts the results back
+into a :class:`FourierBlocks`.  :func:`lift_multi` is that engine's front
+end for kernels that take one matrix at a time.
+
+The full p-block stack (:func:`mirror_blocks`, :func:`check_pairing`,
+:func:`inverse_transform`) serves only the unpaired demonstrations and the
+tests.
 """
 
 from __future__ import annotations
@@ -95,55 +99,53 @@ def real_forced_indices(p: int) -> tuple[int, ...]:
     return (0, p // 2) if p % 2 == 0 and p > 1 else (0,)
 
 
-def evaluated_indices(p: int) -> tuple[int, ...]:
-    """Non-redundant indices 0..floor(p/2); the rest are mirrored."""
-    return tuple(range(p // 2 + 1))
-
-
 @dataclass(frozen=True)
 class FourierBlocks:
-    """The p complex Fourier blocks of a tensor plus pairing metadata.
+    """The Fourier blocks 0..floor(p/2) of a real m x n x p tensor.
 
-    ``blocks`` has shape (p, m, n).  ``real_origin`` records that the
-    blocks came from a real tensor (or from a mirrored lift) and therefore
-    satisfy the conjugate-pairing relations; it gates :func:`lift_multi`
-    and :func:`half_batches`.
+    ``blocks`` has shape (p // 2 + 1, m, n).  Block p - k is the conjugate
+    of block k and is not stored, so pairing holds by construction; the
+    realness of the DC and Nyquist blocks is checked by
+    :func:`assemble_real`.  :meth:`from_full` and :meth:`full` convert
+    from and to the full p-block stack.
     """
 
     blocks: np.ndarray
-    real_origin: bool = False
+    p: int
 
     def __post_init__(self):
         arr = np.asarray(self.blocks)
-        if arr.ndim != 3:
-            raise ValueError("blocks must have shape (p, m, n)")
+        if self.p < 1 or arr.ndim != 3 or len(arr) != self.p // 2 + 1:
+            raise ValueError(
+                f"blocks must have shape ({self.p // 2 + 1}, m, n) for "
+                f"p = {self.p}, got {arr.shape}"
+            )
         # freeze a view: the caller's array, which ascontiguousarray may
         # return as it is, stays writable
         arr = np.ascontiguousarray(arr, dtype=np.complex128).view()
         arr.setflags(write=False)
         object.__setattr__(self, "blocks", arr)
 
+    @classmethod
+    def from_full(cls, blocks) -> "FourierBlocks":
+        """The half of a full (p, m, n) block stack whose blocks pass
+        :func:`check_pairing`; raises PairingViolation otherwise."""
+        blocks = np.asarray(blocks)
+        _require_paired(check_pairing(blocks))
+        return cls(blocks[:len(blocks) // 2 + 1], len(blocks))
+
+    def full(self) -> np.ndarray:
+        """The full (p, m, n) block stack, partners as exact conjugates."""
+        return mirror_blocks(self.blocks, self.p)
+
     @property
     def dims(self) -> tuple[int, int, int]:
-        p, m, n = self.blocks.shape
-        return m, n, p
-
-    @property
-    def p(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def pairing(self) -> tuple[int, ...]:
-        """partner index for each block; an involution on 0..p-1."""
-        return tuple(partner(k, self.p) for k in range(self.p))
+        _, m, n = self.blocks.shape
+        return m, n, self.p
 
     @cached_property
     def real_forced(self) -> tuple[int, ...]:
         return real_forced_indices(self.p)
-
-    @property
-    def evaluated(self) -> tuple[int, ...]:
-        return evaluated_indices(self.p)
 
     @property
     def max_abs(self) -> float:
@@ -178,18 +180,16 @@ def mirror_blocks(evaluated, p: int) -> np.ndarray:
 
 
 def to_fourier(t: Tensor3) -> FourierBlocks:
-    """Forward block transform of a real tensor.
-
-    ``np.fft.rfft`` along the slice axis gives blocks 0..floor(p/2), with
-    exactly real DC and Nyquist blocks; their partners are filled with
-    exact conjugates, so pairing holds by construction.
-    """
-    return mirrored(np.fft.rfft(t.array, axis=0), t.dims[2])
+    """Forward block transform of a real tensor: ``np.fft.rfft`` along the
+    slice axis, blocks 0..floor(p/2) with exactly real DC and Nyquist
+    blocks."""
+    return FourierBlocks(np.fft.rfft(t.array, axis=0), t.dims[2])
 
 
-def inverse_transform(fb: FourierBlocks) -> np.ndarray:
-    """Raw inverse transform: complex (p, m, n) slice stack."""
-    return np.fft.ifft(fb.blocks, axis=0)
+def inverse_transform(blocks) -> np.ndarray:
+    """Raw inverse transform of a full (p, m, n) block stack: the complex
+    slice stack, with no pairing assumed."""
+    return np.fft.ifft(blocks, axis=0)
 
 
 def _certified_irfft(half: np.ndarray, p: int, max_abs: float):
@@ -217,96 +217,57 @@ def _certified_irfft(half: np.ndarray, p: int, max_abs: float):
 def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     """Certified real inverse transform.
 
-    Validates the pairing relations, certifies the imaginary residue of
-    the DC and Nyquist blocks, and inverse-transforms blocks 0..floor(p/2)
-    with irfft.  Returns the tensor together with the residue (useful for
-    residual reports).  Large imaginary parts are an error, never silently
-    truncated.
+    The stored half is paired by construction, so only what irfft would
+    drop is checked: the imaginary parts of the DC and Nyquist blocks,
+    against the pairing tolerance (PairingViolation) and, as the residue
+    they leave in the slices, against the realness tolerance.  Returns the
+    tensor together with that residue (useful for residual reports).
+    Large imaginary parts are an error, never silently truncated.
     """
-    report = check_pairing(fb)
-    if not report.passed:
-        raise PairingViolation(
-            "Fourier blocks violate conjugate pairing; inverse transform "
-            "would not be real",
-            report=report,
-        )
-    return _certified_irfft(fb.blocks[:fb.p // 2 + 1], fb.p, fb.max_abs)
+    max_abs = fb.max_abs
+    _require_paired(_pairing_report(fb.blocks, fb.p, pair_tolerance(max_abs)))
+    return _certified_irfft(fb.blocks, fb.p, max_abs)
 
 
-def check_pairing(fb: FourierBlocks) -> ResidualReport:
-    """Residuals of the conjugate-pairing relations.
+def check_pairing(blocks) -> ResidualReport:
+    """Residuals of the conjugate-pairing relations of a full (p, m, n)
+    block stack.
 
     Checks: realness of block 1, the conjugate relation over all blocks
     k >= 2 (under which a self-paired middle block contributes twice its
     imaginary part), and for even p the realness of the middle block.
     The conjugate relation is evaluated once per pair k = 1..floor(p/2):
     |A_(p-k) - conj(A_k)| = |A_k - conj(A_(p-k))| exactly, so the residual
-    equals the maximum over all k.  On :func:`to_fourier` output every
-    residual is exactly zero: rfft returns real DC and Nyquist blocks and
-    the partners are exact conjugates.
+    equals the maximum over all k.
     """
+    blocks = np.asarray(blocks)
+    p, h = len(blocks), len(blocks) // 2
+    pair_dev = (np.abs(blocks[p - h:][::-1] - np.conj(blocks[1:h + 1])).max()
+                if p > 1 else None)
+    return _pairing_report(
+        blocks, p, pair_tolerance(float(np.abs(blocks).max())), pair_dev
+    )
+
+
+def _pairing_report(blocks, p: int, tol: float, pair_dev=None) -> ResidualReport:
+    """Realness of blocks 0 and, p even, p/2 (present in a full stack and
+    in its half alike), with the conjugate-pairing residual if given."""
     report = ResidualReport("check_pairing").start()
-    tol = pair_tolerance(fb.max_abs)
-    p, h = fb.p, fb.p // 2
-
-    report.add("block1_realness", np.abs(fb.blocks[0].imag).max(), tol)
-
-    if p > 1:
-        pair_dev = np.abs(fb.blocks[p - h:][::-1] - np.conj(fb.blocks[1:h + 1]))
-        report.add("conjugate_pairing", pair_dev.max(), tol)
-
+    report.add("block1_realness", np.abs(blocks[0].imag).max(), tol)
+    if pair_dev is not None:
+        report.add("conjugate_pairing", pair_dev, tol)
     if p % 2 == 0 and p > 1:
-        report.add("mid_block_realness", np.abs(fb.blocks[h].imag).max(), tol)
+        report.add("mid_block_realness", np.abs(blocks[p // 2].imag).max(), tol)
     return report.stop()
 
 
-def mirrored(evaluated, p: int) -> FourierBlocks:
-    """Mirror the non-redundant half and tag the result real-origin."""
-    return FourierBlocks(mirror_blocks(evaluated, p), real_origin=True)
-
-
-def lift_multi(
-    fb: FourierBlocks, op: Callable[[np.ndarray, int], tuple]
-) -> tuple[FourierBlocks, ...]:
-    """Apply a blockwise map with conjugate mirroring.
-
-    ``op(block, k)`` runs on blocks 0..floor(p/2) only, gets
-    :meth:`FourierBlocks.block` (real on the real-forced indices) and
-    returns a tuple of matrices.  Each factor family is mirrored onto the
-    conjugate partners separately, so the per-block decompositions stay
-    compatible across pairs.  A :class:`MathError` raised by ``op`` surfaces
-    with ``block_index`` set; any other failure becomes a BlockOpError.
-    """
-    if not fb.real_origin:
-        raise ValueError("lift requires blocks tagged real-origin")
-    per_family: list[list[np.ndarray]] | None = None
-    for k in fb.evaluated:
-        try:
-            outs = op(fb.block(k), k)
-        except MathError as exc:
-            if exc.block_index is None:
-                exc.block_index = k
-            raise
-        except Exception as exc:
-            raise BlockOpError(f"block operation failed: {exc}", k) from exc
-        if not isinstance(outs, tuple):
-            raise BlockOpError(
-                "block operation must return a tuple of matrices, got "
-                f"{type(outs).__name__}", k
-            )
-        outs = tuple(np.asarray(out) for out in outs)
-        if k in fb.real_forced:
-            for j, out in enumerate(outs):
-                if np.iscomplexobj(out):
-                    raise BlockOpError(
-                        f"factor {j} is complex at a real-forced block", k
-                    )
-        if per_family is None:
-            per_family = [[] for _ in outs]
-        for family, out in zip(per_family, outs):
-            family.append(out)
-    assert per_family is not None
-    return tuple(mirrored(family, fb.p) for family in per_family)
+def _require_paired(report: ResidualReport) -> None:
+    if not report.passed:
+        raise PairingViolation(
+            "Fourier blocks violate conjugate pairing; inverse transform "
+            "would not be real",
+            report=report,
+        )
 
 
 def half_batches(fb: FourierBlocks) -> tuple:
@@ -315,8 +276,6 @@ def half_batches(fb: FourierBlocks) -> tuple:
     Returns ``(indices, stack)`` pairs: the real parts of the real-forced
     blocks, then the complex blocks 1..ceil(p/2)-1 (absent for p <= 2).
     """
-    if not fb.real_origin:
-        raise ValueError("batched maps require blocks tagged real-origin")
     rf = fb.real_forced
     batches = [(rf, fb.blocks[list(rf)].real)]
     if fb.p > 2:
@@ -328,26 +287,28 @@ def half_batches(fb: FourierBlocks) -> tuple:
 def map_batches(batches, fn: Callable, *args) -> list:
     """``fn(stack, *batch_args)`` on each batch of :func:`half_batches`.
 
-    Each of ``args`` holds one entry per batch, stacked like the batch.  A
-    failing batch is re-run block by block, so that a :class:`MathError`
-    comes out with ``block_index`` set to its Fourier block and any other
-    failure as a BlockOpError, as from :func:`lift_multi`.
+    Each of ``args`` holds one entry per batch, stacked like the batch.  If
+    a batch fails, every block is re-run alone in index order, so that the
+    first failing Fourier block is named whatever the batching: a
+    :class:`MathError` comes out with ``block_index`` set to it and any
+    other failure as a BlockOpError.
     """
     out = []
-    for i, (indices, stack) in enumerate(batches):
-        extra = [arg[i] for arg in args]
+    for i, (_, stack) in enumerate(batches):
         try:
-            out.append(fn(stack, *extra))
+            out.append(fn(stack, *(arg[i] for arg in args)))
         except Exception:
-            _raise_at_block(fn, indices, stack, extra)
+            _raise_at_first_block(batches, fn, args)
             raise
     return out
 
 
-def _raise_at_block(fn, indices, stack, extra) -> None:
-    for j, k in enumerate(indices):
+def _raise_at_first_block(batches, fn, args) -> None:
+    located = sorted((k, i, j) for i, (indices, _) in enumerate(batches)
+                     for j, k in enumerate(indices))
+    for k, i, j in located:
         try:
-            fn(stack[j:j + 1], *(x[j:j + 1] for x in extra))
+            fn(batches[i][1][j:j + 1], *(arg[i][j:j + 1] for arg in args))
         except MathError as exc:
             if exc.block_index is None:
                 exc.block_index = k
@@ -356,13 +317,50 @@ def _raise_at_block(fn, indices, stack, extra) -> None:
             raise BlockOpError(f"block operation failed: {exc}", k) from exc
 
 
-def join_batches(batches, outs, p: int) -> FourierBlocks:
-    """Mirrored blocks from one result stack per batch of
-    :func:`half_batches`; real-forced results are stored as real."""
-    half = np.empty((p // 2 + 1,) + outs[0].shape[1:], dtype=np.complex128)
+def join_half(batches, outs) -> np.ndarray:
+    """One array over blocks 0..floor(p/2) from one result stack per batch
+    of :func:`half_batches`."""
+    h = sum(len(indices) for indices, _ in batches)
+    half = np.empty((h,) + outs[0].shape[1:], dtype=np.result_type(*outs))
     for (indices, _), out in zip(batches, outs):
         half[list(indices)] = out
-    return mirrored(half, p)
+    return half
+
+
+def join_batches(batches, outs, p: int) -> FourierBlocks:
+    """The Fourier blocks made of one result stack per batch of
+    :func:`half_batches`; real-forced results are stored as real."""
+    return FourierBlocks(join_half(batches, outs), p)
+
+
+def lift_multi(
+    fb: FourierBlocks, op: Callable[[np.ndarray, int], tuple]
+) -> tuple[FourierBlocks, ...]:
+    """Run a per-block map on blocks 0..floor(p/2) through :func:`map_batches`.
+
+    ``op(block, k)`` gets :meth:`FourierBlocks.block` (real on the
+    real-forced indices) and returns a tuple of matrices; each factor
+    family comes back as one :class:`FourierBlocks`.  A failure is named as
+    by :func:`map_batches`; a result that is not a tuple, or a complex
+    factor at a real-forced block, is a BlockOpError.
+    """
+
+    def per_block(stack, indices):
+        outs = [op(block, k) for block, k in zip(stack, indices)]
+        for out in outs:
+            if not isinstance(out, tuple):
+                raise TypeError(
+                    "block operation must return a tuple of matrices, got "
+                    f"{type(out).__name__}"
+                )
+        families = tuple(np.stack(family) for family in zip(*outs))
+        if not np.iscomplexobj(stack) and any(map(np.iscomplexobj, families)):
+            raise TypeError("a factor is complex at a real-forced block")
+        return families
+
+    batches = half_batches(fb)
+    parts = map_batches(batches, per_block, [indices for indices, _ in batches])
+    return tuple(join_batches(batches, family, fb.p) for family in zip(*parts))
 
 
 def tprod_fourier(a: Tensor3, b: Tensor3) -> Tensor3:

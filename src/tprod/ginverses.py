@@ -1,11 +1,12 @@
 """Generalized inverses of real tensors under the t-product.
 
-All constructions run blockwise in the Fourier domain with conjugate
-mirroring, so every output is a real tensor.  The Moore-Penrose inverse
-has two routes: blockwise matrix pseudoinverses (the default, cheaper) and
-the t-SVD route; their agreement is a built-in cross-check.  Every rank
-decision, and the ``rtol`` keyword of every op, is relative to the
-tensor's scale S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
+All constructions run blockwise on the half spectrum in the Fourier
+domain, which implies the conjugate partners, so every output is a real
+tensor.  The Moore-Penrose inverse has two routes: blockwise matrix
+pseudoinverses (the default, cheaper) and the t-SVD route; their
+agreement is a built-in cross-check.  Every rank decision, and the
+``rtol`` keyword of every op, is relative to the tensor's scale
+S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
 Residual allowances scale quadratically with the data magnitude because
 the defining identities are triple products.
 """
@@ -22,12 +23,12 @@ from .core import Tensor3, power, tprod, transpose
 from .errors import DimensionError, Singular
 from .factorizations import IdempotentFactorization, idempotent_factorization, t_svd
 from .fourier import (
+    FourierBlocks,
     assemble_real,
     half_batches,
     join_batches,
-    lift_multi,
+    join_half,
     map_batches,
-    mirrored,
     to_fourier,
 )
 from .report import ResidualReport
@@ -59,11 +60,8 @@ def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Two-sided t-inverse; requires every Fourier block invertible,
     i.e. its smallest singular value above the tensor's rank cutoff."""
     _require_square(a, "t_inverse")
-    p = a.dims[2]
     _, batches, sigmas, cutoff = _half_spectrum(a, rtol)
-    sigma_min = np.empty(p // 2 + 1)
-    for (indices, _), sigma in zip(batches, sigmas):
-        sigma_min[list(indices)] = sigma[:, -1]
+    sigma_min = join_half(batches, [sigma[:, -1] for sigma in sigmas])
     singular = np.flatnonzero(~(sigma_min > cutoff.at()))
     if singular.size:
         k = int(singular[0])
@@ -73,7 +71,7 @@ def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
             sigma_min=float(sigma_min[k]),
         )
     inverses = map_batches(batches, np.linalg.inv)
-    return assemble_real(join_batches(batches, inverses, p))[0]
+    return assemble_real(join_batches(batches, inverses, a.dims[2]))[0]
 
 
 def inverse_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> ResidualReport:
@@ -101,15 +99,15 @@ def t_pinv_svd(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Moore-Penrose inverse through the t-SVD: v * pinv(s) * u^T.
 
     pinv(s) is assembled from the reciprocal per-block singular values
-    that t_svd computed (zeros at or below the rank cutoff stay zero),
-    mirrored like every other block family.
+    that t_svd computed for blocks 0..floor(p/2) (zeros at or below the
+    rank cutoff stay zero).
     """
     m, n, p = a.dims
     dec = t_svd(a)
     sigma = dec.fourier_singular_values[:p // 2 + 1]
     threshold = kernels.rank_cutoff([sigma], a.dims, rtol).at()
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > threshold)
-    s_pinv = assemble_real(mirrored(kernels.sigma_matrices(inv, n, m), p))[0]
+    s_pinv = assemble_real(FourierBlocks(kernels.sigma_matrices(inv, n, m), p))[0]
     return tprod(tprod(dec.v, s_pinv), transpose(dec.u))
 
 
@@ -139,20 +137,22 @@ def penrose_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> Residual
 
 
 def _drazin_batches(a: Tensor3, rtol: float | None, fn: Callable) -> tuple:
-    """The half-spectrum batches of ``a`` and ``fn(stack, cutoff, sigma)``
-    on each, with the tensor's rank cutoff and the batch's singular values.
+    """The Fourier blocks of ``a``, their half-spectrum batches, the
+    tensor's rank cutoff and ``fn(stack, cutoff, sigma)`` on each batch,
+    with the batch's singular values.
     """
-    _, batches, sigmas, cutoff = _half_spectrum(a, rtol)
-    return batches, map_batches(
+    fb, batches, sigmas, cutoff = _half_spectrum(a, rtol)
+    outs = map_batches(
         batches, lambda stack, sigma: fn(stack, cutoff, sigma), sigmas
     )
+    return fb, batches, cutoff, outs
 
 
 def t_index(a: Tensor3, rtol: float | None = None) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks,
     decided by the same routine as :func:`t_drazin`."""
     _require_square(a, "t_index")
-    _, outs = _drazin_batches(a, rtol, kernels.drazin_indices)
+    *_, outs = _drazin_batches(a, rtol, kernels.drazin_indices)
     return max(int(index.max()) for index, _ in outs)
 
 
@@ -172,7 +172,7 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
     batch.
     """
     _require_square(a, "t_drazin")
-    batches, outs = _drazin_batches(a, rtol, kernels.drazin_stack)
+    _, batches, _, outs = _drazin_batches(a, rtol, kernels.drazin_stack)
     ad = assemble_real(join_batches(batches, [x for x, _ in outs], a.dims[2]))[0]
     index = max(int(idx.max()) for _, idx in outs)
     report = drazin_report(a, ad, index)
@@ -206,13 +206,18 @@ def drazin_report(
 
 def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
-    both ranks taken at the tensor's rank cutoff."""
+    both ranks taken at the tensor's rank cutoff: a Drazin index of at
+    most 1.  It is then the Drazin inverse, so both come from the batches
+    of :func:`t_drazin`; a failure names the first block of larger index."""
     _require_square(a, "t_group")
-    fb, _, _, cutoff = _half_spectrum(a, rtol)
-    (out,) = lift_multi(
-        fb, lambda block, k: (kernels.group_inverse(block, cutoff),)
-    )
-    return assemble_real(out)[0]
+    fb, batches, cutoff, outs = _drazin_batches(a, rtol, kernels.drazin_stack)
+    bad = np.flatnonzero(join_half(batches, [index for _, index in outs]) > 1)
+    if bad.size:
+        k = int(bad[0])
+        exc = kernels.no_group_inverse(fb.block(k), cutoff)
+        exc.block_index = k
+        raise exc
+    return assemble_real(join_batches(batches, [x for x, _ in outs], a.dims[2]))[0]
 
 
 def group_report(a: Tensor3, g: Tensor3, tol: float | None = None) -> ResidualReport:
@@ -261,12 +266,13 @@ def unit_regular_witness(
     """
     _require_square(a, "unit_regular_witness")
     idem = idempotent_factorization(a, rtol)
-    fb_v = to_fourier(idem.v)
-    (out,) = lift_multi(
-        to_fourier(idem.u),
-        lambda block, k: (np.linalg.inv(fb_v.block(k)) @ np.linalg.inv(block),),
+    batches = half_batches(to_fourier(idem.u))
+    w_blocks = map_batches(
+        batches,
+        lambda u, v: np.linalg.inv(v) @ np.linalg.inv(u),
+        [v for _, v in half_batches(to_fourier(idem.v))],
     )
-    w = assemble_real(out)[0]
+    w = assemble_real(join_batches(batches, w_blocks, a.dims[2]))[0]
     report = witness_report(a, w)
     return UnitRegularWitness(w, idem.u, idem.e, idem.v, report)
 

@@ -7,8 +7,8 @@ normal form, and Drazin/group inverses.  The SVD, pseudoinverse and Drazin
 kernels also take stacks of matrices, which the tensor ops use to run one
 batched LAPACK call per half-spectrum batch; the matrix functions are the
 stack of one.  Every rank decision goes through one :class:`RankCutoff`.
-Everything here is deterministic for fixed input, which the mirrored
-conjugate lift upstream relies on.
+Everything here is deterministic for fixed input, so every tensor op
+gives bit-identical results run to run.
 """
 
 from __future__ import annotations
@@ -527,32 +527,31 @@ def drazin_inverse(
 
 
 def group_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
-    """Group inverse; exists iff rank(a^2) == rank(a).
-
-    The failure payload reports how close the rank decision was.
-    """
+    """Group inverse; exists iff rank(a^2) == rank(a), i.e. the Drazin
+    index is at most 1, and is then the Drazin inverse.  The failure is
+    :func:`no_group_inverse`, as in ``ginverses.t_group``."""
     a, sigma, cutoff = _square_with_cutoff(a, "group_inverse", cutoff)
+    ad, index = drazin_stack(a[None], cutoff, sigma[None])
+    if index[0] > 1:
+        raise no_group_inverse(a, cutoff)
+    return ad[0]
+
+
+def no_group_inverse(a: np.ndarray, cutoff: RankCutoff) -> GroupInverseNotExist:
+    """The error for a square matrix of Drazin index above 1, with its
+    ranks and how close their decision was."""
+    sigma = singular_values(a)
     sigma_sq = singular_values(a @ a)
     rank = int(cutoff.rank(sigma))
     rank_sq = int(cutoff.rank(sigma_sq, 2))
-    if rank_sq != rank:
-        margin = _rank_margin(cutoff, sigma, sigma_sq)
-        raise GroupInverseNotExist(
-            f"rank(A^2) = {rank_sq} < rank(A) = {rank}; group inverse does "
-            f"not exist (rank-decision margin {margin:.3e})",
-            rank=rank,
-            rank_sq=rank_sq,
-            margin=margin,
-        )
-    ad, index = drazin_stack(a[None], cutoff, sigma[None])
-    if index[0] > 1:
-        raise GroupInverseNotExist(
-            f"computed Drazin index {index[0]} exceeds 1",
-            rank=rank,
-            rank_sq=rank_sq,
-            margin=_rank_margin(cutoff, sigma, sigma_sq),
-        )
-    return ad[0]
+    margin = _rank_margin(cutoff, sigma, sigma_sq)
+    return GroupInverseNotExist(
+        f"rank(A^2) = {rank_sq} < rank(A) = {rank}; group inverse does "
+        f"not exist (rank-decision margin {margin:.3e})",
+        rank=rank,
+        rank_sq=rank_sq,
+        margin=margin,
+    )
 
 
 def _rank_margin(cutoff: RankCutoff, sigma, sigma_sq) -> float:

@@ -80,7 +80,7 @@ def test_criterion_1_svd_obstruction(svd_example):
 def test_criterion_2_jordan_obstruction(jordan_example):
     with criterion(2, "Jordan-obstruction reproduction"):
         started = time.perf_counter()
-        fb = to_fourier(jordan_example)
+        blocks = to_fourier(jordan_example).full()
         expected_blocks = [
             np.array([[0, -1], [1, 0]], dtype=complex),
             np.array([[1 + 1j, 1j], [-1 + 2j, -2]]),
@@ -88,15 +88,15 @@ def test_criterion_2_jordan_obstruction(jordan_example):
             np.array([[1 - 1j, -1j], [-1 - 2j, -2]]),
         ]
         for k in range(4):
-            assert max_abs(fb.blocks[k] - expected_blocks[k]) <= 1e-12
+            assert max_abs(blocks[k] - expected_blocks[k]) <= 1e-12
 
         # the unpaired per-block Jordan forms of those blocks
-        naive_forms = FourierBlocks(np.stack([
+        naive_forms = np.stack([
             np.diag([-1j, 1j]),
             np.diag([-1.0 + 0j, 1j]),
             np.diag([1 + SQRT2 * 1j, 1 - SQRT2 * 1j]),
             np.diag([-1.0 + 0j, -1j]),
-        ]))
+        ])
         slices = inverse_transform(naive_forms)
         expected_diag = 0.25 * np.array(
             [-1 + (SQRT2 - 1) * 1j, 1 + (1 - SQRT2) * 1j]
@@ -143,7 +143,7 @@ def test_criterion_4_pairing_necessity_sufficiency():
         for seed in range(200):
             m, n = 2 + seed % 2, 2 + (seed // 2) % 3
             p = 1 + seed % 8
-            assert check_pairing(to_fourier(gen(seed, m, n, p))).passed
+            assert check_pairing(to_fourier(gen(seed, m, n, p)).full()).passed
 
         rng = np.random.default_rng(12345)
         for trial in range(50):
@@ -154,7 +154,7 @@ def test_criterion_4_pairing_necessity_sufficiency():
                 if k in real_forced_indices(p):
                     blk = blk.real
                 blocks.append(blk)
-            fb = FourierBlocks(mirror_blocks(blocks, p), real_origin=True)
+            fb = FourierBlocks.from_full(mirror_blocks(blocks, p))
             assert isinstance(assemble_real(fb)[0], Tensor3)
 
         broken = 0
@@ -169,7 +169,7 @@ def test_criterion_4_pairing_necessity_sufficiency():
             )
             blocks[-1 if p > 2 else 1, 0, 0] += 1e-3j
             with pytest.raises(PairingViolation):
-                assemble_real(FourierBlocks(blocks))
+                assemble_real(FourierBlocks.from_full(blocks))
             broken += 1
         assert broken == 20
         assert time.perf_counter() - started < 5.0
@@ -228,7 +228,7 @@ def _singular_f_diagonal(seed: int, n: int, p: int) -> Tensor3:
             vals = mag * phase
         vals[-1] = 0.0
         blocks.append(np.diag(vals))
-    fb = FourierBlocks(mirror_blocks(blocks, p), real_origin=True)
+    fb = FourierBlocks.from_full(mirror_blocks(blocks, p))
     return assemble_real(fb)[0]
 
 

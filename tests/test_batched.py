@@ -1,10 +1,12 @@
-"""Batched block kernels and the tensor-scale rank cutoff.
+"""The batch engine and the tensor-scale rank cutoff.
 
-The SVD, pseudoinverse and Drazin ops decompose the half spectrum in one
-batched call per batch (real-forced blocks, complex blocks).  These tests
-hold them to a per-block loop over the matrix kernels with the same
-cutoff, to run-to-run determinism, and to rank decisions that do not move
-when the tensor is scaled.
+Every op decomposes the half spectrum through ``fourier.map_batches``, in
+one call per batch (real-forced blocks, complex blocks); Schur and Jordan
+reach it through ``lift_multi``.  These tests hold the ops to a reference
+that does not use that engine: an explicit loop over the matrix kernels on
+blocks 0..p//2 and ``np.fft.irfft``, with the same cutoff.  They also check
+run-to-run determinism and rank decisions that do not move when the
+tensor is scaled.
 """
 
 import math
@@ -16,17 +18,23 @@ from hypothesis import strategies as st
 
 from tprod import (
     ConvergenceError,
-    assemble_real,
+    GroupInverseNotExist,
+    MathError,
+    Tensor3,
     gen,
-    lift_multi,
     scalar_mul,
     t_drazin,
+    t_group,
     t_index,
+    t_jordan,
     t_pinv,
+    t_schur,
     t_svd,
     to_fourier,
+    unit_regular_witness,
 )
 from tprod import kernels
+from tprod.factorizations import idempotent_factorization
 from tprod.generate import KINDS
 
 from conftest import max_abs
@@ -41,17 +49,66 @@ def tensors(draw, square=False, kinds=KINDS):
     return gen(draw(st.integers(0, 10**6)), m, n, draw(st.integers(1, 9)), kind)
 
 
+def half_blocks(a):
+    """Blocks 0..p//2 of ``a``, real on the real-forced indices 0 and p/2."""
+    p = a.dims[2]
+    half = np.fft.rfft(a.array, axis=0)
+    return [half[k].real if k in (0, p / 2) else half[k] for k in range(len(half))]
+
+
 def loop_cutoff(a):
     """The tensor's cutoff from a loop of per-block singular values."""
-    fb = to_fourier(a)
-    sigmas = [kernels.singular_values(fb.block(k)) for k in fb.evaluated]
+    sigmas = [kernels.singular_values(block) for block in half_blocks(a)]
     return kernels.rank_cutoff(sigmas, a.dims)
 
 
-def loop_map(a, kernel):
-    """Real tensors from ``kernel(block)`` on each block 0..p//2."""
-    outs = lift_multi(to_fourier(a), lambda block, k: kernel(block))
-    return [assemble_real(out)[0] for out in outs]
+def loop_map(kernel, *tensors):
+    """Real tensors from ``kernel(*blocks)`` on blocks 0..p//2 of each of
+    ``tensors``, by an explicit loop and ``np.fft.irfft``.
+
+    ``kernel`` returns a tuple of matrices.  A MathError it raises comes
+    out naming the block of the loop's first failure.
+    """
+    p = tensors[0].dims[2]
+    families = []
+    for k, blocks in enumerate(zip(*map(half_blocks, tensors))):
+        try:
+            families.append(kernel(*blocks))
+        except MathError as exc:
+            exc.block_index = k
+            raise
+    return [Tensor3(np.fft.irfft(np.stack(f), n=p, axis=0)) for f in zip(*families)]
+
+
+def loop_or_error(kernel, *tensors):
+    """:func:`loop_map`, or the MathError it raises."""
+    try:
+        return loop_map(kernel, *tensors)
+    except MathError as exc:
+        return exc
+
+
+def assert_same_error(op, expected):
+    """``op()`` raises the class of ``expected``, naming the same block."""
+    with pytest.raises(type(expected)) as excinfo:
+        op()
+    assert excinfo.value.block_index == expected.block_index
+
+
+def schur_kernel(block):
+    if np.iscomplexobj(block):
+        dec = kernels.schur_complex(block)
+    else:
+        dec = kernels.schur_real_ordered(block)
+    return dec.u, dec.t
+
+
+def jordan_kernel(block):
+    if np.iscomplexobj(block):
+        dec = kernels.jordan_complex(block)
+    else:
+        dec = kernels.jordan_real(block)
+    return dec.p, dec.j
 
 
 def assert_rel_close(x, ref, rtol=1e-12):
@@ -63,7 +120,7 @@ class TestMatchesBlockLoop:
     @given(tensors())
     def test_pinv(self, a):
         cutoff = loop_cutoff(a)
-        (ref,) = loop_map(a, lambda b: (kernels.mp_inverse(b, cutoff),))
+        (ref,) = loop_map(lambda b: (kernels.mp_inverse(b, cutoff),), a)
         assert_rel_close(t_pinv(a), ref)
 
     @settings(max_examples=60)
@@ -73,7 +130,7 @@ class TestMatchesBlockLoop:
             dec = kernels.svd(block)
             return dec.u, dec.sigma_matrix(), dec.v
 
-        u, s, v = loop_map(a, kernel)
+        u, s, v = loop_map(kernel, a)
         dec = t_svd(a)
         assert dec.report.passed
         assert_rel_close(dec.u, u)
@@ -84,15 +141,85 @@ class TestMatchesBlockLoop:
     @given(tensors(square=True))
     def test_drazin(self, a):
         cutoff = loop_cutoff(a)
-        fb = to_fourier(a)
-        indices = [kernels.drazin_inverse(fb.block(k), cutoff)[1]
-                   for k in fb.evaluated]
-        (ref,) = loop_map(a, lambda b: (kernels.drazin_inverse(b, cutoff)[0],))
+        indices = [kernels.drazin_inverse(block, cutoff)[1]
+                   for block in half_blocks(a)]
+        (ref,) = loop_map(lambda b: (kernels.drazin_inverse(b, cutoff)[0],), a)
         result = t_drazin(a)
         assert result.index == t_index(a) == max(indices)
         assert_rel_close(result.ad, ref)
 
+    @settings(max_examples=60)
+    @given(tensors(square=True))
+    def test_group(self, a):
+        cutoff = loop_cutoff(a)
+        ref = loop_or_error(lambda b: (kernels.group_inverse(b, cutoff),), a)
+        if isinstance(ref, GroupInverseNotExist):
+            assert_same_error(lambda: t_group(a), ref)
+        else:
+            assert_rel_close(t_group(a), ref[0])
 
+    @settings(max_examples=60)
+    @given(tensors(square=True))
+    def test_unit_regular_witness(self, a):
+        idem = idempotent_factorization(a)
+        (ref,) = loop_map(
+            lambda u, v: (np.linalg.inv(v) @ np.linalg.inv(u),), idem.u, idem.v
+        )
+        assert_rel_close(unit_regular_witness(a).w, ref)
+
+    @settings(max_examples=60)
+    @given(tensors(square=True))
+    def test_schur(self, a):
+        u, t = loop_map(schur_kernel, a)
+        dec = t_schur(a)
+        assert_rel_close(dec.u, u)
+        assert_rel_close(dec.t, t)
+
+    @settings(max_examples=60)
+    @given(tensors(square=True))
+    def test_jordan(self, a):
+        ref = loop_or_error(jordan_kernel, a)
+        if isinstance(ref, MathError):
+            assert_same_error(lambda: t_jordan(a), ref)
+            return
+        dec = t_jordan(a)
+        assert_rel_close(dec.p, ref[0])
+        assert_rel_close(dec.j, ref[1])
+
+
+@st.composite
+def nilpotent_blocks(draw):
+    """A 3x3xp tensor whose Fourier blocks at a drawn set of indices in
+    0..p//2 are strictly upper triangular (index 3), and the least of them.
+    """
+    p = draw(st.integers(1, 9))
+    h = p // 2 + 1
+    bad = draw(st.sets(st.integers(0, h - 1), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    half = rng.standard_normal((h, 3, 3)) + 1j * rng.standard_normal((h, 3, 3))
+    for k in bad:
+        half[k] = np.triu(half[k], 1)
+    half[0] = half[0].real
+    if p % 2 == 0:
+        half[-1] = half[-1].real
+    return Tensor3(np.fft.irfft(half, n=p, axis=0)), min(bad)
+
+
+class TestFailureNamesFirstBlock:
+    @settings(max_examples=60)
+    @given(nilpotent_blocks())
+    def test_group_and_jordan(self, case):
+        a, first = case
+        cutoff = loop_cutoff(a)
+        ref = loop_or_error(lambda b: (kernels.group_inverse(b, cutoff),), a)
+        assert isinstance(ref, GroupInverseNotExist)
+        assert ref.block_index == first
+        assert_same_error(lambda: t_group(a), ref)
+        # the eigenvalues of a perturbed nilpotent block spread by about
+        # eps^(1/3), so the Jordan kernel finds the defect only on some
+        ref = loop_or_error(jordan_kernel, a)
+        if isinstance(ref, MathError):
+            assert_same_error(lambda: t_jordan(a), ref)
 class TestDeterminism:
     @settings(max_examples=30)
     @given(tensors(square=True))

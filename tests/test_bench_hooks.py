@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tprod
@@ -38,6 +39,25 @@ def test_every_traced_span_resolves():
         if not callable(getattr(module, attr, None)):
             missing.append(f"{name}: {modname}.{attr}")
     assert not missing, missing
+
+
+def test_traced_run_matches_untraced():
+    """``--trace 1`` wraps ``lift_multi``'s op to count the blocks it
+    evaluates, so a change to the lift's calling convention shows here."""
+    a = tprod.gen(0, 3, 3, 4)
+
+    def run():
+        schur, svd = tprod.t_schur(a), tprod.t_svd(a)
+        return [schur.u.array, schur.t.array, svd.u.array, svd.s.array,
+                svd.v.array, svd.fourier_singular_values]
+
+    untraced = run()
+    tracer = _load("tracer").Tracer()
+    with tracer:
+        traced = run()
+    for want, got in zip(untraced, traced):
+        np.testing.assert_array_equal(got, want)
+    assert tracer.stats["fourier.lift_multi"]["blocks"] == 3  # p // 2 + 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -186,6 +186,15 @@ class TestBcircInv:
         m[0, 0] += 1e-13 * t.max_abs
         assert bcirc_inv(BlockCirculant(m, 3)).allclose(t, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, value):
+        # off the first block column, where bcirc_inv reads no entry and a
+        # NaN or inf deviation compared false against its tolerance
+        m = bcirc(gen(1, 2, 2, 3)).matrix.copy()
+        m[0, 2] = value
+        with pytest.raises(ValueError):
+            BlockCirculant(m, 3)
+
 
 class TestTprod:
     def test_identity_neutral(self):

@@ -73,7 +73,7 @@ class TestToFourier:
         np.testing.assert_allclose(fb.blocks[0].real, expected, atol=1e-13)
 
     def test_jordan_example_blocks(self, jordan_example):
-        fb = to_fourier(jordan_example)
+        blocks = to_fourier(jordan_example).full()
         expected = [
             np.array([[0, -1], [1, 0]], dtype=complex),
             np.array([[1 + 1j, 1j], [-1 + 2j, -2]]),
@@ -81,15 +81,16 @@ class TestToFourier:
             np.array([[1 - 1j, -1j], [-1 - 2j, -2]]),
         ]
         for k in range(4):
-            assert max_abs(fb.blocks[k] - expected[k]) <= 1e-12
+            assert max_abs(blocks[k] - expected[k]) <= 1e-12
 
-    def test_tagged_real_origin(self):
-        assert to_fourier(gen(0, 2, 2, 3)).real_origin
+    def test_holds_the_half_spectrum(self):
+        fb = to_fourier(gen(0, 2, 2, 3))
+        assert fb.blocks.shape == (2, 2, 2)
+        assert fb.dims == (2, 2, 3)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
     def test_pairing_is_an_involution(self, p):
-        fb = to_fourier(gen(0, 2, 2, p))
-        pairing = fb.pairing
+        pairing = [partner(k, p) for k in range(p)]
         assert all(pairing[pairing[k]] == k for k in range(p))
         assert pairing[0] == 0
         if p % 2 == 0 and p > 1:
@@ -101,7 +102,7 @@ class TestFourierBlocksStorage:
         # a C-contiguous complex128 input is what ascontiguousarray returns
         # as it is; only the stored view may be frozen
         arr = np.zeros((2, 2, 2), dtype=np.complex128)
-        fb = FourierBlocks(arr)
+        fb = FourierBlocks(arr, 2)
         assert arr.flags.writeable
         assert not fb.blocks.flags.writeable
         arr[0, 0, 0] = 1.0
@@ -117,19 +118,17 @@ class TestFromFourier:
 
     def test_constant_blocks_concentrate_in_slice_one(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        fb = FourierBlocks(np.stack([m, m, m, m]).astype(complex), real_origin=True)
+        fb = FourierBlocks.from_full(np.stack([m, m, m, m]).astype(complex))
         t = assemble_real(fb)[0]
         assert max_abs(t.slice(0) - m) <= 1e-14
         assert max_abs(t.array[1:]) <= 1e-14
 
     def test_naive_jordan_blocks_fail_require_real(self):
-        fb = FourierBlocks(np.stack(NAIVE_JORDAN_BLOCKS))
         with pytest.raises(PairingViolation):
-            assemble_real(fb)
+            assemble_real(FourierBlocks.from_full(np.stack(NAIVE_JORDAN_BLOCKS)))
 
     def test_naive_jordan_blocks_complex_slice_value(self):
-        fb = FourierBlocks(np.stack(NAIVE_JORDAN_BLOCKS))
-        slices = inverse_transform(fb)
+        slices = inverse_transform(np.stack(NAIVE_JORDAN_BLOCKS))
         expected = 0.25 * np.diag(
             [-1 + (SQRT2 - 1) * 1j, 1 + (1 - SQRT2) * 1j]
         )
@@ -141,33 +140,31 @@ class TestCheckPairing:
     def test_real_tensors_pass(self):
         for seed in range(30):
             t = gen(seed, 2, 3, 1 + seed % 8)
-            report = check_pairing(to_fourier(t))
+            report = check_pairing(to_fourier(t).full())
             assert report.passed
 
     def test_self_paired_perturbation_doubles(self):
         # p = 2: block 2 is its own partner, so an +i*eps perturbation at
         # one entry shows up as 2*eps in the conjugate-pairing residual.
         eps = 1e-3
-        fb = to_fourier(gen(1, 2, 2, 2))
-        blocks = fb.blocks.copy()
+        blocks = to_fourier(gen(1, 2, 2, 2)).full()
         blocks[1, 0, 0] += 1j * eps
-        report = check_pairing(FourierBlocks(blocks))
+        report = check_pairing(blocks)
         assert report.residual("conjugate_pairing") == pytest.approx(2 * eps)
         assert report.residual("mid_block_realness") == pytest.approx(eps)
         assert not report.passed
 
     def test_cross_pair_perturbation(self):
         eps = 1e-4
-        fb = to_fourier(gen(2, 2, 2, 5))
-        blocks = fb.blocks.copy()
+        blocks = to_fourier(gen(2, 2, 2, 5)).full()
         blocks[1, 0, 1] += 1j * eps
-        report = check_pairing(FourierBlocks(blocks))
+        report = check_pairing(blocks)
         assert report.residual("conjugate_pairing") == pytest.approx(
             eps, rel=1e-6
         )
 
     def test_naive_jordan_blocks_partial_pairing(self):
-        report = check_pairing(FourierBlocks(np.stack(NAIVE_JORDAN_BLOCKS)))
+        report = check_pairing(np.stack(NAIVE_JORDAN_BLOCKS))
         # block 1 is diag(-i, i): realness residual exactly 1
         assert report.residual("block1_realness") == pytest.approx(1.0)
         # blocks 2 and 4 are conjugate partners and do pair; the remaining
@@ -178,7 +175,7 @@ class TestCheckPairing:
         assert not report.passed
 
     def test_p1_has_single_check(self):
-        report = check_pairing(to_fourier(gen(3, 2, 2, 1)))
+        report = check_pairing(to_fourier(gen(3, 2, 2, 1)).full())
         assert [c.name for c in report.checks] == ["block1_realness"]
         assert report.passed
 
@@ -226,7 +223,7 @@ class TestPairingProperties:
             blocks = mirror_blocks(blocks[:p // 2 + 1], p)
             blocks += 1e-12 * rng.standard_normal((p, m, n))
         blocks *= 10.0 ** scale
-        report = check_pairing(FourierBlocks(blocks))
+        report = check_pairing(blocks)
         got = [(c.name, c.residual) for c in report.checks]
         assert got == loop_pairing_residuals(blocks)
 
@@ -238,14 +235,13 @@ class TestPairingProperties:
         # small integers and a power-of-two eps keep the arithmetic exact
         half = evaluated_half(p, m, n, lambda s: rng.integers(-8, 9, s) * 1.0)
         blocks = mirror_blocks(half, p)
-        assert check_pairing(FourierBlocks(blocks.copy())).residual(
-            "conjugate_pairing") == 0.0
+        assert check_pairing(blocks).residual("conjugate_pairing") == 0.0
         k = data.draw(st.integers(1, p - 1))
         i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
         eps = 2.0 ** -e
         blocks[k, i, j] += 1j * eps
         expected = 2 * eps if 2 * k == p else eps
-        report = check_pairing(FourierBlocks(blocks))
+        report = check_pairing(blocks)
         assert report.residual("conjugate_pairing") == expected
 
     @settings(max_examples=80)
@@ -253,11 +249,11 @@ class TestPairingProperties:
     def test_to_fourier_exact_partners_and_matches_fft(self, dims):
         p, m, n, seed = dims
         t = gen(seed, m, n, p)
-        fb = to_fourier(t)
+        blocks = to_fourier(t).full()
         for k in range(1, (p + 1) // 2):
-            np.testing.assert_array_equal(fb.blocks[p - k], np.conj(fb.blocks[k]))
+            np.testing.assert_array_equal(blocks[p - k], np.conj(blocks[k]))
         bound = 1e3 * np.finfo(float).eps * p * t.max_abs
-        assert max_abs(fb.blocks - np.fft.fft(t.array, axis=0)) <= bound
+        assert max_abs(blocks - np.fft.fft(t.array, axis=0)) <= bound
 
 
 class TestRealnessCertification:
@@ -273,7 +269,7 @@ class TestRealnessCertification:
         delta = 2 * tol if too_big else tol / 4
         blocks = fb.blocks.copy()
         blocks[k, i, j] += 1j * delta
-        perturbed = FourierBlocks(blocks, real_origin=True)
+        perturbed = FourierBlocks(blocks, p)
         if too_big:
             # irfft would ignore this block's imaginary part
             with pytest.raises(PairingViolation):
@@ -307,7 +303,7 @@ class TestPairingSufficiency:
             if k in real_forced_indices(p):
                 blk = blk.real
             blocks.append(blk)
-        return FourierBlocks(mirror_blocks(blocks, p), real_origin=True)
+        return FourierBlocks.from_full(mirror_blocks(blocks, p))
 
     def test_paired_blocks_reconstruct_real(self):
         for seed in range(50):
@@ -319,11 +315,10 @@ class TestPairingSufficiency:
     def test_broken_pairing_raises(self):
         for seed in range(20):
             p = 2 + seed % 7
-            fb = self._synthetic_paired(seed, 3, p)
-            blocks = fb.blocks.copy()
+            blocks = self._synthetic_paired(seed, 3, p).full()
             blocks[-1, 0, 0] += 1e-3j if p > 1 else 0
             with pytest.raises(PairingViolation):
-                assemble_real(FourierBlocks(blocks))
+                assemble_real(FourierBlocks.from_full(blocks))
 
     def test_even_p_mid_block_real(self):
         for p in (2, 4, 6, 8):
@@ -343,10 +338,9 @@ class TestLift:
         (out,) = lift_multi(fb, lambda block, k: (block,))
         assert max_abs(out.blocks - fb.blocks) <= 1e-14
         # mirrored halves are exact conjugates
+        blocks = out.full()
         for k in range(3, 5):
-            np.testing.assert_array_equal(
-                out.blocks[k], np.conj(out.blocks[5 - k])
-            )
+            np.testing.assert_array_equal(blocks[k], np.conj(blocks[5 - k]))
 
     def test_square_map_matches_tprod(self):
         for seed in range(10):
@@ -374,10 +368,10 @@ class TestLift:
         (second,) = lift_multi(fb, phi)
         np.testing.assert_array_equal(first.blocks, second.blocks)
 
-    def test_requires_real_origin(self):
-        fb = FourierBlocks(to_fourier(gen(0, 2, 2, 2)).blocks)
+    def test_requires_the_half_spectrum(self):
+        full = to_fourier(gen(0, 2, 2, 4)).full()
         with pytest.raises(ValueError):
-            lift_multi(fb, lambda b, k: (b,))
+            lift_multi(FourierBlocks(full, 4), lambda b, k: (b,))
 
     def test_block_op_error_carries_index(self):
         fb = to_fourier(gen(1, 2, 2, 5))
@@ -420,11 +414,14 @@ class TestLiftProperties:
             return block, block @ block.conj().T
 
         outs = lift_multi(fb, op)
-        assert seen == list(range(fb.p // 2 + 1))
+        # each block 0..p//2 once, in the order of the batches
+        assert seen == [k for indices, _ in half_batches(fb) for k in indices]
+        assert sorted(seen) == list(range(fb.p // 2 + 1))
         for out in outs:
+            blocks = out.full()
             for k in range(fb.p):
                 np.testing.assert_array_equal(
-                    out.blocks[partner(k, fb.p)], np.conj(out.blocks[k])
+                    blocks[partner(k, fb.p)], np.conj(blocks[k])
                 )
             for k in fb.real_forced:
                 assert not out.blocks[k].imag.any()
@@ -479,11 +476,11 @@ class TestSimilarityIdentity:
         for seed in range(20):
             m, n, p = 2 + seed % 2, 3, 1 + seed % 6
             t = gen(seed, m, n, p)
-            fb = to_fourier(t)
+            blocks = to_fourier(t).full()
             f = get_context(p).dft_matrix
             diag = np.zeros((m * p, n * p), dtype=complex)
             for k in range(p):
-                diag[k * m:(k + 1) * m, k * n:(k + 1) * n] = fb.blocks[k]
+                diag[k * m:(k + 1) * m, k * n:(k + 1) * n] = blocks[k]
             lhs = (
                 np.kron(f.conj().T, np.eye(m))
                 @ diag

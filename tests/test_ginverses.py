@@ -130,14 +130,14 @@ class TestTPinv:
         x = t_pinv_blocks(a)
         from tprod import to_fourier
 
-        fb_a = to_fourier(a)
-        fb_x = to_fourier(x)
+        blocks_a = to_fourier(a).full()
+        blocks_x = to_fourier(x).full()
         for k in range(4):
-            diag = np.diagonal(fb_a.blocks[k])
+            diag = np.diagonal(blocks_a[k])
             recip = np.array(
                 [1.0 / d if abs(d) > 1e-12 else 0.0 for d in diag]
             )
-            assert max_abs(fb_x.blocks[k] - np.diag(recip)) <= 1e-10
+            assert max_abs(blocks_x[k] - np.diag(recip)) <= 1e-10
 
     def test_result_is_real_tensor(self):
         x = t_pinv_blocks(gen(3, 4, 2, 5))
@@ -234,11 +234,11 @@ class TestTGroup:
 
         for seed in range(10):
             a = gen(seed + 50, 4, 4, 3, "rank_deficient")
-            fb = to_fourier(a)
+            blocks = to_fourier(a).full()
             expected = True
             for k in range(3):
                 try:
-                    group_inverse(fb.blocks[k])
+                    group_inverse(blocks[k])
                 except GroupInverseNotExist:
                     expected = False
                     break
