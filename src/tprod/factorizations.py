@@ -2,14 +2,15 @@
 
 Each factorization follows the same pattern: transform to the half
 spectrum, decompose its blocks 0..floor(p/2) (real kernels on the
-real-forced blocks, complex kernels elsewhere) on the batch engine of
-:mod:`tprod.fourier`, and inverse-transform with realness certification.
-The conjugate partners are never computed: each factor family is a
-:class:`~tprod.fourier.FourierBlocks`, which implies them.  The SVD and the
-idempotent factorization run one batched kernel per batch; Schur and
-Jordan go through :func:`~tprod.fourier.lift_multi`, because their LAPACK
-drivers take one matrix at a time.  The resulting factors are always real;
-every operation returns a ResidualReport of its defining identities.
+real-forced blocks, complex kernels elsewhere) with
+:meth:`~tprod.fourier.FourierBlocks.map`, and inverse-transform with
+realness certification.  The conjugate partners are never computed: each
+factor family is a :class:`~tprod.fourier.FourierBlocks`, which implies
+them.  The SVD and the idempotent factorization run stacked kernels;
+Schur and Jordan go through :func:`~tprod.fourier.lift_multi`, because
+their LAPACK drivers take one matrix at a time.  The resulting factors
+are always real; every operation returns a ResidualReport of its defining
+identities.
 
 Structural notions: a tensor is f-diagonal when every frontal slice is
 diagonal; f-quasi-triangular when all slices are block upper triangular
@@ -34,11 +35,8 @@ from .errors import DimensionError, PartitionViolation
 from .fourier import (
     FourierBlocks,
     assemble_real,
-    half_batches,
     inverse_transform,
-    join_batches,
     lift_multi,
-    map_batches,
     real_forced_indices,
     real_tolerance,
     to_fourier,
@@ -207,19 +205,18 @@ class TSvdResult:
 def t_svd(a: Tensor3) -> TSvdResult:
     """Real tensor SVD: orthogonal u, v and f-diagonal s with a = u*s*v^T.
 
-    Works for any m x n x p input.  The blocks are decomposed by one
-    batched SVD per half-spectrum batch.  Per-block singular values (which
-    the Moore-Penrose route reuses) are exposed on the result.
+    Works for any m x n x p input.  The blocks are decomposed by stacked
+    SVDs of the half spectrum.  Per-block singular values (which the
+    Moore-Penrose route reuses) are exposed on the result.
     """
     m, n, p = a.dims
-    batches = half_batches(to_fourier(a))
-    parts = [(u, kernels.sigma_matrices(s, m, n), v)
-             for u, s, v in map_batches(batches, kernels.svd_stack)]
-    fb_u, fb_s, fb_v = (join_batches(batches, f, p) for f in zip(*parts))
-    (u, s, v), realness = _assemble(fb_u, fb_s, fb_v)
+    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
+    (u, s, v), realness = _assemble(*(
+        FourierBlocks(f, p) for f in (u, kernels.sigma_matrices(sigma, m, n), v)
+    ))
     # the partners of blocks 1..ceil(p/2)-1 share their singular values
     k = np.arange(p)
-    sigma = np.diagonal(fb_s.blocks, axis1=1, axis2=2).real[np.minimum(k, p - k)]
+    sigma = sigma[np.minimum(k, p - k)]
     report = tsvd_report(a, u, s, v, realness=realness)
     return TSvdResult(u, s, v, report, sigma)
 
@@ -475,20 +472,17 @@ def idempotent_factorization(
 ) -> IdempotentFactorization:
     """a = u * e * v with u, v t-invertible and e real idempotent.
 
-    Built from the per-block rank normal forms of one batched SVD per
-    half-spectrum batch; the block ranks, taken at the tensor's rank
-    cutoff, decide e.
+    Built from the per-block rank normal forms of the stacked SVDs of the
+    half spectrum; the block ranks, taken at the tensor's rank cutoff,
+    decide e.
     """
     m, n, p = a.dims
     if m != n:
         raise DimensionError("idempotent_factorization requires square slices")
-    batches = half_batches(to_fourier(a))
-    parts = map_batches(batches, kernels.svd_stack)
-    cutoff = kernels.rank_cutoff([s for _, s, _ in parts], a.dims, rtol)
-    factors = [kernels.rank_normal_factors(*part, cutoff) for part in parts]
-    (u, e, v), realness = _assemble(
-        *(join_batches(batches, f, p) for f in zip(*factors))
-    )
+    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
+    cutoff = kernels.rank_cutoff(sigma, a.dims, rtol)
+    factors = kernels.rank_normal_factors(u, sigma, v, cutoff)
+    (u, e, v), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
     report = idem_report(a, u, e, v, realness=realness)
     return IdempotentFactorization(u, e, v, report)
 

@@ -26,12 +26,11 @@ p, a real Nyquist block.  The real inverse is ``np.fft.irfft`` of the same
 blocks.  irfft ignores the imaginary parts of the DC and Nyquist blocks,
 so they are checked and certified before it runs, never silently dropped.
 
-Blockwise maps run on one engine.  :func:`half_batches` splits the blocks
-into the real parts of the real-forced blocks and the complex rest,
-:func:`map_batches` runs a stacked kernel on each batch and names the
-Fourier block of a failure, and :func:`join_batches` puts the results back
-into a :class:`FourierBlocks`.  :func:`lift_multi` is that engine's front
-end for kernels that take one matrix at a time.
+Blockwise maps run on one engine, :meth:`FourierBlocks.map`.  It runs a
+stacked kernel once on the real parts of the real-forced blocks and once
+on the complex rest, names the Fourier block of a failure, and joins the
+results over blocks 0..floor(p/2).  :func:`lift_multi` is its front end
+for kernels that take one matrix at a time.
 
 The full p-block stack (:func:`mirror_blocks`, :func:`check_pairing`,
 :func:`inverse_transform`) serves only the unpaired demonstrations and the
@@ -41,7 +40,7 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,34 +58,6 @@ def pair_tolerance(max_abs: float) -> float:
 def real_tolerance(max_abs: float, p: int) -> float:
     """Imaginary-residue allowance after the p-term inverse transform."""
     return 1e-9 * (1.0 + max_abs) * p
-
-
-class FourierContext:
-    """Transform constants for a fixed slice count p.
-
-    Attributes
-    ----------
-    p : slice count
-    xi : primitive root exp(-2*pi*i/p)
-    dft_matrix : the normalized p x p Fourier matrix (unitary)
-    """
-
-    __slots__ = ("p", "xi", "dft_matrix")
-
-    def __init__(self, p: int):
-        if p < 1:
-            raise ValueError("slice count must be positive")
-        self.p = p
-        self.xi = np.exp(-2j * np.pi / p)
-        powers = np.exp(-2j * np.pi * np.arange(p) / p)
-        idx = (np.arange(p)[:, None] * np.arange(p)[None, :]) % p
-        self.dft_matrix = powers[idx] / np.sqrt(p)
-        self.dft_matrix.setflags(write=False)
-
-
-@lru_cache(maxsize=None)
-def get_context(p: int) -> FourierContext:
-    return FourierContext(p)
 
 
 def partner(k: int, p: int) -> int:
@@ -155,6 +126,55 @@ class FourierBlocks:
         """Block k, real on the real-forced indices (whose imaginary part
         is transform rounding), complex elsewhere."""
         return self.blocks[k].real if k in self.real_forced else self.blocks[k]
+
+    def map(self, fn: Callable, *args) -> tuple:
+        """``fn(stack, *arg_stacks)`` over blocks 0..floor(p/2), one call
+        per batch: the real parts of the real-forced blocks, then the
+        complex blocks 1..ceil(p/2)-1 (absent for p <= 2).
+
+        Each of ``args`` is an array over blocks 0..floor(p/2), split like
+        the blocks (real parts on the real-forced batch).  Each result
+        family comes back joined over blocks 0..floor(p/2), as a tuple even
+        when ``fn`` returns one array.  If a batch fails, every block is
+        re-run alone in index order, so that the first failing Fourier
+        block is named whatever the batching: a :class:`MathError` comes
+        out with ``block_index`` set to it and any other failure as a
+        BlockOpError.
+        """
+        batches = [(list(self.real_forced), True)]
+        if self.p > 2:
+            batches.append((slice(1, (self.p + 1) // 2), False))
+
+        def call(indices, real):
+            stacks = (np.asarray(x)[indices] for x in (self.blocks, *args))
+            out = fn(*(s.real if real else s for s in stacks))
+            return out if isinstance(out, tuple) else (out,)
+
+        outs = []
+        for indices, real in batches:
+            try:
+                outs.append(call(indices, real))
+            except Exception:
+                self._raise_at_first_block(call)
+                raise
+        joined = []
+        for family in zip(*outs):
+            shape = (self.p // 2 + 1,) + family[0].shape[1:]
+            joined.append(np.empty(shape, dtype=np.result_type(*family)))
+            for (indices, _), part in zip(batches, family):
+                joined[-1][indices] = part
+        return tuple(joined)
+
+    def _raise_at_first_block(self, call: Callable) -> None:
+        for k in range(self.p // 2 + 1):
+            try:
+                call([k], k in self.real_forced)
+            except MathError as exc:
+                if exc.block_index is None:
+                    exc.block_index = k
+                raise
+            except Exception as exc:
+                raise BlockOpError(f"block operation failed: {exc}", k) from exc
 
 
 def mirror_blocks(evaluated, p: int) -> np.ndarray:
@@ -270,83 +290,21 @@ def _require_paired(report: ResidualReport) -> None:
         )
 
 
-def half_batches(fb: FourierBlocks) -> tuple:
-    """Blocks 0..floor(p/2) as the stacks that batched kernels run on.
-
-    Returns ``(indices, stack)`` pairs: the real parts of the real-forced
-    blocks, then the complex blocks 1..ceil(p/2)-1 (absent for p <= 2).
-    """
-    rf = fb.real_forced
-    batches = [(rf, fb.blocks[list(rf)].real)]
-    if fb.p > 2:
-        stop = (fb.p + 1) // 2
-        batches.append((tuple(range(1, stop)), fb.blocks[1:stop]))
-    return tuple(batches)
-
-
-def map_batches(batches, fn: Callable, *args) -> list:
-    """``fn(stack, *batch_args)`` on each batch of :func:`half_batches`.
-
-    Each of ``args`` holds one entry per batch, stacked like the batch.  If
-    a batch fails, every block is re-run alone in index order, so that the
-    first failing Fourier block is named whatever the batching: a
-    :class:`MathError` comes out with ``block_index`` set to it and any
-    other failure as a BlockOpError.
-    """
-    out = []
-    for i, (_, stack) in enumerate(batches):
-        try:
-            out.append(fn(stack, *(arg[i] for arg in args)))
-        except Exception:
-            _raise_at_first_block(batches, fn, args)
-            raise
-    return out
-
-
-def _raise_at_first_block(batches, fn, args) -> None:
-    located = sorted((k, i, j) for i, (indices, _) in enumerate(batches)
-                     for j, k in enumerate(indices))
-    for k, i, j in located:
-        try:
-            fn(batches[i][1][j:j + 1], *(arg[i][j:j + 1] for arg in args))
-        except MathError as exc:
-            if exc.block_index is None:
-                exc.block_index = k
-            raise
-        except Exception as exc:
-            raise BlockOpError(f"block operation failed: {exc}", k) from exc
-
-
-def join_half(batches, outs) -> np.ndarray:
-    """One array over blocks 0..floor(p/2) from one result stack per batch
-    of :func:`half_batches`."""
-    h = sum(len(indices) for indices, _ in batches)
-    half = np.empty((h,) + outs[0].shape[1:], dtype=np.result_type(*outs))
-    for (indices, _), out in zip(batches, outs):
-        half[list(indices)] = out
-    return half
-
-
-def join_batches(batches, outs, p: int) -> FourierBlocks:
-    """The Fourier blocks made of one result stack per batch of
-    :func:`half_batches`; real-forced results are stored as real."""
-    return FourierBlocks(join_half(batches, outs), p)
-
-
 def lift_multi(
     fb: FourierBlocks, op: Callable[[np.ndarray, int], tuple]
 ) -> tuple[FourierBlocks, ...]:
-    """Run a per-block map on blocks 0..floor(p/2) through :func:`map_batches`.
+    """Run a per-block map on blocks 0..floor(p/2) through
+    :meth:`FourierBlocks.map`.
 
     ``op(block, k)`` gets :meth:`FourierBlocks.block` (real on the
     real-forced indices) and returns a tuple of matrices; each factor
     family comes back as one :class:`FourierBlocks`.  A failure is named as
-    by :func:`map_batches`; a result that is not a tuple, or a complex
-    factor at a real-forced block, is a BlockOpError.
+    by :meth:`FourierBlocks.map`; a result that is not a tuple, or a
+    complex factor at a real-forced block, is a BlockOpError.
     """
 
     def per_block(stack, indices):
-        outs = [op(block, k) for block, k in zip(stack, indices)]
+        outs = [op(block, int(k)) for block, k in zip(stack, indices)]
         for out in outs:
             if not isinstance(out, tuple):
                 raise TypeError(
@@ -358,9 +316,8 @@ def lift_multi(
             raise TypeError("a factor is complex at a real-forced block")
         return families
 
-    batches = half_batches(fb)
-    parts = map_batches(batches, per_block, [indices for indices, _ in batches])
-    return tuple(join_batches(batches, family, fb.p) for family in zip(*parts))
+    families = fb.map(per_block, np.arange(fb.p // 2 + 1))
+    return tuple(FourierBlocks(family, fb.p) for family in families)
 
 
 def tprod_fourier(a: Tensor3, b: Tensor3) -> Tensor3:

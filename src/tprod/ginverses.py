@@ -22,15 +22,7 @@ from . import kernels
 from .core import Tensor3, power, tprod, transpose
 from .errors import DimensionError, Singular
 from .factorizations import IdempotentFactorization, idempotent_factorization, t_svd
-from .fourier import (
-    FourierBlocks,
-    assemble_real,
-    half_batches,
-    join_batches,
-    join_half,
-    map_batches,
-    to_fourier,
-)
+from .fourier import FourierBlocks, assemble_real, to_fourier
 from .report import ResidualReport
 
 
@@ -47,21 +39,19 @@ def _require_square(a: Tensor3, name: str) -> None:
 
 
 def _half_spectrum(a: Tensor3, rtol: float | None):
-    """The Fourier blocks of ``a``, their half-spectrum batches, the
-    batches' singular values and the tensor's rank cutoff taken from them.
-    """
+    """The Fourier blocks of ``a``, their singular values and the tensor's
+    rank cutoff taken from them."""
     fb = to_fourier(a)
-    batches = half_batches(fb)
-    sigmas = map_batches(batches, kernels.singular_values)
-    return fb, batches, sigmas, kernels.rank_cutoff(sigmas, a.dims, rtol)
+    (sigma,) = fb.map(kernels.singular_values)
+    return fb, sigma, kernels.rank_cutoff(sigma, a.dims, rtol)
 
 
 def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Two-sided t-inverse; requires every Fourier block invertible,
     i.e. its smallest singular value above the tensor's rank cutoff."""
     _require_square(a, "t_inverse")
-    _, batches, sigmas, cutoff = _half_spectrum(a, rtol)
-    sigma_min = join_half(batches, [sigma[:, -1] for sigma in sigmas])
+    fb, sigma, cutoff = _half_spectrum(a, rtol)
+    sigma_min = sigma[:, -1]
     singular = np.flatnonzero(~(sigma_min > cutoff.at()))
     if singular.size:
         k = int(singular[0])
@@ -70,8 +60,7 @@ def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
             block_index=k,
             sigma_min=float(sigma_min[k]),
         )
-    inverses = map_batches(batches, np.linalg.inv)
-    return assemble_real(join_batches(batches, inverses, a.dims[2]))[0]
+    return assemble_real(FourierBlocks(*fb.map(np.linalg.inv), fb.p))[0]
 
 
 def inverse_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> ResidualReport:
@@ -86,13 +75,15 @@ def inverse_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> Residual
 
 
 def t_pinv_blocks(a: Tensor3, rtol: float | None = None) -> Tensor3:
-    """Moore-Penrose inverse via blockwise matrix pseudoinverses, from one
-    batched SVD per half-spectrum batch."""
-    batches = half_batches(to_fourier(a))
-    svds = map_batches(batches, kernels.svd_reduced)
-    threshold = kernels.rank_cutoff([s for _, s, _ in svds], a.dims, rtol).at()
-    inverses = [kernels.pinv_from_svd(u, s, vh, threshold) for u, s, vh in svds]
-    return assemble_real(join_batches(batches, inverses, a.dims[2]))[0]
+    """Moore-Penrose inverse via blockwise matrix pseudoinverses, from the
+    thin SVDs of the half spectrum."""
+    p = a.dims[2]
+    u, sigma, vh = to_fourier(a).map(kernels.svd_reduced)
+    threshold = kernels.rank_cutoff(sigma, a.dims, rtol).at()
+    (x,) = FourierBlocks(u, p).map(
+        lambda u, s, vh: kernels.pinv_from_svd(u, s, vh, threshold), sigma, vh
+    )
+    return assemble_real(FourierBlocks(x, p))[0]
 
 
 def t_pinv_svd(a: Tensor3, rtol: float | None = None) -> Tensor3:
@@ -105,7 +96,7 @@ def t_pinv_svd(a: Tensor3, rtol: float | None = None) -> Tensor3:
     m, n, p = a.dims
     dec = t_svd(a)
     sigma = dec.fourier_singular_values[:p // 2 + 1]
-    threshold = kernels.rank_cutoff([sigma], a.dims, rtol).at()
+    threshold = kernels.rank_cutoff(sigma, a.dims, rtol).at()
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > threshold)
     s_pinv = assemble_real(FourierBlocks(kernels.sigma_matrices(inv, n, m), p))[0]
     return tprod(tprod(dec.v, s_pinv), transpose(dec.u))
@@ -136,24 +127,21 @@ def penrose_report(a: Tensor3, x: Tensor3, tol: float | None = None) -> Residual
     return report.stop()
 
 
-def _drazin_batches(a: Tensor3, rtol: float | None, fn: Callable) -> tuple:
-    """The Fourier blocks of ``a``, their half-spectrum batches, the
-    tensor's rank cutoff and ``fn(stack, cutoff, sigma)`` on each batch,
-    with the batch's singular values.
-    """
-    fb, batches, sigmas, cutoff = _half_spectrum(a, rtol)
-    outs = map_batches(
-        batches, lambda stack, sigma: fn(stack, cutoff, sigma), sigmas
-    )
-    return fb, batches, cutoff, outs
+def _drazin_blocks(a: Tensor3, rtol: float | None, fn: Callable) -> tuple:
+    """The Fourier blocks of ``a``, the tensor's rank cutoff and
+    ``fn(blocks, cutoff, sigma)`` over them, with their singular values."""
+    fb, sigma, cutoff = _half_spectrum(a, rtol)
+    return fb, cutoff, fb.map(lambda blocks, s: fn(blocks, cutoff, s), sigma)
 
 
 def t_index(a: Tensor3, rtol: float | None = None) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks,
     decided by the same routine as :func:`t_drazin`."""
     _require_square(a, "t_index")
-    *_, outs = _drazin_batches(a, rtol, kernels.drazin_indices)
-    return max(int(index.max()) for index, _ in outs)
+    *_, (index,) = _drazin_blocks(
+        a, rtol, lambda *args: kernels.drazin_indices(*args)[0]
+    )
+    return int(index.max())
 
 
 @dataclass
@@ -168,13 +156,12 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
 
     The tensor index is the largest matrix index over the Fourier blocks
     (conjugate partners share theirs).  The blocks' indices and inverses
-    come from :func:`kernels.drazin_stack`, one call per half-spectrum
-    batch.
+    come from :func:`kernels.drazin_stack` on the half spectrum.
     """
     _require_square(a, "t_drazin")
-    _, batches, _, outs = _drazin_batches(a, rtol, kernels.drazin_stack)
-    ad = assemble_real(join_batches(batches, [x for x, _ in outs], a.dims[2]))[0]
-    index = max(int(idx.max()) for _, idx in outs)
+    fb, _, (x, index) = _drazin_blocks(a, rtol, kernels.drazin_stack)
+    ad = assemble_real(FourierBlocks(x, fb.p))[0]
+    index = int(index.max())
     report = drazin_report(a, ad, index)
     return DrazinResult(ad, index, report)
 
@@ -188,7 +175,7 @@ def drazin_report(
     ak = power(a, index)
     report.add(
         "power_identity",
-        np.abs((tprod(power(a, index + 1), ad) - ak).array).max(),
+        np.abs((tprod(tprod(ak, a), ad) - ak).array).max(),
         t_gi,
     )
     report.add(
@@ -207,17 +194,18 @@ def drazin_report(
 def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
     both ranks taken at the tensor's rank cutoff: a Drazin index of at
-    most 1.  It is then the Drazin inverse, so both come from the batches
-    of :func:`t_drazin`; a failure names the first block of larger index."""
+    most 1.  It is then the Drazin inverse, so both come from the block
+    map of :func:`t_drazin`; a failure names the first block of larger
+    index."""
     _require_square(a, "t_group")
-    fb, batches, cutoff, outs = _drazin_batches(a, rtol, kernels.drazin_stack)
-    bad = np.flatnonzero(join_half(batches, [index for _, index in outs]) > 1)
+    fb, cutoff, (x, index) = _drazin_blocks(a, rtol, kernels.drazin_stack)
+    bad = np.flatnonzero(index > 1)
     if bad.size:
         k = int(bad[0])
         exc = kernels.no_group_inverse(fb.block(k), cutoff)
         exc.block_index = k
         raise exc
-    return assemble_real(join_batches(batches, [x for x, _ in outs], a.dims[2]))[0]
+    return assemble_real(FourierBlocks(x, fb.p))[0]
 
 
 def group_report(a: Tensor3, g: Tensor3, tol: float | None = None) -> ResidualReport:
@@ -266,13 +254,12 @@ def unit_regular_witness(
     """
     _require_square(a, "unit_regular_witness")
     idem = idempotent_factorization(a, rtol)
-    batches = half_batches(to_fourier(idem.u))
-    w_blocks = map_batches(
-        batches,
+    fu = to_fourier(idem.u)
+    (w,) = fu.map(
         lambda u, v: np.linalg.inv(v) @ np.linalg.inv(u),
-        [v for _, v in half_batches(to_fourier(idem.v))],
+        to_fourier(idem.v).blocks,
     )
-    w = assemble_real(join_batches(batches, w_blocks, a.dims[2]))[0]
+    w = assemble_real(FourierBlocks(w, fu.p))[0]
     report = witness_report(a, w)
     return UnitRegularWitness(w, idem.u, idem.e, idem.v, report)
 

@@ -4,8 +4,8 @@ These are thin, contract-checked wrappers over LAPACK (via numpy/scipy)
 plus the pieces LAPACK does not provide: deterministic phase conventions,
 real-first Schur ordering, a diagonalizable-regime Jordan form, the rank
 normal form, and Drazin/group inverses.  The SVD, pseudoinverse and Drazin
-kernels also take stacks of matrices, which the tensor ops use to run one
-batched LAPACK call per half-spectrum batch; the matrix functions are the
+kernels also take stacks of matrices, which the tensor ops run on the
+half spectrum through ``FourierBlocks.map``; the matrix functions are the
 stack of one.  Every rank decision goes through one :class:`RankCutoff`.
 Everything here is deterministic for fixed input, so every tensor op
 gives bit-identical results run to run.
@@ -25,9 +25,6 @@ from .errors import (
     SwapFailure,
 )
 
-TAU_DEC = 1e-11      # decomposition reconstruction/orthogonality allowance
-TAU_PEN = 1e-10      # Penrose equation allowance
-TAU_JORD = 1e-8      # Jordan reconstruction allowance (times cond(P))
 EIG_CLUSTER_GAP = 1e-8   # relative gap under which eigenvalues cluster
 DEFECT_RANK_TOL = 1e-6   # eigenvector-basis rank cutoff inside a cluster
 
@@ -57,11 +54,11 @@ class RankCutoff:
         return np.count_nonzero(sigma > self.at(power), axis=-1)
 
 
-def rank_cutoff(sigmas, dims, rtol: float | None = None) -> RankCutoff:
+def rank_cutoff(sigma, dims, rtol: float | None = None) -> RankCutoff:
     """The rank cutoff of an m x n x p tensor.
 
-    ``sigmas`` holds the singular values of its Fourier blocks in one or
-    more arrays, and the scale is their largest, S = max_k sigma_1(A_k) =
+    ``sigma`` holds the singular values of its Fourier blocks, and the
+    scale is their largest, S = max_k sigma_1(A_k) =
     ||bcirc(A)||_2.  The default ``rtol`` p * max(m, n) * eps is
     ``numpy.linalg.matrix_rank``'s rule for the mp x np matrix bcirc(A).
     A matrix is the case p = 1, with S its largest singular value.
@@ -69,12 +66,12 @@ def rank_cutoff(sigmas, dims, rtol: float | None = None) -> RankCutoff:
     m, n, p = dims
     if rtol is None:
         rtol = p * max(m, n) * EPS
-    scale = max((float(s.max(initial=0.0)) for s in sigmas), default=0.0)
+    scale = float(np.max(sigma, initial=0.0))
     return RankCutoff(rtol, scale)
 
 
 def _matrix_cutoff(a: np.ndarray, sigma: np.ndarray) -> RankCutoff:
-    return rank_cutoff([sigma], (*a.shape[-2:], 1))
+    return rank_cutoff(sigma, (*a.shape[-2:], 1))
 
 
 def _lapack_svd(a: np.ndarray, **kwargs):
@@ -485,7 +482,7 @@ def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     """Drazin inverses and indices of a stack of square matrices.
 
     a^D = a^k @ pinv(a^(2k+1)) @ a^k with k the index from
-    :func:`drazin_indices`, which reduces to pinv(a) at k = 0; one batched
+    :func:`drazin_indices`, which reduces to pinv(a) at k = 0; one stacked
     pseudoinverse per distinct index, with the cutoff of power 2k+1.
     """
     index, powers = drazin_indices(stack, cutoff, sigma)

@@ -1,12 +1,12 @@
-"""The batch engine and the tensor-scale rank cutoff.
+"""The block engine and the tensor-scale rank cutoff.
 
-Every op decomposes the half spectrum through ``fourier.map_batches``, in
-one call per batch (real-forced blocks, complex blocks); Schur and Jordan
-reach it through ``lift_multi``.  These tests hold the ops to a reference
-that does not use that engine: an explicit loop over the matrix kernels on
-blocks 0..p//2 and ``np.fft.irfft``, with the same cutoff.  They also check
-run-to-run determinism and rank decisions that do not move when the
-tensor is scaled.
+Every op decomposes the half spectrum through ``FourierBlocks.map``, one
+stacked kernel call for the real-forced blocks and one for the complex
+blocks; Schur and Jordan reach it through ``lift_multi``.  These tests
+hold the ops to a reference that does not use that engine: an explicit
+loop over the matrix kernels on blocks 0..p//2 and ``np.fft.irfft``, with
+the same cutoff.  They also check run-to-run determinism and rank
+decisions that do not move when the tensor is scaled.
 """
 
 import math
@@ -58,8 +58,8 @@ def half_blocks(a):
 
 def loop_cutoff(a):
     """The tensor's cutoff from a loop of per-block singular values."""
-    sigmas = [kernels.singular_values(block) for block in half_blocks(a)]
-    return kernels.rank_cutoff(sigmas, a.dims)
+    sigma = np.stack([kernels.singular_values(block) for block in half_blocks(a)])
+    return kernels.rank_cutoff(sigma, a.dims)
 
 
 def loop_map(kernel, *tensors):
@@ -261,7 +261,7 @@ class TestScaleInvariantRank:
     def test_svd_ops(self, case):
         a, ca, c = case
         sigma = t_svd(ca).fourier_singular_values
-        cutoff = kernels.rank_cutoff([sigma], ca.dims)
+        cutoff = kernels.rank_cutoff(sigma, ca.dims)
         assert (cutoff.rank(sigma) == generated_rank(a)).all()
         # a noise singular value counted at one scale and not the other
         # would differ by about 1/eps

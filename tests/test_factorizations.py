@@ -166,6 +166,19 @@ class TestTJordan:
         assert excinfo.value.block_index == 1
         assert str(excinfo.value).count("Fourier block 1") == 1
 
+    @pytest.mark.xfail(
+        strict=True, reason="a split double eigenvalue passes as diagonalizable"
+    )
+    def test_defective_similar_block_rejected(self):
+        # the eigenvalue 0 of S J S^-1 comes out of eig split by ~3e-8, so
+        # the block passes as diagonalizable; the report passes too, its
+        # reconstruction allowance inflated by cond(P)
+        s = np.random.default_rng(1).standard_normal((3, 3))
+        j = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        a = Tensor3((s @ j @ np.linalg.inv(s))[None])
+        with pytest.raises(DefectiveBlock):
+            t_jordan(a)
+
     def test_verification_rejects_bad_transform(self):
         from tprod import Singular
         from tprod.factorizations import tjordan_report

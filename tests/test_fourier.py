@@ -15,16 +15,12 @@ from tprod import (
     bcirc,
     check_pairing,
     gen,
-    get_context,
     inverse_transform,
     lift_multi,
     to_fourier,
     tprod,
 )
 from tprod.fourier import (
-    half_batches,
-    join_batches,
-    map_batches,
     mirror_blocks,
     pair_tolerance,
     partner,
@@ -45,18 +41,35 @@ NAIVE_JORDAN_BLOCKS = [
 ]
 
 
+def dft_matrix(p):
+    """The normalized p x p Fourier matrix F_p of the convention lock."""
+    return np.fft.fft(np.eye(p), norm="ortho")
+
+
 class TestFourierContext:
+    """The transform constants of the convention lock, as to_fourier
+    realizes them: xi = exp(-2*pi*i/p) and the normalized DFT matrix."""
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 8, 16, 64])
     def test_primitive_root(self, p):
-        ctx = get_context(p)
-        assert abs(ctx.xi**p - 1) <= 1e-14
+        data = np.zeros((p, 1, 1))
+        data[1 % p] = 1.0
+        blocks = to_fourier(Tensor3(data)).full()[:, 0, 0]
+        xi = blocks[1 % p]
+        assert abs(xi - np.exp(-2j * np.pi / p)) <= 1e-14
+        assert max_abs(blocks - xi ** np.arange(p)) <= 1e-13
+        assert abs(xi**p - 1) <= 1e-14
         for m in range(1, p):
-            assert abs(ctx.xi**m - 1) > 1e-14
+            assert abs(xi**m - 1) > 1e-14
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 16])
     def test_dft_matrix_unitary(self, p):
-        f = get_context(p).dft_matrix
+        f = dft_matrix(p)
         assert max_abs(f.conj().T @ f - np.eye(p)) <= 1e-13
+        # slice k of this tensor is the unit vector e_k, so block i is
+        # row i of sqrt(p) * F_p
+        blocks = to_fourier(Tensor3(np.eye(p)[:, :, None])).full()[:, :, 0]
+        assert max_abs(blocks / np.sqrt(p) - f) <= 1e-13
 
 
 class TestToFourier:
@@ -414,9 +427,8 @@ class TestLiftProperties:
             return block, block @ block.conj().T
 
         outs = lift_multi(fb, op)
-        # each block 0..p//2 once, in the order of the batches
-        assert seen == [k for indices, _ in half_batches(fb) for k in indices]
-        assert sorted(seen) == list(range(fb.p // 2 + 1))
+        # each block 0..p//2 once, in the order of fb.map's calls
+        assert seen == map_order(fb)
         for out in outs:
             blocks = out.full()
             for k in range(fb.p):
@@ -443,7 +455,16 @@ class TestLiftProperties:
         assert str(excinfo.value).count("Fourier block") == 1
 
 
+def map_order(fb):
+    """The blocks in the order of fb.map's calls: the real-forced blocks,
+    then 1..ceil(p/2)-1."""
+    return list(fb.real_forced) + list(range(1, (fb.p + 1) // 2))
+
+
 class TestMapBatches:
+    """FourierBlocks.map: one call per batch, results joined over the half
+    spectrum, failures named by block."""
+
     @settings(max_examples=60)
     @given(lift_cases(), st.booleans())
     def test_failure_names_its_block(self, case, math_error):
@@ -458,17 +479,46 @@ class TestMapBatches:
             return stack
 
         with pytest.raises(DefectiveBlock if math_error else BlockOpError) as excinfo:
-            map_batches(half_batches(fb), fn)
+            fb.map(fn)
         assert excinfo.value.block_index == bad
         assert str(excinfo.value).count("Fourier block") == 1
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
     def test_identity_round_trip(self, p):
         fb = to_fourier(gen(p, 2, 3, p))
-        batches = half_batches(fb)
-        out = join_batches(batches, map_batches(batches, lambda s: s), p)
-        np.testing.assert_array_equal(out.blocks, fb.blocks)
-        assert sorted(k for idx, _ in batches for k in idx) == list(range(p // 2 + 1))
+        h = p // 2 + 1
+        out, ks = fb.map(lambda s, k: (s, k), np.arange(h))
+        np.testing.assert_array_equal(FourierBlocks(out, p).blocks, fb.blocks)
+        np.testing.assert_array_equal(ks, np.arange(h))
+
+    @settings(max_examples=60)
+    @given(lift_cases(), st.booleans())
+    def test_args_split_like_the_blocks(self, case, math_error):
+        t, bad = case
+        fb = to_fourier(t)
+        h = fb.p // 2 + 1
+        calls = []
+
+        def record(stack, k):
+            calls.append(list(k))
+            return k
+
+        (out,) = fb.map(record, np.arange(h))
+        np.testing.assert_array_equal(out, np.arange(h))
+        assert [k for ks in calls for k in ks] == map_order(fb)
+        assert len(calls) == (1 if fb.p <= 2 else 2)
+
+        exc_type = DefectiveBlock if math_error else RuntimeError
+
+        def fail_at_bad(stack, k):
+            if bad in k:
+                raise exc_type("boom")
+            return stack
+
+        with pytest.raises(DefectiveBlock if math_error else BlockOpError) as excinfo:
+            fb.map(fail_at_bad, np.arange(h))
+        assert excinfo.value.block_index == bad
+        assert str(excinfo.value).count("Fourier block") == 1
 
 
 class TestSimilarityIdentity:
@@ -477,7 +527,7 @@ class TestSimilarityIdentity:
             m, n, p = 2 + seed % 2, 3, 1 + seed % 6
             t = gen(seed, m, n, p)
             blocks = to_fourier(t).full()
-            f = get_context(p).dft_matrix
+            f = dft_matrix(p)
             diag = np.zeros((m * p, n * p), dtype=complex)
             for k in range(p):
                 diag[k * m:(k + 1) * m, k * n:(k + 1) * n] = blocks[k]
