@@ -6,9 +6,9 @@ real-forced blocks, complex kernels elsewhere) with
 :meth:`~tprod.fourier.FourierBlocks.map`, and inverse-transform with
 realness certification.  The conjugate partners are never computed: each
 factor family is a :class:`~tprod.fourier.FourierBlocks`, which implies
-them.  The SVD and the idempotent factorization run stacked kernels;
-Schur and Jordan go through :func:`~tprod.fourier.lift_multi`, because
-their LAPACK drivers take one matrix at a time.  The resulting factors
+them.  The SVD, Jordan and idempotent factorizations run stacked
+kernels; Schur goes through :func:`~tprod.fourier.lift_multi`, because
+its LAPACK driver takes one matrix at a time.  The resulting factors
 are always real; every operation returns a ResidualReport of its defining
 identities.
 
@@ -357,15 +357,6 @@ def tschur_report(
 # t-Jordan (diagonalizable regime)
 
 
-def _jordan_block(block, k):
-    """Real Jordan form of a real-forced block, complex elsewhere."""
-    if np.iscomplexobj(block):
-        dec = kernels.jordan_complex(block)
-    else:
-        dec = kernels.jordan_real(block)
-    return dec.p, dec.j
-
-
 @dataclass
 class TJordanResult:
     p: Tensor3
@@ -377,15 +368,17 @@ class TJordanResult:
 def t_jordan(a: Tensor3) -> TJordanResult:
     """Similarity a = p * j * p^{-1} with j real and block-bi-diagonal.
 
-    Supported in the diagonalizable regime of the Jordan kernels; blocks
-    with clustered defective eigenvalues raise DefectiveBlock.  Pairing the
-    Jordan data across conjugate blocks is what makes j real; assembling
-    independently computed forms does not (see t_jordan_naive).
+    Supported in the diagonalizable regime of :func:`kernels.jordan_stack`:
+    a block whose eigenvector basis is numerically rank deficient raises
+    DefectiveBlock.  Pairing the Jordan data across conjugate blocks is
+    what makes j real; assembling independently computed forms does not
+    (see t_jordan_naive).
     """
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_jordan requires square slices")
-    (pt, j), realness = _assemble(*lift_multi(to_fourier(a), _jordan_block))
+    factors = to_fourier(a).map(kernels.jordan_stack)
+    (pt, j), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
     partition = finest_partition(j.array, structure_tolerance(j), bidiagonal=True)
     if partition is None:
         raise PartitionViolation(
@@ -415,7 +408,8 @@ def tjordan_report(
     """Residuals of the t-Jordan identities for given factors.
 
     The reconstruction allowance is scaled by the conditioning of the
-    transforming tensor, since the similarity amplifies rounding by cond(P).
+    transforming tensor, since the similarity amplifies rounding by cond(P),
+    up to 1 / kernels.DEFECT_RANK_TOL.
     """
     m, n, p = a.dims
     if partition is None:
@@ -428,10 +422,10 @@ def tjordan_report(
             )
     report = ResidualReport("tjordan").start()
     fb_p = to_fourier(pt)
-    # cap the conditioning multiplier: beyond ~1e8 the transform is
-    # numerically non-invertible and inflating the allowance further would
-    # let garbage factors verify
-    kappa = min(_condition_estimate(fb_p), 1e8)
+    # cap the conditioning multiplier where t_jordan refuses an eigenvector
+    # basis: beyond it the transform is numerically singular, and inflating
+    # the allowance further would let garbage factors verify
+    kappa = min(_condition_estimate(fb_p), 1 / kernels.DEFECT_RANK_TOL)
     t_rec = tol if tol is not None else rec_tolerance(a) * kappa
     t_struct = tol if tol is not None else structure_tolerance(j)
 

@@ -242,9 +242,13 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     against the pairing tolerance (PairingViolation) and, as the residue
     they leave in the slices, against the realness tolerance.  Returns the
     tensor together with that residue (useful for residual reports).
-    Large imaginary parts are an error, never silently truncated.
+    Large imaginary parts are an error, never silently truncated, and
+    non-finite entries are a BlockOpError naming their first block.
     """
     max_abs = fb.max_abs
+    if not np.isfinite(max_abs):
+        k = int(np.argmin(np.isfinite(fb.blocks).all(axis=(1, 2))))
+        raise BlockOpError("block entries are non-finite (overflow)", k)
     _require_paired(_pairing_report(fb.blocks, fb.p, pair_tolerance(max_abs)))
     return _certified_irfft(fb.blocks, fb.p, max_abs)
 

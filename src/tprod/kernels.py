@@ -3,10 +3,12 @@
 These are thin, contract-checked wrappers over LAPACK (via numpy/scipy)
 plus the pieces LAPACK does not provide: deterministic phase conventions,
 real-first Schur ordering, a diagonalizable-regime Jordan form, the rank
-normal form, and Drazin/group inverses.  The SVD, pseudoinverse and Drazin
-kernels also take stacks of matrices, which the tensor ops run on the
-half spectrum through ``FourierBlocks.map``; the matrix functions are the
-stack of one.  Every rank decision goes through one :class:`RankCutoff`.
+normal form, and Drazin/group inverses.  The SVD, pseudoinverse, Drazin
+and Jordan kernels also take stacks of matrices, which the tensor ops run
+on the half spectrum through ``FourierBlocks.map``; the matrix functions
+are the stack of one.  Every rank decision goes through one
+:class:`RankCutoff`, and the Jordan form refuses any matrix whose
+eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
 Everything here is deterministic for fixed input, so every tensor op
 gives bit-identical results run to run.
 """
@@ -25,8 +27,8 @@ from .errors import (
     SwapFailure,
 )
 
-EIG_CLUSTER_GAP = 1e-8   # relative gap under which eigenvalues cluster
-DEFECT_RANK_TOL = 1e-6   # eigenvector-basis rank cutoff inside a cluster
+EIG_CLUSTER_GAP = 1e-8   # relative grid on which eigenvalues are sorted
+DEFECT_RANK_TOL = 1e-6   # sigma_min/sigma_max floor of an eigenvector basis
 
 
 EPS = np.finfo(np.float64).eps
@@ -277,112 +279,90 @@ class MatrixJordan:
         return self.p @ self.j @ np.linalg.inv(self.p)
 
 
-def _eig_sorted(a: np.ndarray):
-    """Eigendecomposition sorted by (real, imag); defective input rejected.
+def jordan_stack(stack: np.ndarray):
+    """Jordan forms (p, j), a = p @ j @ inv(p), of a stack of matrices in
+    the diagonalizable regime.
 
-    Eigenvalues are grouped into clusters at relative gap EIG_CLUSTER_GAP;
-    each cluster must carry a full-rank eigenvector basis, otherwise the
-    Jordan structure is not reliably computable and DefectiveBlock is
-    raised.
+    One ``np.linalg.eig`` runs on the whole stack.  Each matrix's
+    eigenvalues are sorted by (real, imag), quantized at EIG_CLUSTER_GAP,
+    and its eigenvector columns get unit norm with their largest entry
+    real positive.  A complex stack gets j = diag(eigenvalues), a real
+    stack the real forms of :func:`_real_form`.  A matrix whose eigenvector
+    basis has sigma_min <= DEFECT_RANK_TOL * sigma_max raises
+    DefectiveBlock: it is defective, or too close to it for its Jordan
+    structure to be computed reliably.
     """
     try:
-        w, v = np.linalg.eig(a)
+        w, v = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    # lexicographic (real, imag) order, quantized at the cluster gap so that
-    # rounding fuzz cannot reorder effectively equal parts
-    grid = EIG_CLUSTER_GAP * max(1.0, float(np.abs(w).max()))
+    # lexicographic (real, imag) order, quantized on the EIG_CLUSTER_GAP
+    # grid so that rounding fuzz cannot reorder effectively equal parts
+    grid = EIG_CLUSTER_GAP * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
     order = np.lexsort(
-        (w.imag, w.real, np.round(w.imag / grid), np.round(w.real / grid))
+        (w.imag, w.real, np.round(w.imag / grid), np.round(w.real / grid)),
+        axis=-1,
     )
-    w = w[order]
-    v = v[:, order]
-    scale = max(1.0, float(np.abs(w).max()))
-    start = 0
-    for i in range(1, len(w) + 1):
-        boundary = i == len(w) or abs(w[i] - w[i - 1]) > EIG_CLUSTER_GAP * scale
-        if not boundary:
-            continue
-        size = i - start
-        if size > 1:
-            sub = v[:, start:i]
-            sigma = np.linalg.svd(sub, compute_uv=False)
-            if sigma[-1] <= DEFECT_RANK_TOL * sigma[0]:
-                raise DefectiveBlock(
-                    f"eigenvalue cluster around {w[start]:.6g} of size "
-                    f"{size} has a rank-deficient eigenvector basis"
-                )
-        start = i
-    return w, v
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    sigma = singular_values(v)
+    if (sigma[:, -1] <= DEFECT_RANK_TOL * sigma[:, 0]).any():
+        raise DefectiveBlock(
+            "eigenvector basis has sigma_min/sigma_max = "
+            f"{(sigma[:, -1] / sigma[:, 0]).min():.3e}, at or below "
+            f"{DEFECT_RANK_TOL:g}: the matrix is defective or nearly so"
+        )
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
+    v = v * np.conj(_pivot_phases(v))[:, None, :]
+    if np.iscomplexobj(stack):
+        j = np.zeros(v.shape, dtype=w.dtype)
+        diag = np.arange(v.shape[-1])
+        j[:, diag, diag] = w
+        return v, j
+    forms = [_real_form(wk, vk) for wk, vk in zip(w, v)]
+    return tuple(np.stack(family) for family in zip(*forms))
 
 
-def _normalize_columns(v: np.ndarray) -> np.ndarray:
-    """Unit columns with the largest-magnitude entry real positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        norm = np.linalg.norm(col)
-        if norm > 0:
-            col = col / norm
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot != 0:
-            col = col * np.conj(pivot / abs(pivot))
-        v[:, j] = col
-    return v
+def _real_form(w: np.ndarray, v: np.ndarray):
+    """(p, j) of a real matrix from its sorted eigenvalues and normalized
+    eigenvectors: real eigenvalues first as 1x1 blocks, then for each
+    a + ib (b > 0) with eigenvector x + iy the block [[a, b], [-b, a]]
+    acting on the real invariant plane of the columns (x, y).  LAPACK
+    returns the eigenvalues of a real matrix in exact conjugate pairs."""
+    real, upper = w.imag == 0.0, w.imag > 0.0
+    r, n = np.count_nonzero(real), len(w)
+    p = np.empty((n, n))
+    p[:, :r] = v[:, real].real
+    p[:, r::2] = v[:, upper].real
+    p[:, r + 1::2] = v[:, upper].imag
+    j = np.zeros((n, n))
+    j[np.arange(r), np.arange(r)] = w[real].real
+    c = np.arange(r, n, 2)
+    j[c, c] = j[c + 1, c + 1] = w[upper].real
+    j[c, c + 1] = w[upper].imag
+    j[c + 1, c] = -w[upper].imag
+    return p, j
 
 
 def jordan_complex(a: np.ndarray) -> MatrixJordan:
-    """Complex Jordan form in the diagonalizable regime: j = diag(eigs)."""
+    """Complex Jordan form in the diagonalizable regime: j = diag(eigs);
+    see :func:`jordan_stack`."""
     a = np.asarray(a, dtype=complex)
     _require_square(a, "jordan_complex")
-    w, v = _eig_sorted(a)
-    v = _normalize_columns(v)
-    return MatrixJordan(v, np.diag(w), (1,) * a.shape[0])
+    p, j = jordan_stack(a[None])
+    return MatrixJordan(p[0], j[0], (1,) * a.shape[0])
 
 
 def jordan_real(a: np.ndarray) -> MatrixJordan:
-    """Real Jordan form in the diagonalizable regime.
-
-    Real eigenvalues come first as 1x1 blocks (ascending); conjugate pairs
-    a +- ib (b > 0) follow as 2x2 blocks [[a, b], [-b, a]], sorted by
-    (a, b).  For eigenvalue a + ib with eigenvector x + iy the columns
-    (x, y) span a real invariant plane, which is what the 2x2 block acts on.
-    """
+    """Real Jordan form in the diagonalizable regime, real eigenvalues
+    first; see :func:`jordan_stack` and :func:`_real_form`."""
     if np.iscomplexobj(a):
         raise ValueError("jordan_real requires a real matrix")
     a = np.asarray(a, dtype=np.float64)
     _require_square(a, "jordan_real")
-    w, v = _eig_sorted(a)
-    # _eig_sorted is ascending in (real, imag), so the filtered index lists
-    # inherit the ordering the real Jordan form needs
-    real_idx = [i for i in range(len(w)) if w[i].imag == 0.0]
-    pair_idx = [i for i in range(len(w)) if w[i].imag > 0.0]
-
-    n = a.shape[0]
-    p = np.zeros((n, n))
-    j = np.zeros((n, n))
-    col = 0
-    partition = []
-    for i in real_idx:
-        vec = _normalize_columns(v[:, i:i + 1].real)
-        p[:, col] = vec[:, 0]
-        j[col, col] = w[i].real
-        partition.append(1)
-        col += 1
-    for i in pair_idx:
-        vec = _normalize_columns(v[:, i:i + 1])[:, 0]
-        alpha, beta = w[i].real, w[i].imag
-        p[:, col] = vec.real
-        p[:, col + 1] = vec.imag
-        j[col:col + 2, col:col + 2] = [[alpha, beta], [-beta, alpha]]
-        partition.append(2)
-        col += 2
-    if col != n:
-        raise DefectiveBlock(
-            "complex eigenvalues of a real matrix did not come in pairs"
-        )
-    return MatrixJordan(p, j, tuple(partition))
+    p, j = jordan_stack(a[None])
+    pairs = np.count_nonzero(np.diag(j[0], -1))
+    return MatrixJordan(p[0], j[0], (1,) * (len(a) - 2 * pairs) + (2,) * pairs)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Every op decomposes the half spectrum through ``FourierBlocks.map``, one
 stacked kernel call for the real-forced blocks and one for the complex
-blocks; Schur and Jordan reach it through ``lift_multi``.  These tests
+blocks; Schur reaches it through ``lift_multi``.  These tests
 hold the ops to a reference that does not use that engine: an explicit
 loop over the matrix kernels on blocks 0..p//2 and ``np.fft.irfft``, with
 the same cutoff.  They also check run-to-run determinism and rank

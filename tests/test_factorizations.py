@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tprod import (
     DefectiveBlock,
@@ -116,6 +118,31 @@ class TestTSchur:
         assert max_abs((recon - a).array) <= rec_tolerance(a)
 
 
+# a 2x2 Jordan block at eigenvalue 0 and a simple eigenvalue 2
+JORDAN = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+
+
+@st.composite
+def defective_block_tensors(draw):
+    """A 3x3xp tensor, p in 1..9, whose Fourier block k in 0..p//2 is
+    S @ JORDAN @ inv(S) with cond(S) <= 2 (S complex off the real-forced
+    blocks), and k.  The other blocks are random."""
+    p = draw(st.integers(1, 9))
+    k = draw(st.integers(0, p // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (p // 2 + 1, 3, 3)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = rng.standard_normal((2, 3, 3))
+    real_forced = k == 0 or 2 * k == p
+    q = np.linalg.qr(g[0] if real_forced else g[0] + 1j * g[1])[0]
+    s = q * rng.uniform(1.0, 2.0, 3)
+    half[k] = s @ JORDAN @ np.linalg.inv(s)
+    half[0] = half[0].real
+    if p % 2 == 0:
+        half[-1] = half[-1].real
+    return Tensor3(np.fft.irfft(half, n=p, axis=0)), k
+
+
 class TestTJordan:
     def test_identity_tensor(self):
         res = t_jordan(Tensor3.identity(3, 2))
@@ -166,18 +193,21 @@ class TestTJordan:
         assert excinfo.value.block_index == 1
         assert str(excinfo.value).count("Fourier block 1") == 1
 
-    @pytest.mark.xfail(
-        strict=True, reason="a split double eigenvalue passes as diagonalizable"
-    )
     def test_defective_similar_block_rejected(self):
-        # the eigenvalue 0 of S J S^-1 comes out of eig split by ~3e-8, so
-        # the block passes as diagonalizable; the report passes too, its
-        # reconstruction allowance inflated by cond(P)
+        # the double eigenvalue 0 of S J S^-1 comes out of eig split by
+        # ~3e-8, but its two eigenvectors nearly coincide, so the whole
+        # eigenvector basis is numerically rank deficient
         s = np.random.default_rng(1).standard_normal((3, 3))
-        j = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        a = Tensor3((s @ j @ np.linalg.inv(s))[None])
+        a = Tensor3((s @ JORDAN @ np.linalg.inv(s))[None])
         with pytest.raises(DefectiveBlock):
             t_jordan(a)
+
+    @given(defective_block_tensors())
+    def test_block_similar_to_jordan_block_named(self, case):
+        a, k = case
+        with pytest.raises(DefectiveBlock) as excinfo:
+            t_jordan(a)
+        assert excinfo.value.block_index == k
 
     def test_verification_rejects_bad_transform(self):
         from tprod import Singular

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tprod import (
+    BlockOpError,
     GroupInverseNotExist,
     Singular,
     Tensor3,
@@ -310,3 +311,20 @@ class TestRealness:
         for out in outputs:
             assert isinstance(out, Tensor3)
             assert out.array.dtype == np.float64
+
+
+class TestOverflow:
+    # 1/sigma of a subnormal input overflows; numpy warns, and the inverse
+    # blocks turn non-finite before they are assembled
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("op", [
+        t_pinv,
+        t_drazin,
+        t_inverse,
+        t_group,
+        unit_regular_witness,
+    ])
+    def test_non_finite_blocks_named_as_overflow(self, op):
+        with pytest.raises(BlockOpError, match="non-finite") as excinfo:
+            op(scalar_mul(1e-310, gen(7, 3, 3, 6)))
+        assert excinfo.value.block_index == 0

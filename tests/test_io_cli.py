@@ -391,6 +391,15 @@ class TestCli:
                          "--quiet"])
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pinv_overflow_exits_3(self, tmp_path, capsys):
+        a = tmp_path / "tiny.tns"
+        write_tensor(a, Tensor3(1e-310 * gen(7, 3, 3, 6).array))
+        code = cli_main(["pinv", str(a), "-o", str(tmp_path / "x.tns"),
+                         "--quiet"])
+        assert code == 3
+        assert "non-finite (overflow)" in capsys.readouterr().err
+
     def test_tinv_singular_exits_3(self, tmp_path, capsys):
         a = self._gen_file(tmp_path, dims=(4, 4, 3), kind="rank_deficient")
         code = cli_main(["tinv", str(a), "-o", str(tmp_path / "x.tns"),
