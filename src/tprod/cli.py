@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import factorizations as fz
 from . import ginverses as gi
 from .core import tprod
@@ -45,9 +43,9 @@ class Op:
 
     ``compute(a, args)`` returns a result whose ``attrs`` hold the factors
     and whose ``report`` verifies them, or, when ``attrs`` is empty, the one
-    factor itself.  ``report(a, factors, tol, res)`` checks given factors;
-    ``res`` is None under ``verify``.  One factor is written to ``-o``,
-    several to ``<prefix>_<name>.tns``.
+    factor itself.  ``report(a, *factors)`` checks given factors, for the
+    ops without a report of their own and under ``verify``.  One factor is
+    written to ``-o``, several to ``<prefix>_<name>.tns``.
     """
 
     help: str
@@ -58,47 +56,48 @@ class Op:
     verifiable: bool = True
 
 
+# The reports are looked up when called, so a tracer that rebinds the
+# module attributes of fz and gi sees the CLI's verification as well.
 OPS = {
     "tsvd": Op(
         "real tensor SVD", ("U", "S", "V"), ("u", "s", "v"),
         lambda a, args: fz.t_svd(a),
-        lambda a, f, tol, res: fz.tsvd_report(a, *f, tol=tol)),
+        lambda a, *f: fz.tsvd_report(a, *f)),
     "tschur": Op(
         "real t-Schur decomposition", ("U", "T"), ("u", "t"),
         lambda a, args: fz.t_schur(a),
-        lambda a, f, tol, res: fz.tschur_report(a, *f, tol=tol)),
+        lambda a, *f: fz.tschur_report(a, *f)),
     "tjordan": Op(
         "real block-bi-diagonal similarity", ("P", "J"), ("p", "j"),
         lambda a, args: fz.t_jordan(a),
-        lambda a, f, tol, res: fz.tjordan_report(a, *f, tol=tol)),
+        lambda a, *f: fz.tjordan_report(a, *f)),
     "idem": Op(
         "factorization through a real idempotent", ("U", "E", "V"),
         ("u", "e", "v"),
         lambda a, args: fz.idempotent_factorization(a),
-        lambda a, f, tol, res: fz.idem_report(a, *f, tol=tol)),
+        lambda a, *f: fz.idem_report(a, *f)),
     "tinv": Op(
         "t-inverse", ("X",), (),
         lambda a, args: gi.t_inverse(a),
-        lambda a, f, tol, res: gi.inverse_report(a, *f, tol=tol),
+        lambda a, *f: gi.inverse_report(a, *f),
         verifiable=False),
     "pinv": Op(
         "Moore-Penrose inverse", ("X",), (),
         lambda a, args: gi.t_pinv(a, route=args.route),
-        lambda a, f, tol, res: gi.penrose_report(a, *f, tol=tol)),
-    # verified at the index of the computed result, else at the input's
+        lambda a, *f: gi.penrose_report(a, *f)),
+    # verified at the index t_drazin computes for the input
     "drazin": Op(
         "Drazin inverse", ("X",), ("ad",),
         lambda a, args: gi.t_drazin(a),
-        lambda a, f, tol, res: gi.drazin_report(
-            a, *f, gi.t_index(a) if res is None else res.index, tol=tol)),
+        lambda a, ad: gi.drazin_report(a, ad, gi.t_index(a))),
     "group": Op(
         "group inverse", ("X",), (),
         lambda a, args: gi.t_group(a),
-        lambda a, f, tol, res: gi.group_report(a, *f, tol=tol)),
+        lambda a, *f: gi.group_report(a, *f)),
     "witness": Op(
         "invertible von Neumann inverse", ("X",), ("w",),
         lambda a, args: gi.unit_regular_witness(a),
-        lambda a, f, tol, res: gi.witness_report(a, *f, tol=tol),
+        lambda a, *f: gi.witness_report(a, *f),
         verifiable=False),
 }
 
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol", type=float, default=None,
-        help="override all residual tolerances with this value",
+        help="check every residual of the report against this tolerance",
     )
     common.add_argument(
         "--report", default=None, metavar="PATH",
@@ -178,12 +177,7 @@ def _run_tprod(args) -> ResidualReport:
     c_fourier = tprod(a, b, path="fourier")
     report = ResidualReport("tprod").start()
     scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
-    tol = args.tol if args.tol is not None else 1e-11 * scale
-    report.add(
-        "dual_path_agreement",
-        np.abs((c - c_fourier).array).max(),
-        tol,
-    )
+    report.add_identity("dual_path_agreement", c, c_fourier, 1e-11 * scale)
     return report.stop()
 
 
@@ -197,9 +191,7 @@ def _run_op(args) -> ResidualReport:
     else:
         for name, tensor in zip(op.factors, factors):
             write_tensor(f"{args.out_prefix}_{name}.tns", tensor)
-    if op.attrs and args.tol is None:
-        return res.report
-    return op.report(a, factors, args.tol, res)
+    return res.report if op.attrs else op.report(a, *factors)
 
 
 def _run_verify(args) -> ResidualReport:
@@ -211,7 +203,7 @@ def _run_verify(args) -> ResidualReport:
         )
     a = read_tensor(args.input)
     factors = [read_tensor(path) for path in args.factors]
-    return OPS[args.kind].report(a, factors, args.tol, None)
+    return OPS[args.kind].report(a, *factors)
 
 
 def cli_main(argv=None) -> int:
@@ -235,6 +227,8 @@ def cli_main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.tol is not None:
+        report = report.with_tolerance(args.tol)
 
     if args.report:
         try:

@@ -41,7 +41,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
-from .report import ResidualReport
+from .report import ResidualReport, identity_residual
 
 
 def rec_tolerance(a: Tensor3) -> float:
@@ -53,11 +53,6 @@ def rec_tolerance(a: Tensor3) -> float:
 def orth_tolerance(n: int, p: int) -> float:
     """Orthogonality allowance: 1e-10 * n * p."""
     return 1e-10 * n * p
-
-
-def structure_tolerance(t: Tensor3) -> float:
-    """Allowance for entries that must vanish structurally."""
-    return rec_tolerance(t)
 
 
 # ---------------------------------------------------------------------------
@@ -146,44 +141,44 @@ def is_t_symmetric(t: Tensor3, tol: float) -> bool:
     m, n, p = t.dims
     if m != n:
         raise DimensionError("t-symmetry requires square slices")
-    return float(np.abs((t - transpose(t)).array).max()) <= tol
+    return identity_residual(t, transpose(t)) <= tol
+
+
+def orthogonality_residual(t: Tensor3) -> float:
+    """max|t^T * t - I|, with I of t's row count (a non-square t fails)."""
+    m, n, p = t.dims
+    return identity_residual(tprod(transpose(t), t), Tensor3.identity(m, p))
 
 
 def is_orthogonal(t: Tensor3, tol: float) -> bool:
     m, n, p = t.dims
     if m != n:
         raise DimensionError("orthogonality requires square slices")
-    eye = Tensor3.identity(n, p)
-    left = np.abs((tprod(transpose(t), t) - eye).array).max()
-    right = np.abs((tprod(t, transpose(t)) - eye).array).max()
-    return float(max(left, right)) <= tol
+    return max(orthogonality_residual(t), orthogonality_residual(transpose(t))) <= tol
 
 
-def _quasi_band_residual(stack: np.ndarray, partition: tuple[int, ...]) -> float:
-    """Largest magnitude strictly below the block diagonal band."""
-    residual = 0.0
-    c = 0
-    for size in partition[:-1]:
-        c += size
-        block = np.abs(stack[:, c:, :c])
-        if block.size:
-            residual = max(residual, float(block.max()))
-    return residual
-
-
-def _bidiagonal_band_residual(
-    stack: np.ndarray, partition: tuple[int, ...]
+def _band_residual(
+    stack: np.ndarray, partition: tuple[int, ...], bidiagonal: bool
 ) -> float:
-    """Largest magnitude outside diagonal and first-superdiagonal blocks."""
-    n = stack.shape[1]
-    beta = np.empty(n, dtype=int)
-    pos = 0
-    for b, size in enumerate(partition):
-        beta[pos:pos + size] = b
-        pos += size
-    diff = beta[None, :] - beta[:, None]
-    mask = (diff < 0) | (diff > 1)
-    return float(np.abs(stack[:, mask]).max()) if mask.any() else 0.0
+    """Largest magnitude below the block diagonal and, when bidiagonal,
+    also above the first block superdiagonal."""
+    block = np.repeat(np.arange(len(partition)), partition)
+    diff = block[None, :] - block[:, None]  # column's block minus row's
+    mask = diff < 0
+    if bidiagonal:
+        mask |= diff > 1
+    return float(np.abs(stack[:, mask]).max(initial=0.0))
+
+
+def _partition(t: Tensor3, bidiagonal: bool) -> tuple[int, ...]:
+    """The finest common partition of t's slices at t's reconstruction
+    allowance; PartitionViolation when none has blocks of size at most 2."""
+    partition = finest_partition(t.array, rec_tolerance(t), bidiagonal)
+    if partition is None:
+        kind = "block-bi-diagonal" if bidiagonal else "quasi-triangular"
+        raise PartitionViolation(f"slices admit no common {kind} partition "
+                                 "into blocks of size at most 2")
+    return partition
 
 
 # ---------------------------------------------------------------------------
@@ -226,48 +221,34 @@ def tsvd_report(
     u: Tensor3,
     s: Tensor3,
     v: Tensor3,
-    tol: float | None = None,
     realness: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Residuals of the t-SVD identities for given factors."""
     m, n, p = a.dims
     report = ResidualReport("tsvd").start()
-    t_rec = tol if tol is not None else rec_tolerance(a)
-    t_orth = tol if tol is not None else orth_tolerance(max(m, n), p)
-
-    recon = tprod(tprod(u, s), transpose(v))
-    report.add("reconstruction", np.abs((recon - a).array).max(), t_rec)
-    eye_m = Tensor3.identity(m, p)
-    eye_n = Tensor3.identity(n, p)
-    report.add(
-        "orthogonality_u",
-        np.abs((tprod(transpose(u), u) - eye_m).array).max(),
-        t_orth,
-    )
-    report.add(
-        "orthogonality_v",
-        np.abs((tprod(transpose(v), v) - eye_n).array).max(),
-        t_orth,
-    )
+    t_rec = rec_tolerance(a)
+    t_orth = orth_tolerance(max(m, n), p)
+    report.add_identity("reconstruction", tprod(tprod(u, s), transpose(v)), a, t_rec)
+    report.add("orthogonality_u", orthogonality_residual(u), t_orth)
+    report.add("orthogonality_v", orthogonality_residual(v), t_orth)
     report.add("f_diagonal", off_diagonal_max(s), t_rec)
-    _add_realness(report, p, tol, realness)
+    _add_realness(report, realness)
     return report.stop()
 
 
 def _assemble(*families: FourierBlocks) -> tuple[list[Tensor3], tuple]:
     """The real tensors of factor families, and the realness pair of their
-    report: the largest certified residue and the largest block entry."""
+    report: the largest certified residue and its allowance at the largest
+    block entry."""
     assembled = [assemble_real(fb) for fb in families]
-    realness = (max(im for _, im in assembled), max(fb.max_abs for fb in families))
-    return [t for t, _ in assembled], realness
+    residue = max(im for _, im in assembled)
+    allowance = real_tolerance(max(fb.max_abs for fb in families), families[0].p)
+    return [t for t, _ in assembled], (residue, allowance)
 
 
-def _add_realness(report, p, tol, realness):
-    if realness is None:
-        return
-    residue, max_abs = realness
-    t_real = tol if tol is not None else real_tolerance(max_abs, p)
-    report.add("realness", residue, t_real)
+def _add_realness(report: ResidualReport, realness) -> None:
+    if realness is not None:
+        report.add("realness", *realness)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +286,7 @@ def t_schur(a: Tensor3) -> TSchurResult:
     if m != n:
         raise DimensionError("t_schur requires square slices")
     (u, t), realness = _assemble(*lift_multi(to_fourier(a), _schur_block))
-    partition = finest_partition(t.array, structure_tolerance(t))
-    if partition is None:
-        raise PartitionViolation(
-            "assembled slices admit no common 1x1/2x2 diagonal partition "
-            "(incompatible real-forced block orderings)"
-        )
+    partition = _partition(t, bidiagonal=False)
     report = tschur_report(a, u, t, partition, realness=realness)
     return TSchurResult(u, t, partition, report)
 
@@ -320,36 +296,23 @@ def tschur_report(
     u: Tensor3,
     t: Tensor3,
     partition: tuple[int, ...] | None = None,
-    tol: float | None = None,
     realness: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Residuals of the t-Schur identities for given factors."""
     m, n, p = a.dims
     if partition is None:
-        partition = finest_partition(t.array, structure_tolerance(t))
-        if partition is None:
-            raise PartitionViolation(
-                "factor admits no common 1x1/2x2 diagonal partition"
-            )
+        partition = _partition(t, bidiagonal=False)
     report = ResidualReport("tschur").start()
-    t_rec = tol if tol is not None else rec_tolerance(a)
-    t_orth = tol if tol is not None else orth_tolerance(n, p)
-    t_struct = tol if tol is not None else structure_tolerance(t)
-
-    recon = tprod(tprod(u, t), transpose(u))
-    report.add("reconstruction", np.abs((recon - a).array).max(), t_rec)
-    eye = Tensor3.identity(n, p)
-    report.add(
-        "orthogonality_u",
-        np.abs((tprod(transpose(u), u) - eye).array).max(),
-        t_orth,
+    report.add_identity(
+        "reconstruction", tprod(tprod(u, t), transpose(u)), a, rec_tolerance(a)
     )
+    report.add("orthogonality_u", orthogonality_residual(u), orth_tolerance(n, p))
     report.add(
         "quasi_triangularity",
-        _quasi_band_residual(t.array, partition),
-        t_struct,
+        _band_residual(t.array, partition, bidiagonal=False),
+        rec_tolerance(t),
     )
-    _add_realness(report, p, tol, realness)
+    _add_realness(report, realness)
     return report.stop()
 
 
@@ -379,12 +342,7 @@ def t_jordan(a: Tensor3) -> TJordanResult:
         raise DimensionError("t_jordan requires square slices")
     factors = to_fourier(a).map(kernels.jordan_stack)
     (pt, j), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
-    partition = finest_partition(j.array, structure_tolerance(j), bidiagonal=True)
-    if partition is None:
-        raise PartitionViolation(
-            "assembled slices admit no common block-bi-diagonal partition "
-            "with blocks of size at most 2"
-        )
+    partition = _partition(j, bidiagonal=True)
     report = tjordan_report(a, pt, j, partition, realness=realness)
     return TJordanResult(pt, j, partition, report)
 
@@ -402,7 +360,6 @@ def tjordan_report(
     pt: Tensor3,
     j: Tensor3,
     partition: tuple[int, ...] | None = None,
-    tol: float | None = None,
     realness: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Residuals of the t-Jordan identities for given factors.
@@ -413,39 +370,28 @@ def tjordan_report(
     """
     m, n, p = a.dims
     if partition is None:
-        partition = finest_partition(
-            j.array, structure_tolerance(j), bidiagonal=True
-        )
-        if partition is None:
-            raise PartitionViolation(
-                "factor admits no common block-bi-diagonal partition"
-            )
+        partition = _partition(j, bidiagonal=True)
     report = ResidualReport("tjordan").start()
     fb_p = to_fourier(pt)
     # cap the conditioning multiplier where t_jordan refuses an eigenvector
     # basis: beyond it the transform is numerically singular, and inflating
     # the allowance further would let garbage factors verify
     kappa = min(_condition_estimate(fb_p), 1 / kernels.DEFECT_RANK_TOL)
-    t_rec = tol if tol is not None else rec_tolerance(a) * kappa
-    t_struct = tol if tol is not None else structure_tolerance(j)
+    t_rec = rec_tolerance(a) * kappa
 
     from .ginverses import t_inverse  # ginverses imports this module
 
     p_inv = t_inverse(pt)
-    recon = tprod(tprod(pt, j), p_inv)
-    report.add("reconstruction", np.abs((recon - a).array).max(), t_rec)
-    eye = Tensor3.identity(n, p)
-    report.add(
-        "invertibility",
-        np.abs((tprod(pt, p_inv) - eye).array).max(),
-        t_rec,
+    report.add_identity("reconstruction", tprod(tprod(pt, j), p_inv), a, t_rec)
+    report.add_identity(
+        "invertibility", tprod(pt, p_inv), Tensor3.identity(n, p), t_rec
     )
     report.add(
         "bidiagonal_structure",
-        _bidiagonal_band_residual(j.array, partition),
-        t_struct,
+        _band_residual(j.array, partition, bidiagonal=True),
+        rec_tolerance(j),
     )
-    _add_realness(report, p, tol, realness)
+    _add_realness(report, realness)
     return report.stop()
 
 
@@ -486,22 +432,14 @@ def idem_report(
     u: Tensor3,
     e: Tensor3,
     v: Tensor3,
-    tol: float | None = None,
     realness: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Residuals of the idempotent factorization identities."""
-    m, n, p = a.dims
     report = ResidualReport("idem").start()
-    t_rec = tol if tol is not None else rec_tolerance(a)
-
-    recon = tprod(tprod(u, e), v)
-    report.add("reconstruction", np.abs((recon - a).array).max(), t_rec)
-    report.add(
-        "idempotency",
-        np.abs((tprod(e, e) - e).array).max(),
-        t_rec,
-    )
-    _add_realness(report, p, tol, realness)
+    t_rec = rec_tolerance(a)
+    report.add_identity("reconstruction", tprod(tprod(u, e), v), a, t_rec)
+    report.add_identity("idempotency", tprod(e, e), e, t_rec)
+    _add_realness(report, realness)
     return report.stop()
 
 

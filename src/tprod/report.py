@@ -4,13 +4,24 @@ Every factorization and generalized inverse ends by checking its own
 defining identities; the result is a :class:`ResidualReport` whose JSON
 form is stable: ``{operation, checks: [{name, residual, tolerance, pass}],
 pass, seconds}``.
+
+An identity ``lhs = rhs`` is measured one way, as max|lhs - rhs| over
+all entries (:func:`identity_residual`, recorded by
+:meth:`ResidualReport.add_identity`).  Each report computes its own
+default allowances; :meth:`ResidualReport.with_tolerance` replaces them
+all at once, which is how the CLI's ``--tol`` is applied.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+
+def identity_residual(lhs, rhs) -> float:
+    """max|lhs - rhs| over all entries of two tensors of equal shape."""
+    return (lhs - rhs).max_abs
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,16 @@ class ResidualReport:
         check = Check(name, residual, float(tolerance))
         self.checks.append(check)
         return check
+
+    def add_identity(self, name: str, lhs, rhs, tolerance: float) -> Check:
+        """Check the identity lhs = rhs by :func:`identity_residual`."""
+        return self.add(name, identity_residual(lhs, rhs), tolerance)
+
+    def with_tolerance(self, tolerance: float) -> "ResidualReport":
+        """The same checks and residuals, each against ``tolerance``."""
+        return replace(self, checks=[
+            Check(c.name, c.residual, float(tolerance)) for c in self.checks
+        ])
 
     @property
     def passed(self) -> bool:

@@ -26,7 +26,7 @@ from tprod import (
     tprod,
     transpose,
 )
-from tprod.factorizations import finest_partition, rec_tolerance
+from tprod.factorizations import _band_residual, finest_partition, rec_tolerance
 
 from conftest import max_abs
 
@@ -373,6 +373,33 @@ class TestFinestPartition:
             else:
                 assert self._conforms(stack, got, bidiagonal)
                 assert len(got) == max(len(p) for p in feasible)
+
+
+@st.composite
+def banded_stacks(draw):
+    """A random (p, n, n) stack, n in 1..6, and a partition of n into 1s
+    and 2s."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 4))
+    partition = []
+    while sum(partition) < n:
+        partition.append(draw(st.integers(1, min(2, n - sum(partition)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((p, n, n)), tuple(partition)
+
+
+class TestBandResidual:
+    @given(banded_stacks(), st.booleans())
+    def test_matches_entrywise_loop(self, case, bidiagonal):
+        stack, partition = case
+        block = [b for b, size in enumerate(partition) for _ in range(size)]
+        n = stack.shape[1]
+        expected = 0.0
+        for i in range(n):
+            for j in range(n):
+                if block[i] > block[j] or (bidiagonal and block[j] > block[i] + 1):
+                    expected = max(expected, float(np.abs(stack[:, i, j]).max()))
+        assert _band_residual(stack, partition, bidiagonal) == expected
 
 
 class TestNaiveSvd:

@@ -489,6 +489,24 @@ class TestCli:
 
         assert residuals(checked) == residuals(own)
 
+    def test_tol_keeps_every_check(self, tmp_path):
+        a = self._gen_file(tmp_path, dims=(3, 3, 4))
+        for command in ("tsvd", "tschur", "tjordan", "idem", "drazin",
+                        "witness"):
+            out = (["--out-prefix", str(tmp_path / command)]
+                   if len(cli.OPS[command].factors) > 1
+                   else ["-o", str(tmp_path / f"{command}.tns")])
+            checks = []
+            for tol in ([], ["--tol", "1e-6"]):
+                report_path = tmp_path / "r.json"
+                assert cli_main([command, str(a), *out, *tol, "--quiet",
+                                 "--report", str(report_path)]) == 0
+                checks.append(json.loads(report_path.read_text())["checks"])
+            plain, overridden = checks
+            assert [(c["name"], c["residual"]) for c in overridden] == [
+                (c["name"], c["residual"]) for c in plain], command
+            assert {c["tolerance"] for c in overridden} == {1e-6}, command
+
     def test_report_written_even_on_failure(self, tmp_path):
         a = self._gen_file(tmp_path)
         report_path = tmp_path / "r.json"
