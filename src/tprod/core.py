@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotBlockCirculant
+from .errors import DimensionError, MathError, NotBlockCirculant
 
 # Direct block-circulant multiply below this size, Fourier path above it.
 # Both stay: the reports call tprod many times on paper-size tensors, where
@@ -49,6 +49,16 @@ class Tensor3:
             )
         if min(arr.shape) < 1:
             raise DimensionError(f"dimensions must be positive, got {arr.shape}")
+        self._set(arr)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Tensor3":
+        """Wrap a fresh float64 (p, m, n) array without copying it."""
+        t = cls.__new__(cls)
+        t._set(arr)
+        return t
+
+    def _set(self, arr: np.ndarray) -> None:
         if not np.isfinite(arr).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         arr.setflags(write=False)
@@ -248,7 +258,8 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
 
     ``path`` selects the computation: "direct" is the exact block-circulant
     multiply, "fourier" the transform-domain product, "auto" picks direct at
-    desk scale and fourier above it.
+    desk scale and fourier above it.  A product beyond the float64 range
+    raises MathError on either path.
     """
     ma, na, pa = a.dims
     mb, nb, pb = b.dims
@@ -258,13 +269,29 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
         )
     if path == "auto":
         path = "direct" if pa * min(ma, na, nb) <= DIRECT_PATH_LIMIT else "fourier"
-    if path == "direct":
-        return fold(bcirc(a).matrix @ unfold(b), pa)
-    if path == "fourier":
-        from . import fourier
+    if path not in ("direct", "fourier"):
+        raise ValueError(f"unknown tprod path {path!r}")
+    try:
+        return _product(a, b, path, (pa, ma, nb))
+    except ValueError as exc:  # Tensor3 refuses a non-finite product
+        raise MathError(
+            f"t-product of {ma}x{na}x{pa} by {mb}x{nb}x{pb} overflowed the "
+            "float64 range"
+        ) from exc
 
-        return fourier.tprod_fourier(a, b)
-    raise ValueError(f"unknown tprod path {path!r}")
+
+# The operands are finite, so a non-finite product has overflowed; numpy's
+# warning about it is kept quiet, and tprod raises MathError instead.  As a
+# decorator, errstate costs less per call than as a with block.
+@np.errstate(over="ignore", invalid="ignore")
+def _product(a: Tensor3, b: Tensor3, path: str, shape) -> Tensor3:
+    """a * b on ``path``, a (p, m, l) slice stack of the given shape."""
+    if path == "direct":
+        c = bcirc(a).matrix @ b.array.reshape(-1, shape[2])
+        return Tensor3._wrap(c.reshape(shape))
+    from . import fourier
+
+    return fourier.tprod_fourier(a, b)
 
 
 def transpose(t: Tensor3) -> Tensor3:

@@ -6,9 +6,8 @@ real-forced blocks, complex kernels elsewhere) with
 :meth:`~tprod.fourier.FourierBlocks.map`, and inverse-transform with
 realness certification.  The conjugate partners are never computed: each
 factor family is a :class:`~tprod.fourier.FourierBlocks`, which implies
-them.  The SVD, Jordan and idempotent factorizations run stacked
-kernels; Schur goes through :func:`~tprod.fourier.lift_multi`, because
-its LAPACK driver takes one matrix at a time.  The resulting factors
+them.  Every factorization, Schur included, runs stacked kernels in
+``FourierBlocks.map`` calls.  The resulting factors
 are always real; every operation returns a ResidualReport of its defining
 identities.
 
@@ -36,7 +35,6 @@ from .fourier import (
     FourierBlocks,
     assemble_real,
     inverse_transform,
-    lift_multi,
     real_forced_indices,
     real_tolerance,
     to_fourier,
@@ -255,15 +253,6 @@ def _add_realness(report: ResidualReport, realness) -> None:
 # t-Schur
 
 
-def _schur_block(block, k):
-    """Ordered real Schur form of a real-forced block, complex elsewhere."""
-    if np.iscomplexobj(block):
-        dec = kernels.schur_complex(block)
-    else:
-        dec = kernels.schur_real_ordered(block)
-    return dec.u, dec.t
-
-
 @dataclass
 class TSchurResult:
     u: Tensor3
@@ -285,7 +274,8 @@ def t_schur(a: Tensor3) -> TSchurResult:
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_schur requires square slices")
-    (u, t), realness = _assemble(*lift_multi(to_fourier(a), _schur_block))
+    factors = to_fourier(a).map(kernels.schur_stack)
+    (u, t), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
     partition = _partition(t, bidiagonal=False)
     report = tschur_report(a, u, t, partition, realness=realness)
     return TSchurResult(u, t, partition, report)

@@ -29,8 +29,9 @@ so they are checked and certified before it runs, never silently dropped.
 Blockwise maps run on one engine, :meth:`FourierBlocks.map`.  It runs a
 stacked kernel once on the real parts of the real-forced blocks and once
 on the complex rest, names the Fourier block of a failure, and joins the
-results over blocks 0..floor(p/2).  :func:`lift_multi` is its front end
-for kernels that take one matrix at a time.
+results over blocks 0..floor(p/2).  Every op runs its kernels on it.
+:func:`lift_multi`, a per-matrix front end that no op calls any more, is
+kept only until the benchmark stops tracing it.
 
 The full p-block stack (:func:`mirror_blocks`, :func:`check_pairing`,
 :func:`inverse_transform`) serves only the unpaired demonstrations and the
@@ -299,6 +300,9 @@ def lift_multi(
 ) -> tuple[FourierBlocks, ...]:
     """Run a per-block map on blocks 0..floor(p/2) through
     :meth:`FourierBlocks.map`.
+
+    No op calls it: every op makes stacked :meth:`FourierBlocks.map`
+    calls.  It is kept only until the benchmark stops tracing it.
 
     ``op(block, k)`` gets :meth:`FourierBlocks.block` (real on the
     real-forced indices) and returns a tuple of matrices; each factor

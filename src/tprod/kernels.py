@@ -3,10 +3,10 @@
 These are thin, contract-checked wrappers over LAPACK (via numpy/scipy)
 plus the pieces LAPACK does not provide: deterministic phase conventions,
 real-first Schur ordering, a diagonalizable-regime Jordan form, the rank
-normal form, and Drazin/group inverses.  The SVD, pseudoinverse, Drazin
-and Jordan kernels also take stacks of matrices, which the tensor ops run
-on the half spectrum through ``FourierBlocks.map``; the matrix functions
-are the stack of one.  Every rank decision goes through one
+normal form, and Drazin/group inverses.  The SVD, pseudoinverse, Drazin,
+Schur and Jordan kernels also take stacks of matrices, which the tensor
+ops run on the half spectrum through ``FourierBlocks.map``; the matrix
+functions are the stack of one.  Every rank decision goes through one
 :class:`RankCutoff`, and the Jordan form refuses any matrix whose
 eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
 Everything here is deterministic for fixed input, so every tensor op
@@ -201,45 +201,68 @@ class MatrixSchur:
         return self.u @ self.t @ self.u.conj().T
 
 
+def schur_stack(stack: np.ndarray):
+    """Schur forms (u, t), a = u @ t @ u^H, of a (b, n, n) stack.
+
+    A complex stack gets complex Schur forms: unitary u, upper triangular
+    t.  A real stack gets real Schur forms with all 1x1 diagonal blocks
+    before the 2x2 blocks, reordered by orthogonal block swaps inside
+    LAPACK; an ill-conditioned exchange raises SwapFailure.  One ``gees``
+    lookup, one workspace query and one finiteness check serve the whole
+    stack, and the driver runs once per matrix.
+    """
+    # here, not at the top: only Schur pays for scipy's import
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    stack = np.asarray(stack)
+    if not np.isfinite(stack).all():
+        raise ValueError("array must not contain infs or NaNs")
+    u, t = np.empty_like(stack), np.empty_like(stack)
+    if stack.size == 0:
+        return u, t
+    (gees,) = get_lapack_funcs(("gees",), (stack,))
+    lwork = int(gees(lambda *x: None, stack[0], lwork=-1)[-2][0].real)
+    real = not np.iscomplexobj(stack)
+    # select the real eigenvalues, which LAPACK then moves to the top
+    select = (lambda x, y: y == 0) if real else (lambda x: None)
+    n = stack.shape[-1]
+    for i, a in enumerate(stack):
+        out = gees(select, a, lwork=lwork, sort_t=int(real))
+        info = out[-1]
+        if info in (n + 1, n + 2):
+            raise SwapFailure("Schur block exchange failed: " + (
+                "Eigenvalues could not be separated for reordering."
+                if info == n + 1 else
+                "Leading eigenvalues do not satisfy sort condition."))
+        if info > 0:
+            raise ConvergenceError("Schur iteration failed: Schur form not "
+                                   "found. Possibly ill-conditioned.")
+        t[i], u[i] = out[0], out[-3]
+        if real:
+            sizes = _scan_quasi_partition(t[i])
+            if list(sizes) != sorted(sizes):
+                raise SwapFailure(
+                    "reordered Schur form does not have all 1x1 blocks first"
+                )
+    return u, t
+
+
 def schur_complex(a: np.ndarray) -> MatrixSchur:
-    """Complex Schur decomposition: unitary u, upper triangular t."""
+    """Complex Schur decomposition: unitary u, upper triangular t; see
+    :func:`schur_stack`."""
     a = np.asarray(a, dtype=complex)
     _require_square(a, "schur_complex")
-    import scipy.linalg  # here, not at the top: only Schur pays its import
-
-    try:
-        t, u = scipy.linalg.schur(a, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Schur iteration failed: {exc}") from exc
-    return MatrixSchur(u, t, None)
+    u, t = schur_stack(a[None])
+    return MatrixSchur(u[0], t[0], None)
 
 
 def schur_real_ordered(a: np.ndarray) -> MatrixSchur:
-    """Real Schur form with all 1x1 diagonal blocks before the 2x2 blocks.
-
-    The reordering is done by orthogonal block swaps inside LAPACK; an
-    ill-conditioned exchange raises SwapFailure.
-    """
+    """Real Schur form with all 1x1 diagonal blocks before the 2x2 blocks;
+    see :func:`schur_stack`."""
     a = np.asarray(a, dtype=np.float64)
     _require_square(a, "schur_real_ordered")
-    import scipy.linalg
-
-    try:
-        t, u, sdim = scipy.linalg.schur(
-            a, output="real", sort=lambda x, y: y == 0
-        )
-    except np.linalg.LinAlgError as exc:
-        message = str(exc)
-        if "reorder" in message.lower() or "sort" in message.lower():
-            raise SwapFailure(f"Schur block exchange failed: {message}") from exc
-        raise ConvergenceError(f"Schur iteration failed: {message}") from exc
-    partition = _scan_quasi_partition(t)
-    sizes = list(partition)
-    if sorted(sizes) != sizes:
-        raise SwapFailure(
-            "reordered Schur form does not have all 1x1 blocks first"
-        )
-    return MatrixSchur(u, t, tuple(sizes))
+    u, t = schur_stack(a[None])
+    return MatrixSchur(u[0], t[0], _scan_quasi_partition(t[0]))
 
 
 def _scan_quasi_partition(t: np.ndarray) -> tuple[int, ...]:

@@ -1,23 +1,26 @@
 """The block engine and the tensor-scale rank cutoff.
 
-Every op decomposes the half spectrum through ``FourierBlocks.map``, one
-stacked kernel call for the real-forced blocks and one for the complex
-blocks; Schur reaches it through ``lift_multi``.  These tests
-hold the ops to a reference that does not use that engine: an explicit
-loop over the matrix kernels on blocks 0..p//2 and ``np.fft.irfft``, with
-the same cutoff.  They also check run-to-run determinism and rank
-decisions that do not move when the tensor is scaled.
+Every op, Schur included, decomposes the half spectrum through
+``FourierBlocks.map``, one stacked kernel call for the real-forced blocks
+and one for the complex blocks.  These tests hold the ops to a reference
+that does not use that engine: an explicit loop over matrix kernels on
+blocks 0..p//2 and ``np.fft.irfft``, with the same cutoff; the Schur
+reference loops ``scipy.linalg.schur`` itself.  They also check run-to-run
+determinism and rank decisions that do not move when the tensor is scaled.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprod import (
+    BlockOpError,
     ConvergenceError,
+    FourierBlocks,
     GroupInverseNotExist,
     MathError,
     Tensor3,
@@ -96,11 +99,14 @@ def assert_same_error(op, expected):
 
 
 def schur_kernel(block):
+    """scipy's Schur form of a block, real and 1x1 blocks first on the
+    real-forced blocks: a reference outside tprod's own kernel."""
     if np.iscomplexobj(block):
-        dec = kernels.schur_complex(block)
+        t, u = scipy.linalg.schur(block, output="complex")
     else:
-        dec = kernels.schur_real_ordered(block)
-    return dec.u, dec.t
+        t, u, _ = scipy.linalg.schur(block, output="real",
+                                     sort=lambda x, y: y == 0)
+    return u, t
 
 
 def jordan_kernel(block):
@@ -281,7 +287,27 @@ class TestScaleInvariantRank:
         assert_rel_close(scalar_mul(c, result.ad), t_drazin(a).ad, rtol=1e-6)
 
 
+@st.composite
+def blocks_with_nan(draw):
+    """FourierBlocks with a NaN at a drawn block k in 0..p//2, and k."""
+    p = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, p // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    half = rng.standard_normal((p // 2 + 1, n, n)) * (1 + 1j)
+    half[k, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = np.nan
+    return FourierBlocks(half, p), k
+
+
 class TestBatchedFailureNamesBlock:
+    @settings(max_examples=60)
+    @given(blocks_with_nan())
+    def test_schur_non_finite_block(self, case):
+        fb, k = case
+        with pytest.raises(BlockOpError) as excinfo:
+            fb.map(kernels.schur_stack)
+        assert excinfo.value.block_index == k
+
     @pytest.mark.parametrize("p, bad", [(5, 0), (5, 2), (6, 3), (8, 1)])
     def test_svd_convergence_failure(self, monkeypatch, p, bad):
         a = gen(p, 3, 3, p)

@@ -43,10 +43,12 @@ def test_every_traced_span_resolves():
 
 def test_traced_run_matches_untraced():
     """``--trace 1`` wraps ``lift_multi``'s op to count the blocks it
-    evaluates, so a change to the lift's calling convention shows here."""
+    evaluates, so a change to the lift's calling convention shows here.
+    No op calls the lift any more, so ``run`` calls it directly."""
     a = tprod.gen(0, 3, 3, 4)
 
     def run():
+        tprod.lift_multi(tprod.to_fourier(a), lambda b, k: (b,))
         schur, svd = tprod.t_schur(a), tprod.t_svd(a)
         return [schur.u.array, schur.t.array, svd.u.array, svd.s.array,
                 svd.v.array, svd.fourier_singular_values]

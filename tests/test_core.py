@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tprod import (
     BlockCirculant,
     DimensionError,
+    MathError,
     NotBlockCirculant,
     Tensor3,
     add,
@@ -240,6 +241,14 @@ class TestTprod:
             tprod(gen(0, 2, 3, 2), gen(1, 2, 2, 2))
         with pytest.raises(DimensionError):
             tprod(gen(0, 2, 2, 2), gen(1, 2, 2, 3))
+
+    @pytest.mark.parametrize("path", ["direct", "fourier"])
+    def test_overflow_is_a_math_error(self, path):
+        # pytest turns numpy's RuntimeWarning into an error, so this also
+        # checks that the overflow warning is kept quiet
+        a = scalar_mul(2.0**600, gen(0, 3, 3, 4))
+        with pytest.raises(MathError, match="overflowed"):
+            tprod(a, a, path=path)
 
     def test_matches_definition(self):
         a = gen(2, 3, 2, 4)

@@ -19,6 +19,7 @@ from tprod import (
     gen,
     is_t_symmetric,
     read_tensor,
+    scalar_mul,
     to_fourier,
     tprod,
     write_tensor,
@@ -259,21 +260,52 @@ class TestTensorFileMatchesReference:
             assert new == ref
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the Schur kernels alone; a module-level import
-    # anywhere on the CLI path would add its load time to every subprocess
-    script = (
-        "import sys, tprod.cli\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "from tprod import gen, t_schur\n"
-        "assert t_schur(gen(3, 3, 3, 4)).report.passed\n"
-        "assert 'scipy.linalg' in sys.modules\n"
-    )
+def run_python(*args):
+    """``python *args`` in a subprocess with this checkout's tprod."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the Schur kernel alone; a module-level import
+    # anywhere on the CLI path, or in another op, would add its load time
+    # to every subprocess
+    script = (
+        "import sys, tprod.cli\n"
+        "def scipy_loaded():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not scipy_loaded()\n"
+        "from tprod import gen, t_drazin, t_pinv, t_schur, t_svd\n"
+        "a = gen(3, 3, 3, 4)\n"
+        "assert t_svd(a).report.passed\n"
+        "t_pinv(a)\n"
+        "t_drazin(a)\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        "assert t_schur(a).report.passed\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_tprod_overflow_exits_3_and_bad_input_exits_2(tmp_path):
+    def tprod_cli(a):
+        return run_python("-c", "from tprod.cli import main; main()", "tprod",
+                          str(a), str(a), "-o", str(tmp_path / "C.tns"))
+
+    big = tmp_path / "big.tns"
+    write_tensor(big, scalar_mul(2.0**600, gen(0, 3, 3, 4)))
+    done = tprod_cli(big)
+    assert done.returncode == 3, done.stderr
+    assert "overflowed" in done.stderr
+    assert "Warning" not in done.stderr
+    bad = tmp_path / "bad.tns"
+    bad.write_text("1 1 1\ninf\n")
+    assert tprod_cli(bad).returncode == 2
+    bad.write_text("1 1\n1\n")
+    assert tprod_cli(bad).returncode == 2
 
 
 class TestGen:

@@ -15,6 +15,7 @@ from tprod.kernels import (
     rank_normal_form,
     schur_complex,
     schur_real_ordered,
+    schur_stack,
     svd,
 )
 
@@ -153,6 +154,22 @@ class TestSchur:
     def test_requires_square(self):
         with pytest.raises(DimensionError):
             schur_real_ordered(np.zeros((2, 3)))
+
+    def test_stack_of_one_matches_matrix_functions(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 6):
+            a = rng.uniform(-1, 1, (n, n))
+            u, t = schur_stack(a[None])
+            dec = schur_real_ordered(a)
+            assert np.array_equal(dec.u, u[0]) and np.array_equal(dec.t, t[0])
+            # 1x1 blocks first, one 2x2 block per nonzero subdiagonal entry
+            pairs = np.count_nonzero(np.diag(t[0], -1))
+            assert dec.partition == (1,) * (n - 2 * pairs) + (2,) * pairs
+            z = random_complex(rng, n, n)
+            u, t = schur_stack(z[None])
+            dec = schur_complex(z)
+            assert np.array_equal(dec.u, u[0]) and np.array_equal(dec.t, t[0])
+            assert dec.partition is None
 
 
 class TestJordan:
