@@ -264,9 +264,7 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
     ma, na, pa = a.dims
     mb, nb, pb = b.dims
     if na != mb or pa != pb:
-        raise DimensionError(
-            f"cannot t-multiply {ma}x{na}x{pa} by {mb}x{nb}x{pb}"
-        )
+        raise not_conformable(a.dims, b.dims)
     if path == "auto":
         path = "direct" if pa * min(ma, na, nb) <= DIRECT_PATH_LIMIT else "fourier"
     if path not in ("direct", "fourier"):
@@ -274,10 +272,28 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
     try:
         return _product(a, b, path, (pa, ma, nb))
     except ValueError as exc:  # Tensor3 refuses a non-finite product
-        raise MathError(
-            f"t-product of {ma}x{na}x{pa} by {mb}x{nb}x{pb} overflowed the "
-            "float64 range"
-        ) from exc
+        raise product_overflow(a.dims, b.dims) from exc
+
+
+def not_conformable(a_dims, b_dims) -> DimensionError:
+    """The error of a t-product whose operand dims (m, n, p) do not
+    conform, on any path."""
+    return DimensionError(
+        f"cannot t-multiply {_shape(a_dims)} by {_shape(b_dims)}"
+    )
+
+
+def product_overflow(a_dims, b_dims) -> MathError:
+    """The error of a t-product of finite operands beyond the float64
+    range, on any path."""
+    return MathError(
+        f"t-product of {_shape(a_dims)} by {_shape(b_dims)} overflowed the "
+        "float64 range"
+    )
+
+
+def _shape(dims) -> str:
+    return "x".join(map(str, dims))
 
 
 # The operands are finite, so a non-finite product has overflowed; numpy's

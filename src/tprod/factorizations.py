@@ -9,7 +9,8 @@ factor family is a :class:`~tprod.fourier.FourierBlocks`, which implies
 them.  Every factorization, Schur included, runs stacked kernels in
 ``FourierBlocks.map`` calls.  The resulting factors
 are always real; every operation returns a ResidualReport of its defining
-identities.
+identities, checked on the half spectra of the input and the factors
+(see :mod:`tprod.report`).
 
 Structural notions: a tensor is f-diagonal when every frontal slice is
 diagonal; f-quasi-triangular when all slices are block upper triangular
@@ -39,7 +40,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
-from .report import ResidualReport, identity_residual
+from .report import ResidualReport, identity_residual, verifying
 
 
 def rec_tolerance(a: Tensor3) -> float:
@@ -135,24 +136,34 @@ def is_f_upper_block_bidiagonal(
     return partition is not None, partition
 
 
+@verifying
 def is_t_symmetric(t: Tensor3, tol: float) -> bool:
     m, n, p = t.dims
     if m != n:
         raise DimensionError("t-symmetry requires square slices")
-    return identity_residual(t, transpose(t)) <= tol
+    ft = to_fourier(t)
+    return identity_residual(ft, ft.T) <= tol
 
 
+@verifying
 def orthogonality_residual(t: Tensor3) -> float:
     """max|t^T * t - I|, with I of t's row count (a non-square t fails)."""
-    m, n, p = t.dims
-    return identity_residual(tprod(transpose(t), t), Tensor3.identity(m, p))
+    return _orthogonality(to_fourier(t))
 
 
+def _orthogonality(ft: FourierBlocks) -> float:
+    """:func:`orthogonality_residual` of the tensor with half spectrum ft."""
+    m, n, p = ft.dims
+    return identity_residual(ft.T @ ft, FourierBlocks.identity(m, p))
+
+
+@verifying
 def is_orthogonal(t: Tensor3, tol: float) -> bool:
     m, n, p = t.dims
     if m != n:
         raise DimensionError("orthogonality requires square slices")
-    return max(orthogonality_residual(t), orthogonality_residual(transpose(t))) <= tol
+    ft = to_fourier(t)
+    return max(_orthogonality(ft), _orthogonality(ft.T)) <= tol
 
 
 def _band_residual(
@@ -214,6 +225,7 @@ def t_svd(a: Tensor3) -> TSvdResult:
     return TSvdResult(u, s, v, report, sigma)
 
 
+@verifying
 def tsvd_report(
     a: Tensor3,
     u: Tensor3,
@@ -226,9 +238,10 @@ def tsvd_report(
     report = ResidualReport("tsvd").start()
     t_rec = rec_tolerance(a)
     t_orth = orth_tolerance(max(m, n), p)
-    report.add_identity("reconstruction", tprod(tprod(u, s), transpose(v)), a, t_rec)
-    report.add("orthogonality_u", orthogonality_residual(u), t_orth)
-    report.add("orthogonality_v", orthogonality_residual(v), t_orth)
+    fa, fu, fs, fv = (to_fourier(t) for t in (a, u, s, v))
+    report.add_identity("reconstruction", fu @ fs @ fv.T, fa, t_rec)
+    report.add("orthogonality_u", _orthogonality(fu), t_orth)
+    report.add("orthogonality_v", _orthogonality(fv), t_orth)
     report.add("f_diagonal", off_diagonal_max(s), t_rec)
     _add_realness(report, realness)
     return report.stop()
@@ -281,6 +294,7 @@ def t_schur(a: Tensor3) -> TSchurResult:
     return TSchurResult(u, t, partition, report)
 
 
+@verifying
 def tschur_report(
     a: Tensor3,
     u: Tensor3,
@@ -293,10 +307,9 @@ def tschur_report(
     if partition is None:
         partition = _partition(t, bidiagonal=False)
     report = ResidualReport("tschur").start()
-    report.add_identity(
-        "reconstruction", tprod(tprod(u, t), transpose(u)), a, rec_tolerance(a)
-    )
-    report.add("orthogonality_u", orthogonality_residual(u), orth_tolerance(n, p))
+    fa, fu, ft = (to_fourier(x) for x in (a, u, t))
+    report.add_identity("reconstruction", fu @ ft @ fu.T, fa, rec_tolerance(a))
+    report.add("orthogonality_u", _orthogonality(fu), orth_tolerance(n, p))
     report.add(
         "quasi_triangularity",
         _band_residual(t.array, partition, bidiagonal=False),
@@ -337,14 +350,7 @@ def t_jordan(a: Tensor3) -> TJordanResult:
     return TJordanResult(pt, j, partition, report)
 
 
-def _condition_estimate(fb: FourierBlocks) -> float:
-    """Largest per-block 2-norm condition number, at least 1."""
-    sigma = kernels.singular_values(fb.blocks)
-    if (sigma[:, -1] == 0.0).any():
-        return np.inf
-    return max(1.0, float((sigma[:, 0] / sigma[:, -1]).max()))
-
-
+@verifying
 def tjordan_report(
     a: Tensor3,
     pt: Tensor3,
@@ -356,25 +362,27 @@ def tjordan_report(
 
     The reconstruction allowance is scaled by the conditioning of the
     transforming tensor, since the similarity amplifies rounding by cond(P),
-    up to 1 / kernels.DEFECT_RANK_TOL.
+    up to 1 / kernels.DEFECT_RANK_TOL.  One SVD of P's blocks gives both
+    cond(P) and the decision that P is invertible, as t_inverse takes it.
     """
     m, n, p = a.dims
     if partition is None:
         partition = _partition(j, bidiagonal=True)
     report = ResidualReport("tjordan").start()
-    fb_p = to_fourier(pt)
+
+    from .ginverses import blockwise_inverse  # ginverses imports this module
+
+    fp = to_fourier(pt)
+    p_inv, sigma = blockwise_inverse(fp)
     # cap the conditioning multiplier where t_jordan refuses an eigenvector
     # basis: beyond it the transform is numerically singular, and inflating
     # the allowance further would let garbage factors verify
-    kappa = min(_condition_estimate(fb_p), 1 / kernels.DEFECT_RANK_TOL)
-    t_rec = rec_tolerance(a) * kappa
-
-    from .ginverses import t_inverse  # ginverses imports this module
-
-    p_inv = t_inverse(pt)
-    report.add_identity("reconstruction", tprod(tprod(pt, j), p_inv), a, t_rec)
+    kappa = max(1.0, float((sigma[:, 0] / sigma[:, -1]).max()))
+    t_rec = rec_tolerance(a) * min(kappa, 1 / kernels.DEFECT_RANK_TOL)
+    fa, fj = to_fourier(a), to_fourier(j)
+    report.add_identity("reconstruction", fp @ fj @ p_inv, fa, t_rec)
     report.add_identity(
-        "invertibility", tprod(pt, p_inv), Tensor3.identity(n, p), t_rec
+        "invertibility", fp @ p_inv, FourierBlocks.identity(n, p), t_rec
     )
     report.add(
         "bidiagonal_structure",
@@ -417,6 +425,7 @@ def idempotent_factorization(
     return IdempotentFactorization(u, e, v, report)
 
 
+@verifying
 def idem_report(
     a: Tensor3,
     u: Tensor3,
@@ -427,8 +436,9 @@ def idem_report(
     """Residuals of the idempotent factorization identities."""
     report = ResidualReport("idem").start()
     t_rec = rec_tolerance(a)
-    report.add_identity("reconstruction", tprod(tprod(u, e), v), a, t_rec)
-    report.add_identity("idempotency", tprod(e, e), e, t_rec)
+    fa, fu, fe, fv = (to_fourier(t) for t in (a, u, e, v))
+    report.add_identity("reconstruction", fu @ fe @ fv, fa, t_rec)
+    report.add_identity("idempotency", fe @ fe, fe, t_rec)
     _add_realness(report, realness)
     return report.stop()
 

@@ -24,7 +24,14 @@ The transforms are numpy's FFTs along the slice axis.  ``np.fft.rfft``
 computes exactly blocks 0..floor(p/2), with a real DC block and, for even
 p, a real Nyquist block.  The real inverse is ``np.fft.irfft`` of the same
 blocks.  irfft ignores the imaginary parts of the DC and Nyquist blocks,
-so they are checked and certified before it runs, never silently dropped.
+so they are checked and certified before it runs, never silently dropped;
+slices it takes beyond the float64 range are a MathError.
+
+The residual reports verify on the half spectrum too.  ``@``, ``.T``,
+:meth:`FourierBlocks.power` and :meth:`FourierBlocks.identity` are the
+t-product, transpose, power and identity on blocks 0..floor(p/2), and
+:meth:`FourierBlocks.distance` measures an identity as max|lhs - rhs| over
+the slices, with one certified irfft of its residual blocks.
 
 Blockwise maps run on one engine, :meth:`FourierBlocks.map`.  It runs a
 stacked kernel once on the real parts of the real-forced blocks and once
@@ -40,15 +47,25 @@ tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .core import Tensor3
-from .errors import BlockOpError, MathError, PairingViolation, RealnessViolation
+from .core import Tensor3, not_conformable, product_overflow
+from .errors import (
+    BlockOpError,
+    DimensionError,
+    MathError,
+    PairingViolation,
+    RealnessViolation,
+)
 from .report import ResidualReport
+
+
+TRANSFORM_OVERFLOW = "the inverse transform overflowed the float64 range"
 
 
 def pair_tolerance(max_abs: float) -> float:
@@ -84,6 +101,10 @@ class FourierBlocks:
 
     blocks: np.ndarray
     p: int
+    # not a field: the operands of the block product or transpose that made
+    # the blocks, so that an overflow found when an identity is measured
+    # names the product that overflowed first
+    factors = ()
 
     def __post_init__(self):
         arr = np.asarray(self.blocks)
@@ -97,6 +118,23 @@ class FourierBlocks:
         arr = np.ascontiguousarray(arr, dtype=np.complex128).view()
         arr.setflags(write=False)
         object.__setattr__(self, "blocks", arr)
+
+    @classmethod
+    def _wrap(cls, blocks: np.ndarray, p: int, factors=()) -> "FourierBlocks":
+        """Wrap a complex (p // 2 + 1, m, n) stack that nothing else writes
+        to, without checking or copying it."""
+        blocks.setflags(write=False)
+        fb = cls.__new__(cls)
+        # past the frozen __setattr__
+        fb.__dict__.update(blocks=blocks, p=p, factors=factors)
+        return fb
+
+    @classmethod
+    def identity(cls, n: int, p: int) -> "FourierBlocks":
+        """The half spectrum of the n x n x p identity tensor: I_n in
+        every block."""
+        eye = np.eye(n, dtype=np.complex128)
+        return cls._wrap(np.broadcast_to(eye, (p // 2 + 1, n, n)), p)
 
     @classmethod
     def from_full(cls, blocks) -> "FourierBlocks":
@@ -127,6 +165,59 @@ class FourierBlocks:
         """Block k, real on the real-forced indices (whose imaginary part
         is transform rounding), complex elsewhere."""
         return self.blocks[k].real if k in self.real_forced else self.blocks[k]
+
+    # The verification algebra: the reports write each identity with these
+    # on the half spectra of their operands and measure it by distance,
+    # which refuses an overflow anywhere in its making as MathError.  Its
+    # products keep numpy's overflow warning, which the reports switch off
+    # (report.verifying).
+
+    def __matmul__(self, other: "FourierBlocks") -> "FourierBlocks":
+        """The half spectrum of the t-product self * other: one stacked
+        block product.  Dims that do not conform are refused as
+        :func:`core.tprod` refuses them."""
+        if self.blocks.shape[2] != other.blocks.shape[1] or self.p != other.p:
+            raise not_conformable(self.dims, other.dims)
+        return FourierBlocks._wrap(self.blocks @ other.blocks, self.p,
+                                   (self, other))
+
+    @property
+    def T(self) -> "FourierBlocks":
+        """The half spectrum of the tensor transpose: the conjugate
+        transpose of every block."""
+        return FourierBlocks._wrap(self.blocks.conj().transpose(0, 2, 1),
+                                   self.p, (self,))
+
+    def power(self, k: int) -> "FourierBlocks":
+        """The half spectrum of the k-th t-product power: a stacked matrix
+        power by repeated block products."""
+        m, n, p = self.dims
+        if m != n:
+            raise DimensionError(f"power requires square slices, got {m}x{n}")
+        if k < 0:
+            raise ValueError("power exponent must be nonnegative")
+        result = FourierBlocks.identity(n, p) if k == 0 else self
+        for _ in range(k - 1):
+            result = result @ self
+        return result
+
+    def distance(self, other: "FourierBlocks") -> float:
+        """max|entry| of the real tensor self - other over its slices: one
+        certified irfft of the difference blocks.
+
+        Unequal dims are a DimensionError, as in Tensor3 subtraction.  A
+        non-finite result is a MathError: the one core.tprod raises for the
+        first block product that overflowed in the making of either
+        operand, or else one saying the transform overflowed.
+        """
+        if self.dims != other.dims:
+            raise DimensionError(f"dims {self.dims} != {other.dims}")
+        slices, _ = _certified_irfft(self.blocks - other.blocks, self.p)
+        residual = float(np.abs(slices).max())
+        if not math.isfinite(residual):
+            raise (_first_overflow(self) or _first_overflow(other)
+                   or MathError(TRANSFORM_OVERFLOW))
+        return residual
 
     def map(self, fn: Callable, *args) -> tuple:
         """``fn(stack, *arg_stacks)`` over blocks 0..floor(p/2), one call
@@ -178,6 +269,18 @@ class FourierBlocks:
                 raise BlockOpError(f"block operation failed: {exc}", k) from exc
 
 
+def _first_overflow(fb: FourierBlocks) -> MathError | None:
+    """The error core.tprod raises for the first block product, in the
+    making of fb, whose blocks overflowed though its factors' did not."""
+    for factor in fb.factors:
+        error = _first_overflow(factor)
+        if error is not None:
+            return error
+    if len(fb.factors) == 2 and not np.isfinite(fb.blocks).all():
+        return product_overflow(*(factor.dims for factor in fb.factors))
+    return None
+
+
 def mirror_blocks(evaluated, p: int) -> np.ndarray:
     """Assemble a full (p, m, n) block stack from the non-redundant half.
 
@@ -204,7 +307,7 @@ def to_fourier(t: Tensor3) -> FourierBlocks:
     """Forward block transform of a real tensor: ``np.fft.rfft`` along the
     slice axis, blocks 0..floor(p/2) with exactly real DC and Nyquist
     blocks."""
-    return FourierBlocks(np.fft.rfft(t.array, axis=0), t.dims[2])
+    return FourierBlocks._wrap(np.fft.rfft(t.array, axis=0), t.dims[2])
 
 
 def inverse_transform(blocks) -> np.ndarray:
@@ -213,28 +316,33 @@ def inverse_transform(blocks) -> np.ndarray:
     return np.fft.ifft(blocks, axis=0)
 
 
-def _certified_irfft(half: np.ndarray, p: int, max_abs: float):
+def _certified_irfft(half: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     """irfft of blocks 0..floor(p/2), after certifying what it drops.
 
     irfft ignores the imaginary parts of the DC and, for even p, Nyquist
     blocks.  Their sum divided by p bounds what they would add to any
-    slice entry; that residue is checked against the realness tolerance
-    and returned with the tensor.
+    slice entry; that residue is checked against the realness tolerance at
+    the largest block entry.  Returns the C-ordered (p, m, n) slice stack
+    and the residue.  The slices are non-finite only when the blocks are
+    or the transform overflowed; the callers refuse them.
     """
-    max_imag = float(
-        np.abs(half[list(real_forced_indices(p))].imag).sum(axis=0).max()
-    ) / p
-    tol = real_tolerance(max_abs, p)
-    if max_imag > tol:
-        raise RealnessViolation(
-            f"reconstruction has imaginary residue {max_imag:.3e} beyond "
-            f"{tol:.3e} in the DC or Nyquist block",
-            max_imag=max_imag,
-            tolerance=tol,
-        )
-    return Tensor3(np.fft.irfft(half, n=p, axis=0)), max_imag
+    # the real-forced blocks 0 and, p even, p/2, as a view
+    edge = half.imag[::p // 2] if p % 2 == 0 else half.imag[:1]
+    # products and transforms of real tensors leave these exactly zero
+    max_imag = float(np.abs(edge).sum(axis=0).max()) / p if edge.any() else 0.0
+    if max_imag:  # only then is the allowance, a pass over every block, needed
+        tol = real_tolerance(float(np.abs(half).max()), p)
+        if max_imag > tol:
+            raise RealnessViolation(
+                f"reconstruction has imaginary residue {max_imag:.3e} beyond "
+                f"{tol:.3e} in the DC or Nyquist block",
+                max_imag=max_imag,
+                tolerance=tol,
+            )
+    return np.ascontiguousarray(np.fft.irfft(half, n=p, axis=0)), max_imag
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     """Certified real inverse transform.
 
@@ -243,15 +351,20 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     against the pairing tolerance (PairingViolation) and, as the residue
     they leave in the slices, against the realness tolerance.  Returns the
     tensor together with that residue (useful for residual reports).
-    Large imaginary parts are an error, never silently truncated, and
-    non-finite entries are a BlockOpError naming their first block.
+    Large imaginary parts are an error, never silently truncated,
+    non-finite entries are a BlockOpError naming their first block, and
+    slices beyond the float64 range are a MathError.
     """
     max_abs = fb.max_abs
     if not np.isfinite(max_abs):
         k = int(np.argmin(np.isfinite(fb.blocks).all(axis=(1, 2))))
         raise BlockOpError("block entries are non-finite (overflow)", k)
     _require_paired(_pairing_report(fb.blocks, fb.p, pair_tolerance(max_abs)))
-    return _certified_irfft(fb.blocks, fb.p, max_abs)
+    slices, residue = _certified_irfft(fb.blocks, fb.p)
+    try:
+        return Tensor3._wrap(slices), residue
+    except ValueError as exc:  # Tensor3 refuses non-finite slices
+        raise MathError(TRANSFORM_OVERFLOW) from exc
 
 
 def check_pairing(blocks) -> ResidualReport:
@@ -332,4 +445,4 @@ def tprod_fourier(a: Tensor3, b: Tensor3) -> Tensor3:
     """Transform-domain t-product: rfft, one stacked product of blocks
     0..floor(p/2), and an irfft that certifies the DC and Nyquist blocks."""
     prods = np.fft.rfft(a.array, axis=0) @ np.fft.rfft(b.array, axis=0)
-    return _certified_irfft(prods, a.dims[2], float(np.abs(prods).max()))[0]
+    return Tensor3._wrap(_certified_irfft(prods, a.dims[2])[0])

@@ -8,7 +8,8 @@ agreement is a built-in cross-check.  Every rank decision, and the
 ``rtol`` keyword of every op, is relative to the tensor's scale
 S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
 Residual allowances scale quadratically with the data magnitude because
-the defining identities are triple products.
+the defining identities are triple products.  The reports check those
+identities on the half spectra of their operands (see :mod:`tprod.report`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .core import Tensor3, power, tprod, transpose
+from .core import Tensor3, tprod, transpose
 from .errors import DimensionError, Singular
 from .factorizations import IdempotentFactorization, idempotent_factorization, t_svd
 from .fourier import FourierBlocks, assemble_real, to_fourier
-from .report import ResidualReport
+from .report import ResidualReport, verifying
 
 
 def gi_tolerance(a: Tensor3) -> float:
@@ -32,25 +33,28 @@ def gi_tolerance(a: Tensor3) -> float:
     return 1e-9 * (1.0 + a.max_abs) ** 2 * p
 
 
-def _require_square(a: Tensor3, name: str) -> None:
+def _require_square(a: Tensor3 | FourierBlocks, name: str) -> None:
     m, n, p = a.dims
     if m != n:
         raise DimensionError(f"{name} requires square slices, got {m}x{n}")
 
 
-def _half_spectrum(a: Tensor3, rtol: float | None):
-    """The Fourier blocks of ``a``, their singular values and the tensor's
-    rank cutoff taken from them."""
-    fb = to_fourier(a)
+def _spectrum_cutoff(fb: FourierBlocks, rtol: float | None):
+    """The singular values of the Fourier blocks and the tensor's rank
+    cutoff taken from them."""
     (sigma,) = fb.map(kernels.singular_values)
-    return fb, sigma, kernels.rank_cutoff(sigma, a.dims, rtol)
+    return sigma, kernels.rank_cutoff(sigma, fb.dims, rtol)
 
 
-def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
-    """Two-sided t-inverse; requires every Fourier block invertible,
-    i.e. its smallest singular value above the tensor's rank cutoff."""
-    _require_square(a, "t_inverse")
-    fb, sigma, cutoff = _half_spectrum(a, rtol)
+def blockwise_inverse(
+    fb: FourierBlocks, rtol: float | None = None
+) -> tuple[FourierBlocks, np.ndarray]:
+    """The half spectrum of the t-inverse, and the singular values of the
+    blocks that decided it exists: every block's smallest singular value
+    must lie above the tensor's rank cutoff, or Singular names the first
+    block where it does not."""
+    _require_square(fb, "t_inverse")
+    sigma, cutoff = _spectrum_cutoff(fb, rtol)
     sigma_min = sigma[:, -1]
     singular = np.flatnonzero(~(sigma_min > cutoff.at()))
     if singular.size:
@@ -60,17 +64,25 @@ def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
             block_index=k,
             sigma_min=float(sigma_min[k]),
         )
-    return assemble_real(FourierBlocks(*fb.map(np.linalg.inv), fb.p))[0]
+    return FourierBlocks(*fb.map(np.linalg.inv), fb.p), sigma
 
 
+def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
+    """Two-sided t-inverse; requires every Fourier block invertible,
+    i.e. its smallest singular value above the tensor's rank cutoff."""
+    return assemble_real(blockwise_inverse(to_fourier(a), rtol)[0])[0]
+
+
+@verifying
 def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     """Residuals of a*x = x*a = identity."""
     m, n, p = a.dims
     report = ResidualReport("tinv").start()
     t_gi = gi_tolerance(a)
-    eye = Tensor3.identity(n, p)
-    report.add_identity("left_inverse", tprod(x, a), eye, t_gi)
-    report.add_identity("right_inverse", tprod(a, x), eye, t_gi)
+    fa, fx = to_fourier(a), to_fourier(x)
+    eye = FourierBlocks.identity(n, p)
+    report.add_identity("left_inverse", fx @ fa, eye, t_gi)
+    report.add_identity("right_inverse", fa @ fx, eye, t_gi)
     return report.stop()
 
 
@@ -110,23 +122,26 @@ def t_pinv(a: Tensor3, route: str = "blocks", rtol: float | None = None) -> Tens
     raise ValueError(f"unknown pinv route {route!r}")
 
 
+@verifying
 def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     """Residuals of the four Penrose equations under the t-product."""
     report = ResidualReport("pinv").start()
     t_gi = gi_tolerance(a)
-    ax = tprod(a, x)
-    xa = tprod(x, a)
-    report.add_identity("axa_equals_a", tprod(ax, a), a, t_gi)
-    report.add_identity("xax_equals_x", tprod(xa, x), x, t_gi)
-    report.add_identity("ax_t_symmetric", ax, transpose(ax), t_gi)
-    report.add_identity("xa_t_symmetric", xa, transpose(xa), t_gi)
+    fa, fx = to_fourier(a), to_fourier(x)
+    ax = fa @ fx
+    xa = fx @ fa
+    report.add_identity("axa_equals_a", ax @ fa, fa, t_gi)
+    report.add_identity("xax_equals_x", xa @ fx, fx, t_gi)
+    report.add_identity("ax_t_symmetric", ax, ax.T, t_gi)
+    report.add_identity("xa_t_symmetric", xa, xa.T, t_gi)
     return report.stop()
 
 
 def _drazin_blocks(a: Tensor3, rtol: float | None, fn: Callable) -> tuple:
     """The Fourier blocks of ``a``, the tensor's rank cutoff and
     ``fn(blocks, cutoff, sigma)`` over them, with their singular values."""
-    fb, sigma, cutoff = _half_spectrum(a, rtol)
+    fb = to_fourier(a)
+    sigma, cutoff = _spectrum_cutoff(fb, rtol)
     return fb, cutoff, fb.map(lambda blocks, s: fn(blocks, cutoff, s), sigma)
 
 
@@ -162,14 +177,17 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
     return DrazinResult(ad, index, report)
 
 
+@verifying
 def drazin_report(a: Tensor3, ad: Tensor3, index: int) -> ResidualReport:
     """Residuals of the three Drazin identities at the given index."""
     report = ResidualReport("drazin").start()
     t_gi = gi_tolerance(a)
-    ak = power(a, index)
-    report.add_identity("power_identity", tprod(tprod(ak, a), ad), ak, t_gi)
-    report.add_identity("outer_identity", tprod(tprod(ad, a), ad), ad, t_gi)
-    report.add_identity("commutation", tprod(a, ad), tprod(ad, a), t_gi)
+    fa, fd = to_fourier(a), to_fourier(ad)
+    ak = fa.power(index)
+    report.add_identity("power_identity", ak @ fa @ fd, ak, t_gi)
+    da = fd @ fa
+    report.add_identity("outer_identity", da @ fd, fd, t_gi)
+    report.add_identity("commutation", fa @ fd, da, t_gi)
     return report.stop()
 
 
@@ -190,13 +208,16 @@ def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
     return assemble_real(FourierBlocks(x, fb.p))[0]
 
 
+@verifying
 def group_report(a: Tensor3, g: Tensor3) -> ResidualReport:
     """Residuals of the three group-inverse identities."""
     report = ResidualReport("group").start()
     t_gi = gi_tolerance(a)
-    report.add_identity("inner_identity", tprod(tprod(a, g), a), a, t_gi)
-    report.add_identity("outer_identity", tprod(tprod(g, a), g), g, t_gi)
-    report.add_identity("commutation", tprod(a, g), tprod(g, a), t_gi)
+    fa, fg = to_fourier(a), to_fourier(g)
+    ag, ga = fa @ fg, fg @ fa
+    report.add_identity("inner_identity", ag @ fa, fa, t_gi)
+    report.add_identity("outer_identity", ga @ fg, fg, t_gi)
+    report.add_identity("commutation", ag, ga, t_gi)
     return report.stop()
 
 
@@ -234,13 +255,16 @@ def unit_regular_witness(
     return UnitRegularWitness(w, idem.u, idem.e, idem.v, report)
 
 
+@verifying
 def witness_report(a: Tensor3, w: Tensor3) -> ResidualReport:
     """Residuals of the unit-regular witness identities."""
     m, n, p = a.dims
     report = ResidualReport("witness").start()
     t_gi = gi_tolerance(a)
-    report.add_identity("von_neumann", tprod(tprod(a, w), a), a, t_gi)
+    fa, fw = to_fourier(a), to_fourier(w)
+    report.add_identity("von_neumann", fa @ fw @ fa, fa, t_gi)
+    w_inv, _ = blockwise_inverse(fw)
     report.add_identity(
-        "witness_invertibility", tprod(w, t_inverse(w)), Tensor3.identity(n, p), t_gi
+        "witness_invertibility", fw @ w_inv, FourierBlocks.identity(n, p), t_gi
     )
     return report.stop()

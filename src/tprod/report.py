@@ -6,10 +6,15 @@ form is stable: ``{operation, checks: [{name, residual, tolerance, pass}],
 pass, seconds}``.
 
 An identity ``lhs = rhs`` is measured one way, as max|lhs - rhs| over
-all entries (:func:`identity_residual`, recorded by
-:meth:`ResidualReport.add_identity`).  Each report computes its own
-default allowances; :meth:`ResidualReport.with_tolerance` replaces them
-all at once, which is how the CLI's ``--tol`` is applied.
+all slice entries (:func:`identity_residual`, recorded by
+:meth:`ResidualReport.add_identity`).  The reports verify on the half
+spectrum: each transforms its input and every factor it is given once,
+writes each identity as stacked products of Fourier blocks 0..floor(p/2)
+(A*X*A = A holds exactly when A_k X_k A_k = A_k for every block k), and
+takes the residual blocks to the slices by one certified irfft per
+identity.  Each report computes its own default allowances;
+:meth:`ResidualReport.with_tolerance` replaces them all at once, which is
+how the CLI's ``--tol`` is applied.
 """
 
 from __future__ import annotations
@@ -18,10 +23,28 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from .core import Tensor3
+
+# Decorates every function that verifies on the half spectrum.  An identity
+# whose blocks overflow is refused as MathError when it is measured
+# (FourierBlocks.distance), so numpy's warnings about the overflow are off;
+# one errstate per report costs less than one per block product.
+verifying = np.errstate(over="ignore", invalid="ignore")
+
 
 def identity_residual(lhs, rhs) -> float:
-    """max|lhs - rhs| over all entries of two tensors of equal shape."""
-    return (lhs - rhs).max_abs
+    """max|lhs - rhs| over all slice entries of two tensors of equal dims.
+
+    Both are :class:`~tprod.core.Tensor3`, subtracted as they are, or both
+    are half spectra (:class:`~tprod.fourier.FourierBlocks`), whose
+    difference reaches the slices by one certified irfft
+    (:meth:`~tprod.fourier.FourierBlocks.distance`).
+    """
+    if isinstance(lhs, Tensor3):
+        return (lhs - rhs).max_abs
+    return lhs.distance(rhs)
 
 
 @dataclass(frozen=True)

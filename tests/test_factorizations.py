@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tprod import (
     DefectiveBlock,
+    MathError,
     PartitionViolation,
     Tensor3,
     bcirc,
@@ -17,6 +18,7 @@ from tprod import (
     is_f_upper_block_bidiagonal,
     is_orthogonal,
     is_t_symmetric,
+    scalar_mul,
     t_jordan,
     t_jordan_naive,
     t_schur,
@@ -116,6 +118,11 @@ class TestTSchur:
         res = t_schur(a)
         recon = tprod(tprod(res.u, res.t), transpose(res.u))
         assert max_abs((recon - a).array) <= rec_tolerance(a)
+
+    def test_overflowing_inverse_transform_is_a_math_error(self):
+        # the Schur blocks are finite; their irfft leaves the float64 range
+        with pytest.raises(MathError, match="inverse transform overflowed"):
+            t_schur(scalar_mul(1e307, gen(2035, 4, 4, 7)))
 
 
 # a 2x2 Jordan block at eigenvalue 0 and a simple eigenvalue 2

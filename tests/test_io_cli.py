@@ -432,6 +432,14 @@ class TestCli:
         assert code == 3
         assert "non-finite (overflow)" in capsys.readouterr().err
 
+    def test_tschur_inverse_transform_overflow_exits_3(self, tmp_path, capsys):
+        big = tmp_path / "big.tns"
+        write_tensor(big, scalar_mul(1e307, gen(2035, 4, 4, 7)))
+        code = cli_main(["tschur", str(big), "--out-prefix",
+                         str(tmp_path / "S"), "--quiet"])
+        assert code == 3
+        assert "inverse transform overflowed" in capsys.readouterr().err
+
     def test_tinv_singular_exits_3(self, tmp_path, capsys):
         a = self._gen_file(tmp_path, dims=(4, 4, 3), kind="rank_deficient")
         code = cli_main(["tinv", str(a), "-o", str(tmp_path / "x.tns"),
