@@ -450,18 +450,17 @@ def idem_report(
 def t_jordan_naive(a: Tensor3) -> np.ndarray:
     """Unpaired blockwise Jordan assembly; returns the complex slice stack.
 
-    Every Fourier block is put in Jordan form independently and the inverse
-    transform is applied without any conjugate mirroring.  On generic real
-    input the result has nonvanishing imaginary parts, which is exactly why
-    the paired construction exists.
+    Every Fourier block is put in Jordan form independently, by one
+    :func:`kernels.jordan_stack` call on the full p-block stack, and the
+    inverse transform is applied without any conjugate mirroring.  On
+    generic real input the result has nonvanishing imaginary parts, which
+    is exactly why the paired construction exists.
     """
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_jordan_naive requires square slices")
-    blocks = to_fourier(a).full()
-    return inverse_transform(
-        np.stack([kernels.jordan_complex(block).j for block in blocks])
-    )
+    _, j = kernels.jordan_stack(to_fourier(a).full())
+    return inverse_transform(j)
 
 
 def t_svd_naive_real_blocks(
@@ -470,15 +469,20 @@ def t_svd_naive_real_blocks(
     """Unpaired blockwise SVD assembly; returns complex (u, s, v) stacks.
 
     Real SVDs are used on the real-forced blocks and complex SVDs on every
-    other block independently (both partners computed, nothing mirrored).
+    other block independently (both partners computed, nothing mirrored):
+    one :func:`kernels.svd_stack` call on each of the two stacks.
     Nothing couples conjugate blocks, so realness of the assembled factors
     is down to luck.
     """
-    p = a.dims[2]
+    m, n, p = a.dims
     blocks = to_fourier(a).full()
-    decs = [kernels.svd(blocks[k].real if k in real_forced_indices(p) else blocks[k])
-            for k in range(p)]
-    return tuple(
-        inverse_transform(np.stack(family))
-        for family in zip(*((d.u, d.sigma_matrix(), d.v) for d in decs))
-    )
+    forced = np.isin(np.arange(p), real_forced_indices(p))
+    families = [np.empty((p, m, m), complex), np.empty((p, m, n), complex),
+                np.empty((p, n, n), complex)]
+    for batch, stack in ((forced, blocks[forced].real), (~forced, blocks[~forced])):
+        if batch.any():
+            u, sigma, v = kernels.svd_stack(stack)
+            parts = (u, kernels.sigma_matrices(sigma, m, n), v)
+            for family, part in zip(families, parts):
+                family[batch] = part
+    return tuple(inverse_transform(family) for family in families)

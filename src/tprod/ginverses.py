@@ -167,7 +167,9 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
 
     The tensor index is the largest matrix index over the Fourier blocks
     (conjugate partners share theirs).  The blocks' indices and inverses
-    come from :func:`kernels.drazin_stack` on the half spectrum.
+    come from :func:`kernels.drazin_stack` on the half spectrum, which
+    inverts the blocks of index 0 as :func:`t_inverse` does; on an
+    invertible tensor the result is the t-inverse, bit for bit.
     """
     _require_square(a, "t_drazin")
     fb, _, (x, index) = _drazin_blocks(a, rtol, kernels.drazin_stack)
@@ -195,8 +197,8 @@ def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
     both ranks taken at the tensor's rank cutoff: a Drazin index of at
     most 1.  It is then the Drazin inverse, so both come from the block
-    map of :func:`t_drazin`; a failure names the first block of larger
-    index."""
+    map of :func:`t_drazin` (on an invertible tensor, the t-inverse bit for
+    bit); a failure names the first block of larger index."""
     _require_square(a, "t_group")
     fb, cutoff, (x, index) = _drazin_blocks(a, rtol, kernels.drazin_stack)
     bad = np.flatnonzero(index > 1)

@@ -484,16 +484,18 @@ def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
 def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     """Drazin inverses and indices of a stack of square matrices.
 
-    a^D = a^k @ pinv(a^(2k+1)) @ a^k with k the index from
-    :func:`drazin_indices`, which reduces to pinv(a) at k = 0; one stacked
-    pseudoinverse per distinct index, with the cutoff of power 2k+1.
+    With k the index from :func:`drazin_indices`, a matrix of index 0 has
+    every singular value above the cutoff, so it is invertible and a^D is
+    its inverse: one stacked LU ``inv``, the kernel of ``t_inverse``.  For
+    k >= 1, a^D = a^k @ pinv(a^(2k+1)) @ a^k: one stacked pseudoinverse
+    per distinct index, with the cutoff of power 2k+1.
     """
     index, powers = drazin_indices(stack, cutoff, sigma)
     out = np.empty(stack.shape, dtype=stack.dtype)
     for k in np.unique(index):
         group = index == k
         if k == 0:
-            out[group] = pinv_from_svd(*svd_reduced(stack[group]), cutoff.at())
+            out[group] = np.linalg.inv(stack[group])
             continue
         ak = powers[k][group]
         middle = pinv_from_svd(

@@ -308,6 +308,21 @@ def test_cli_tprod_overflow_exits_3_and_bad_input_exits_2(tmp_path):
     assert tprod_cli(bad).returncode == 2
 
 
+def test_cli_drazin_group_and_tinv_write_one_file_on_invertible_input(tmp_path):
+    # on an invertible tensor the Drazin and group inverses are the
+    # t-inverse, computed by the same kernel, so the files are identical
+    a = tmp_path / "A.tns"
+    write_tensor(a, gen(7, 3, 3, 4))
+    written = []
+    for command in ("drazin", "group", "tinv"):
+        out = tmp_path / f"{command}.tns"
+        done = run_python("-c", "from tprod.cli import main; main()", command,
+                          str(a), "-o", str(out), "--quiet")
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 class TestGen:
     def test_deterministic(self):
         assert gen(1, 3, 4, 2) == gen(1, 3, 4, 2)

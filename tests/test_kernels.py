@@ -290,7 +290,7 @@ class TestDrazin:
         a = rng.uniform(-1, 1, (4, 4)) + 3 * np.eye(4)
         ad, index = drazin_inverse(a)
         assert index == 0
-        assert max_abs(ad - np.linalg.inv(a)) <= 1e-10
+        np.testing.assert_array_equal(ad, np.linalg.inv(a))
 
     def test_block_diagonal_oracle(self):
         rng = np.random.default_rng(13)
