@@ -35,21 +35,12 @@ class MathError(TprodError):
 
 
 class PairingViolation(MathError):
-    """Fourier blocks do not satisfy the conjugate-pairing relations."""
+    """Fourier blocks do not satisfy the conjugate-pairing relations: the
+    one error for an imaginary part an inverse transform would drop."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class RealnessViolation(MathError):
-    """Inverse transform produced imaginary parts beyond tolerance despite
-    pairing; signals an upstream bug rather than bad input."""
-
-    def __init__(self, message, max_imag=None, tolerance=None):
-        super().__init__(message)
-        self.max_imag = max_imag
-        self.tolerance = tolerance
 
 
 class BlockOpError(MathError):

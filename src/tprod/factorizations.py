@@ -40,7 +40,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
-from .report import ResidualReport, identity_residual, verifying
+from .report import ResidualReport, verifying
 
 
 def rec_tolerance(a: Tensor3) -> float:
@@ -142,7 +142,7 @@ def is_t_symmetric(t: Tensor3, tol: float) -> bool:
     if m != n:
         raise DimensionError("t-symmetry requires square slices")
     ft = to_fourier(t)
-    return identity_residual(ft, ft.T) <= tol
+    return ft.distance(ft.T) <= tol
 
 
 @verifying
@@ -154,7 +154,7 @@ def orthogonality_residual(t: Tensor3) -> float:
 def _orthogonality(ft: FourierBlocks) -> float:
     """:func:`orthogonality_residual` of the tensor with half spectrum ft."""
     m, n, p = ft.dims
-    return identity_residual(ft.T @ ft, FourierBlocks.identity(m, p))
+    return (ft.T @ ft).distance(FourierBlocks.identity(m, p))
 
 
 @verifying

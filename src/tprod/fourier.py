@@ -24,14 +24,16 @@ The transforms are numpy's FFTs along the slice axis.  ``np.fft.rfft``
 computes exactly blocks 0..floor(p/2), with a real DC block and, for even
 p, a real Nyquist block.  The real inverse is ``np.fft.irfft`` of the same
 blocks.  irfft ignores the imaginary parts of the DC and Nyquist blocks,
-so they are checked and certified before it runs, never silently dropped;
-slices it takes beyond the float64 range are a MathError.
+so they are certified before it runs, never silently dropped, in one
+place (``_certified_irfft``) under one rule (:func:`pair_tolerance`,
+PairingViolation); every real inverse transform goes through it.
 
 The residual reports verify on the half spectrum too.  ``@``, ``.T``,
 :meth:`FourierBlocks.power` and :meth:`FourierBlocks.identity` are the
 t-product, transpose, power and identity on blocks 0..floor(p/2), and
 :meth:`FourierBlocks.distance` measures an identity as max|lhs - rhs| over
-the slices, with one certified irfft of its residual blocks.
+the slices, with one certified irfft of its residual blocks.  A residual
+beyond the float64 range is a MathError.
 
 Blockwise maps run on one engine, :meth:`FourierBlocks.map`.  It runs a
 stacked kernel once on the real parts of the real-forced blocks and once
@@ -54,27 +56,24 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Tensor3, not_conformable, product_overflow
-from .errors import (
-    BlockOpError,
-    DimensionError,
-    MathError,
-    PairingViolation,
-    RealnessViolation,
-)
+from .core import Tensor3, not_conformable
+from .errors import BlockOpError, DimensionError, MathError, PairingViolation
 from .report import ResidualReport
 
 
 TRANSFORM_OVERFLOW = "the inverse transform overflowed the float64 range"
+IDENTITY_OVERFLOW = "an identity residual overflowed the float64 range"
 
 
 def pair_tolerance(max_abs: float) -> float:
-    """Pairing defect allowance: 1e-10 * (1 + max|block entry|)."""
+    """Pairing defect allowance: 1e-10 * (1 + max|block entry|).  It is
+    the one rule that certifies the imaginary parts irfft drops."""
     return 1e-10 * (1.0 + max_abs)
 
 
 def real_tolerance(max_abs: float, p: int) -> float:
-    """Imaginary-residue allowance after the p-term inverse transform."""
+    """The allowance of a factorization report's ``realness`` row: the
+    imaginary residue a p-term inverse transform may leave."""
     return 1e-9 * (1.0 + max_abs) * p
 
 
@@ -94,17 +93,14 @@ class FourierBlocks:
 
     ``blocks`` has shape (p // 2 + 1, m, n).  Block p - k is the conjugate
     of block k and is not stored, so pairing holds by construction; the
-    realness of the DC and Nyquist blocks is checked by
-    :func:`assemble_real`.  :meth:`from_full` and :meth:`full` convert
-    from and to the full p-block stack.
+    realness of the DC and Nyquist blocks is certified when they are
+    transformed back (:func:`assemble_real`, :meth:`distance`).
+    :meth:`from_full` and :meth:`full` convert from and to the full
+    p-block stack.
     """
 
     blocks: np.ndarray
     p: int
-    # not a field: the operands of the block product or transpose that made
-    # the blocks, so that an overflow found when an identity is measured
-    # names the product that overflowed first
-    factors = ()
 
     def __post_init__(self):
         arr = np.asarray(self.blocks)
@@ -120,13 +116,13 @@ class FourierBlocks:
         object.__setattr__(self, "blocks", arr)
 
     @classmethod
-    def _wrap(cls, blocks: np.ndarray, p: int, factors=()) -> "FourierBlocks":
+    def _wrap(cls, blocks: np.ndarray, p: int) -> "FourierBlocks":
         """Wrap a complex (p // 2 + 1, m, n) stack that nothing else writes
         to, without checking or copying it."""
         blocks.setflags(write=False)
         fb = cls.__new__(cls)
         # past the frozen __setattr__
-        fb.__dict__.update(blocks=blocks, p=p, factors=factors)
+        fb.__dict__.update(blocks=blocks, p=p)
         return fb
 
     @classmethod
@@ -178,15 +174,14 @@ class FourierBlocks:
         :func:`core.tprod` refuses them."""
         if self.blocks.shape[2] != other.blocks.shape[1] or self.p != other.p:
             raise not_conformable(self.dims, other.dims)
-        return FourierBlocks._wrap(self.blocks @ other.blocks, self.p,
-                                   (self, other))
+        return FourierBlocks._wrap(self.blocks @ other.blocks, self.p)
 
     @property
     def T(self) -> "FourierBlocks":
         """The half spectrum of the tensor transpose: the conjugate
         transpose of every block."""
         return FourierBlocks._wrap(self.blocks.conj().transpose(0, 2, 1),
-                                   self.p, (self,))
+                                   self.p)
 
     def power(self, k: int) -> "FourierBlocks":
         """The half spectrum of the k-th t-product power: a stacked matrix
@@ -205,18 +200,17 @@ class FourierBlocks:
         """max|entry| of the real tensor self - other over its slices: one
         certified irfft of the difference blocks.
 
-        Unequal dims are a DimensionError, as in Tensor3 subtraction.  A
-        non-finite result is a MathError: the one core.tprod raises for the
-        first block product that overflowed in the making of either
-        operand, or else one saying the transform overflowed.
+        Unequal dims are a DimensionError, as in Tensor3 subtraction.  The
+        imaginary parts irfft drops are certified as :func:`assemble_real`
+        certifies them.  A non-finite residual, from a block product or a
+        transform beyond the float64 range, is a MathError.
         """
         if self.dims != other.dims:
             raise DimensionError(f"dims {self.dims} != {other.dims}")
         slices, _ = _certified_irfft(self.blocks - other.blocks, self.p)
         residual = float(np.abs(slices).max())
         if not math.isfinite(residual):
-            raise (_first_overflow(self) or _first_overflow(other)
-                   or MathError(TRANSFORM_OVERFLOW))
+            raise MathError(IDENTITY_OVERFLOW)
         return residual
 
     def map(self, fn: Callable, *args) -> tuple:
@@ -269,18 +263,6 @@ class FourierBlocks:
                 raise BlockOpError(f"block operation failed: {exc}", k) from exc
 
 
-def _first_overflow(fb: FourierBlocks) -> MathError | None:
-    """The error core.tprod raises for the first block product, in the
-    making of fb, whose blocks overflowed though its factors' did not."""
-    for factor in fb.factors:
-        error = _first_overflow(factor)
-        if error is not None:
-            return error
-    if len(fb.factors) == 2 and not np.isfinite(fb.blocks).all():
-        return product_overflow(*(factor.dims for factor in fb.factors))
-    return None
-
-
 def mirror_blocks(evaluated, p: int) -> np.ndarray:
     """Assemble a full (p, m, n) block stack from the non-redundant half.
 
@@ -320,25 +302,22 @@ def _certified_irfft(half: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     """irfft of blocks 0..floor(p/2), after certifying what it drops.
 
     irfft ignores the imaginary parts of the DC and, for even p, Nyquist
-    blocks.  Their sum divided by p bounds what they would add to any
-    slice entry; that residue is checked against the realness tolerance at
-    the largest block entry.  Returns the C-ordered (p, m, n) slice stack
-    and the residue.  The slices are non-finite only when the blocks are
-    or the transform overflowed; the callers refuse them.
+    blocks.  Products and transforms of real tensors leave them exactly
+    zero.  Any other finite value is held to the pairing rule: no
+    imaginary entry of those blocks above :func:`pair_tolerance` at the
+    largest block entry, or PairingViolation with its report.  Returns the
+    C-ordered (p, m, n) slice stack and the residue the dropped parts
+    would add to a slice entry (their sum over the blocks divided by p).
+    A non-finite residue (an overflowed block product leaves NaN there) is
+    not certified: the slices are then non-finite too, and the callers
+    refuse them, as they do the slices of a transform that overflowed.
     """
     # the real-forced blocks 0 and, p even, p/2, as a view
     edge = half.imag[::p // 2] if p % 2 == 0 else half.imag[:1]
-    # products and transforms of real tensors leave these exactly zero
     max_imag = float(np.abs(edge).sum(axis=0).max()) / p if edge.any() else 0.0
-    if max_imag:  # only then is the allowance, a pass over every block, needed
-        tol = real_tolerance(float(np.abs(half).max()), p)
-        if max_imag > tol:
-            raise RealnessViolation(
-                f"reconstruction has imaginary residue {max_imag:.3e} beyond "
-                f"{tol:.3e} in the DC or Nyquist block",
-                max_imag=max_imag,
-                tolerance=tol,
-            )
+    if max_imag and math.isfinite(max_imag):
+        tol = pair_tolerance(float(np.abs(half).max()))
+        _require_paired(_pairing_report(half, p, tol))
     return np.ascontiguousarray(np.fft.irfft(half, n=p, axis=0)), max_imag
 
 
@@ -347,19 +326,15 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     """Certified real inverse transform.
 
     The stored half is paired by construction, so only what irfft would
-    drop is checked: the imaginary parts of the DC and Nyquist blocks,
-    against the pairing tolerance (PairingViolation) and, as the residue
-    they leave in the slices, against the realness tolerance.  Returns the
-    tensor together with that residue (useful for residual reports).
-    Large imaginary parts are an error, never silently truncated,
-    non-finite entries are a BlockOpError naming their first block, and
-    slices beyond the float64 range are a MathError.
+    drop is checked, by :func:`_certified_irfft`: the imaginary parts of
+    the DC and Nyquist blocks, never silently truncated.  Returns the
+    tensor together with the residue they leave in the slices (useful for
+    residual reports).  Non-finite block entries are a BlockOpError naming
+    their first block, and slices beyond the float64 range are a MathError.
     """
-    max_abs = fb.max_abs
-    if not np.isfinite(max_abs):
+    if not np.isfinite(fb.max_abs):
         k = int(np.argmin(np.isfinite(fb.blocks).all(axis=(1, 2))))
         raise BlockOpError("block entries are non-finite (overflow)", k)
-    _require_paired(_pairing_report(fb.blocks, fb.p, pair_tolerance(max_abs)))
     slices, residue = _certified_irfft(fb.blocks, fb.p)
     try:
         return Tensor3._wrap(slices), residue

@@ -21,16 +21,23 @@ import numpy as np
 
 from . import kernels
 from .core import Tensor3, tprod, transpose
-from .errors import DimensionError, Singular
-from .factorizations import IdempotentFactorization, idempotent_factorization, t_svd
+from .errors import DimensionError, MathError, Singular
+from .factorizations import idempotent_factorization, t_svd
 from .fourier import FourierBlocks, assemble_real, to_fourier
 from .report import ResidualReport, verifying
 
 
 def gi_tolerance(a: Tensor3) -> float:
-    """Identity allowance: 1e-9 * (1 + max|entry|)^2 * p."""
+    """Identity allowance: 1e-9 * (1 + max|entry|)^2 * p.  Beyond the
+    float64 range, from max|entry| of about 1.3e154 on, it is a
+    MathError."""
     m, n, p = a.dims
-    return 1e-9 * (1.0 + a.max_abs) ** 2 * p
+    try:
+        return 1e-9 * (1.0 + a.max_abs) ** 2 * p
+    except OverflowError:  # a Python float power raises, not returns inf
+        raise MathError(
+            "the identity allowance overflowed the float64 range"
+        ) from None
 
 
 def _require_square(a: Tensor3 | FourierBlocks, name: str) -> None:
@@ -230,10 +237,6 @@ class UnitRegularWitness:
     e: Tensor3
     v: Tensor3
     report: ResidualReport
-
-    @property
-    def factorization(self) -> IdempotentFactorization:
-        return IdempotentFactorization(self.u, self.e, self.v, self.report)
 
 
 def unit_regular_witness(

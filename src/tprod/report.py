@@ -6,13 +6,13 @@ form is stable: ``{operation, checks: [{name, residual, tolerance, pass}],
 pass, seconds}``.
 
 An identity ``lhs = rhs`` is measured one way, as max|lhs - rhs| over
-all slice entries (:func:`identity_residual`, recorded by
-:meth:`ResidualReport.add_identity`).  The reports verify on the half
-spectrum: each transforms its input and every factor it is given once,
-writes each identity as stacked products of Fourier blocks 0..floor(p/2)
-(A*X*A = A holds exactly when A_k X_k A_k = A_k for every block k), and
-takes the residual blocks to the slices by one certified irfft per
-identity.  Each report computes its own default allowances;
+all slice entries (:meth:`~tprod.fourier.FourierBlocks.distance`,
+recorded by :meth:`ResidualReport.add_identity`).  The reports verify on
+the half spectrum: each transforms its input and every factor it is given
+once, writes each identity as stacked products of Fourier blocks
+0..floor(p/2) (A*X*A = A holds exactly when A_k X_k A_k = A_k for every
+block k), and takes the residual blocks to the slices by one certified
+irfft per identity.  Each report computes its own default allowances;
 :meth:`ResidualReport.with_tolerance` replaces them all at once, which is
 how the CLI's ``--tol`` is applied.
 """
@@ -25,26 +25,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Tensor3
-
 # Decorates every function that verifies on the half spectrum.  An identity
 # whose blocks overflow is refused as MathError when it is measured
 # (FourierBlocks.distance), so numpy's warnings about the overflow are off;
 # one errstate per report costs less than one per block product.
 verifying = np.errstate(over="ignore", invalid="ignore")
-
-
-def identity_residual(lhs, rhs) -> float:
-    """max|lhs - rhs| over all slice entries of two tensors of equal dims.
-
-    Both are :class:`~tprod.core.Tensor3`, subtracted as they are, or both
-    are half spectra (:class:`~tprod.fourier.FourierBlocks`), whose
-    difference reaches the slices by one certified irfft
-    (:meth:`~tprod.fourier.FourierBlocks.distance`).
-    """
-    if isinstance(lhs, Tensor3):
-        return (lhs - rhs).max_abs
-    return lhs.distance(rhs)
 
 
 @dataclass(frozen=True)
@@ -91,8 +76,9 @@ class ResidualReport:
         return check
 
     def add_identity(self, name: str, lhs, rhs, tolerance: float) -> Check:
-        """Check the identity lhs = rhs by :func:`identity_residual`."""
-        return self.add(name, identity_residual(lhs, rhs), tolerance)
+        """Check the identity lhs = rhs of two half spectra
+        (:class:`~tprod.fourier.FourierBlocks`) by ``lhs.distance(rhs)``."""
+        return self.add(name, lhs.distance(rhs), tolerance)
 
     def with_tolerance(self, tolerance: float) -> "ResidualReport":
         """The same checks and residuals, each against ``tolerance``."""

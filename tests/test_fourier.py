@@ -15,16 +15,36 @@ from tprod import (
     bcirc,
     check_pairing,
     gen,
+    idempotent_factorization,
     inverse_transform,
+    is_orthogonal,
+    is_t_symmetric,
     lift_multi,
+    t_drazin,
+    t_group,
+    t_index,
+    t_inverse,
+    t_jordan,
+    t_pinv,
+    t_schur,
+    t_svd,
     to_fourier,
     tprod,
+    unit_regular_witness,
 )
+from tprod import fourier
+from tprod.factorizations import orthogonality_residual
 from tprod.fourier import (
     mirror_blocks,
     pair_tolerance,
     partner,
     real_forced_indices,
+)
+from tprod.ginverses import (
+    group_report,
+    inverse_report,
+    penrose_report,
+    witness_report,
 )
 from tprod.kernels import mp_inverse
 
@@ -291,6 +311,73 @@ class TestRealnessCertification:
             back, max_imag = assemble_real(perturbed)
             assert max_imag == pytest.approx(delta / p, rel=1e-6)
             assert max_abs((back - t).array) <= 1e-12 * (1 + t.max_abs)
+
+    @settings(max_examples=120)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 9),
+           st.integers(0, 10**6), st.sampled_from([0, 0.5, 2, 1e3]))
+    def test_one_rule_for_assembly_and_distance(self, m, n, p, seed, c):
+        # the DC and, p even, Nyquist blocks get an imaginary part of c
+        # times the pairing allowance; both callers refuse it iff c > 1
+        blocks = to_fourier(gen(seed, m, n, p)).blocks.copy()
+        blocks[list(real_forced_indices(p))] += (
+            1j * c * pair_tolerance(float(np.abs(blocks).max()))
+        )
+        fb = FourierBlocks(blocks, p)
+        zeros = FourierBlocks(np.zeros_like(blocks), p)
+        if c > 1:
+            with pytest.raises(PairingViolation):
+                assemble_real(fb)
+            with pytest.raises(PairingViolation):
+                fb.distance(zeros)
+        else:
+            assert fb.distance(zeros) == assemble_real(fb)[0].max_abs
+
+
+class TestOneCertificate:
+    """The pairing report runs only for a nonzero imaginary part that an
+    inverse transform would drop, which no op or report leaves."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        original = fourier._pairing_report
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, "_pairing_report", counted)
+        return made
+
+    @pytest.mark.parametrize("p", [1, 4, 5])
+    def test_ops_and_reports_make_no_pairing_report(self, calls, p):
+        a = gen(40 + p, 3, 3, p)
+        rect = gen(50 + p, 2, 3, p)
+        for path in ("direct", "fourier"):
+            tprod(a, a, path=path)
+        for op in (t_svd, t_schur, t_jordan, idempotent_factorization,
+                   t_drazin, unit_regular_witness):
+            assert op(a).report.passed
+        t_svd(rect)
+        t_index(a)
+        for route in ("blocks", "svd"):
+            x = t_pinv(a, route=route)
+            assert penrose_report(a, x).passed
+            assert penrose_report(rect, t_pinv(rect, route=route)).passed
+        assert inverse_report(a, t_inverse(a)).passed
+        assert group_report(a, t_group(a)).passed
+        assert witness_report(a, unit_regular_witness(a).w).passed
+        is_t_symmetric(a, 1e-8)
+        is_orthogonal(a, 1e-8)
+        orthogonality_residual(a)
+        assert calls == []
+
+    def test_an_imaginary_dc_part_is_certified_once(self, calls):
+        blocks = to_fourier(gen(3, 3, 3, 4)).blocks.copy()
+        blocks[0] += 1e-3j
+        with pytest.raises(PairingViolation):
+            assemble_real(FourierBlocks(blocks, 4))
+        assert len(calls) == 1
 
 
 class TestMirrorBlocks:

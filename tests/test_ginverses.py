@@ -9,6 +9,7 @@ from tprod import (
     BlockOpError,
     FourierBlocks,
     GroupInverseNotExist,
+    MathError,
     Singular,
     Tensor3,
     assemble_real,
@@ -427,9 +428,9 @@ class TestOverflow:
             op(scalar_mul(1e-310, gen(7, 3, 3, 6)))
         assert excinfo.value.block_index == 0
 
-    # the identity allowance (1 + max|a|)^2 overflows a Python float;
-    # the normwise residuals of ROADMAP item 2 remove it
-    @pytest.mark.xfail(strict=True, raises=OverflowError, reason="ROADMAP item 2")
+    # the identity allowance (1 + max|a|)^2 overflows the float64 range and
+    # is refused; the normwise residuals of ROADMAP item 2 remove it
+    @pytest.mark.xfail(strict=True, raises=MathError, reason="ROADMAP item 2")
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_penrose_report_at_top_of_range(self):
         a = scalar_mul(2.0**600, gen(7, 3, 3, 6))

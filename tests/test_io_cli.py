@@ -447,6 +447,44 @@ class TestCli:
         assert code == 3
         assert "non-finite (overflow)" in capsys.readouterr().err
 
+    def test_verify_identity_overflow_exits_3(self, tmp_path, capsys):
+        a = self._gen_file(tmp_path, seed=3)
+        x = tmp_path / "X.tns"
+        write_tensor(x, scalar_mul(1e200, read_tensor(a)))
+        code = cli_main(["verify", "--kind", "pinv", str(x), "--input", str(a),
+                         "--quiet"])
+        assert code == 3
+        assert ("an identity residual overflowed the float64 range"
+                in capsys.readouterr().err)
+
+    # at these scales an op may fail or its verification overflow; every
+    # call must still end in an exit code, never a raised exception
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 1e-310, 1e307],
+                             ids=["2^600", "2^-600", "1e-310", "1e307"])
+    def test_every_subcommand_exits_with_a_code_at_extreme_scales(
+        self, tmp_path, capsys, scale
+    ):
+        for i, kind in enumerate(("dense", "rank_deficient", "t_symmetric")):
+            out_dir = tmp_path / kind
+            out_dir.mkdir()
+            a = out_dir / "A.tns"
+            write_tensor(a, scalar_mul(scale, gen(7 + i, 3, 3, 6, kind)))
+            runs = [["tprod", str(a), str(a), "-o", str(out_dir / "C.tns")],
+                    ["pinv", str(a), "-o", str(out_dir / "X.tns"),
+                     "--route", "svd"]]
+            for command, op in cli.OPS.items():
+                names = [f"{out_dir / command}_{n}.tns" for n in op.factors]
+                out = (["--out-prefix", str(out_dir / command)]
+                       if len(names) > 1 else ["-o", names[0]])
+                runs.append([command, str(a), *out])
+                if op.verifiable:
+                    runs.append(["verify", "--kind", command, *names,
+                                 "--input", str(a)])
+            for argv in runs:
+                assert isinstance(cli_main([*argv, "--quiet"]), int), argv
+        capsys.readouterr()
+
     def test_tschur_inverse_transform_overflow_exits_3(self, tmp_path, capsys):
         big = tmp_path / "big.tns"
         write_tensor(big, scalar_mul(1e307, gen(2035, 4, 4, 7)))

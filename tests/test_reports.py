@@ -311,6 +311,6 @@ def test_overflowing_identity_is_a_math_error(report):
     # that the overflow warning is kept quiet
     a = gen(3, 3, 3, 4)
     with pytest.raises(MathError,
-                       match="^t-product of 3x3x4 by 3x3x4 overflowed the "
-                             "float64 range$"):
+                       match="^an identity residual overflowed the float64 "
+                             "range$"):
         report(a)
