@@ -253,6 +253,10 @@ def bcirc_inv(b: BlockCirculant) -> Tensor3:
     return fold(b.matrix[:, :n], p)
 
 
+# The operands are finite, so a non-finite product has overflowed; numpy's
+# warning about it is kept quiet, and tprod raises MathError instead.  As a
+# decorator, errstate costs less per call than as a with block.
+@np.errstate(over="ignore", invalid="ignore")
 def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
     """t-product of an m x n x p tensor with an n x l x p tensor.
 
@@ -270,7 +274,14 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
     if path not in ("direct", "fourier"):
         raise ValueError(f"unknown tprod path {path!r}")
     try:
-        return _product(a, b, path, (pa, ma, nb))
+        if path == "direct":
+            # the bcirc matrix without its BlockCirculant wrapper: at desk
+            # scale the wrapper is a tenth of the product's time
+            c = _circulant(a.array) @ b.array.reshape(-1, nb)
+            return Tensor3._wrap(c.reshape(pa, ma, nb))
+        from . import fourier
+
+        return fourier.tprod_fourier(a, b)
     except ValueError as exc:  # Tensor3 refuses a non-finite product
         raise product_overflow(a.dims, b.dims) from exc
 
@@ -294,20 +305,6 @@ def product_overflow(a_dims, b_dims) -> MathError:
 
 def _shape(dims) -> str:
     return "x".join(map(str, dims))
-
-
-# The operands are finite, so a non-finite product has overflowed; numpy's
-# warning about it is kept quiet, and tprod raises MathError instead.  As a
-# decorator, errstate costs less per call than as a with block.
-@np.errstate(over="ignore", invalid="ignore")
-def _product(a: Tensor3, b: Tensor3, path: str, shape) -> Tensor3:
-    """a * b on ``path``, a (p, m, l) slice stack of the given shape."""
-    if path == "direct":
-        c = bcirc(a).matrix @ b.array.reshape(-1, shape[2])
-        return Tensor3._wrap(c.reshape(shape))
-    from . import fourier
-
-    return fourier.tprod_fourier(a, b)
 
 
 def transpose(t: Tensor3) -> Tensor3:

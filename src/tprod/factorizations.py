@@ -40,6 +40,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
+from .ginverses import blockwise_inverse
 from .report import ResidualReport, verifying
 
 
@@ -210,8 +211,8 @@ def t_svd(a: Tensor3) -> TSvdResult:
     """Real tensor SVD: orthogonal u, v and f-diagonal s with a = u*s*v^T.
 
     Works for any m x n x p input.  The blocks are decomposed by stacked
-    SVDs of the half spectrum.  Per-block singular values (which the
-    Moore-Penrose route reuses) are exposed on the result.
+    SVDs of the half spectrum.  Per-block singular values are exposed
+    on the result.
     """
     m, n, p = a.dims
     u, sigma, v = to_fourier(a).map(kernels.svd_stack)
@@ -369,9 +370,6 @@ def tjordan_report(
     if partition is None:
         partition = _partition(j, bidiagonal=True)
     report = ResidualReport("tjordan").start()
-
-    from .ginverses import blockwise_inverse  # ginverses imports this module
-
     fp = to_fourier(pt)
     p_inv, sigma = blockwise_inverse(fp)
     # cap the conditioning multiplier where t_jordan refuses an eigenvector
@@ -405,9 +403,7 @@ class IdempotentFactorization:
     report: ResidualReport
 
 
-def idempotent_factorization(
-    a: Tensor3, rtol: float | None = None
-) -> IdempotentFactorization:
+def idempotent_factorization(a: Tensor3) -> IdempotentFactorization:
     """a = u * e * v with u, v t-invertible and e real idempotent.
 
     Built from the per-block rank normal forms of the stacked SVDs of the
@@ -418,7 +414,7 @@ def idempotent_factorization(
     if m != n:
         raise DimensionError("idempotent_factorization requires square slices")
     u, sigma, v = to_fourier(a).map(kernels.svd_stack)
-    cutoff = kernels.rank_cutoff(sigma, a.dims, rtol)
+    cutoff = kernels.rank_cutoff(sigma, a.dims)
     factors = kernels.rank_normal_factors(u, sigma, v, cutoff)
     (u, e, v), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
     report = idem_report(a, u, e, v, realness=realness)

@@ -332,8 +332,9 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     residual reports).  Non-finite block entries are a BlockOpError naming
     their first block, and slices beyond the float64 range are a MathError.
     """
-    if not np.isfinite(fb.max_abs):
-        k = int(np.argmin(np.isfinite(fb.blocks).all(axis=(1, 2))))
+    finite = np.isfinite(fb.blocks)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=(1, 2))))
         raise BlockOpError("block entries are non-finite (overflow)", k)
     slices, residue = _certified_irfft(fb.blocks, fb.p)
     try:

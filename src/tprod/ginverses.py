@@ -2,10 +2,10 @@
 
 All constructions run blockwise on the half spectrum in the Fourier
 domain, which implies the conjugate partners, so every output is a real
-tensor.  The Moore-Penrose inverse has two routes: blockwise matrix
-pseudoinverses (the default, cheaper) and the t-SVD route; their
-agreement is a built-in cross-check.  Every rank decision, and the
-``rtol`` keyword of every op, is relative to the tensor's scale
+tensor.  The Moore-Penrose inverse has two routes, blockwise matrix
+pseudoinverses from thin SVDs and the t-SVD route from full ones; their
+agreement is a built-in cross-check, and :func:`penrose_report`
+certifies either.  Every rank decision is relative to the tensor's scale
 S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
 Residual allowances scale quadratically with the data magnitude because
 the defining identities are triple products.  The reports check those
@@ -20,9 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .core import Tensor3, tprod, transpose
+from .core import Tensor3
 from .errors import DimensionError, MathError, Singular
-from .factorizations import idempotent_factorization, t_svd
 from .fourier import FourierBlocks, assemble_real, to_fourier
 from .report import ResidualReport, verifying
 
@@ -46,22 +45,20 @@ def _require_square(a: Tensor3 | FourierBlocks, name: str) -> None:
         raise DimensionError(f"{name} requires square slices, got {m}x{n}")
 
 
-def _spectrum_cutoff(fb: FourierBlocks, rtol: float | None):
+def _spectrum_cutoff(fb: FourierBlocks):
     """The singular values of the Fourier blocks and the tensor's rank
     cutoff taken from them."""
     (sigma,) = fb.map(kernels.singular_values)
-    return sigma, kernels.rank_cutoff(sigma, fb.dims, rtol)
+    return sigma, kernels.rank_cutoff(sigma, fb.dims)
 
 
-def blockwise_inverse(
-    fb: FourierBlocks, rtol: float | None = None
-) -> tuple[FourierBlocks, np.ndarray]:
+def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
     """The half spectrum of the t-inverse, and the singular values of the
     blocks that decided it exists: every block's smallest singular value
     must lie above the tensor's rank cutoff, or Singular names the first
     block where it does not."""
     _require_square(fb, "t_inverse")
-    sigma, cutoff = _spectrum_cutoff(fb, rtol)
+    sigma, cutoff = _spectrum_cutoff(fb)
     sigma_min = sigma[:, -1]
     singular = np.flatnonzero(~(sigma_min > cutoff.at()))
     if singular.size:
@@ -74,10 +71,10 @@ def blockwise_inverse(
     return FourierBlocks(*fb.map(np.linalg.inv), fb.p), sigma
 
 
-def t_inverse(a: Tensor3, rtol: float | None = None) -> Tensor3:
+def t_inverse(a: Tensor3) -> Tensor3:
     """Two-sided t-inverse; requires every Fourier block invertible,
     i.e. its smallest singular value above the tensor's rank cutoff."""
-    return assemble_real(blockwise_inverse(to_fourier(a), rtol)[0])[0]
+    return assemble_real(blockwise_inverse(to_fourier(a))[0])[0]
 
 
 @verifying
@@ -93,39 +90,35 @@ def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     return report.stop()
 
 
-def t_pinv_blocks(a: Tensor3, rtol: float | None = None) -> Tensor3:
+def _pinv_from_block_svds(a: Tensor3, u, sigma, vh) -> Tensor3:
+    """The real tensor whose Fourier blocks are the pseudoinverses of a's,
+    from the SVDs of a's half spectrum, taken at a's rank cutoff."""
+    threshold = kernels.rank_cutoff(sigma, a.dims).at()
+    x = kernels.pinv_from_svd(u, sigma, vh, threshold)
+    return assemble_real(FourierBlocks(x, a.dims[2]))[0]
+
+
+def t_pinv_blocks(a: Tensor3) -> Tensor3:
     """Moore-Penrose inverse via blockwise matrix pseudoinverses, from the
     thin SVDs of the half spectrum."""
-    p = a.dims[2]
-    u, sigma, vh = to_fourier(a).map(kernels.svd_reduced)
-    threshold = kernels.rank_cutoff(sigma, a.dims, rtol).at()
-    (x,) = FourierBlocks(u, p).map(
-        lambda u, s, vh: kernels.pinv_from_svd(u, s, vh, threshold), sigma, vh
-    )
-    return assemble_real(FourierBlocks(x, p))[0]
+    return _pinv_from_block_svds(a, *to_fourier(a).map(kernels.svd_reduced))
 
 
-def t_pinv_svd(a: Tensor3, rtol: float | None = None) -> Tensor3:
-    """Moore-Penrose inverse through the t-SVD: v * pinv(s) * u^T.
-
-    pinv(s) is assembled from the reciprocal per-block singular values
-    that t_svd computed for blocks 0..floor(p/2) (zeros at or below the
-    rank cutoff stay zero).
-    """
-    m, n, p = a.dims
-    dec = t_svd(a)
-    sigma = dec.fourier_singular_values[:p // 2 + 1]
-    threshold = kernels.rank_cutoff(sigma, a.dims, rtol).at()
-    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > threshold)
-    s_pinv = assemble_real(FourierBlocks(kernels.sigma_matrices(inv, n, m), p))[0]
-    return tprod(tprod(dec.v, s_pinv), transpose(dec.u))
+def t_pinv_svd(a: Tensor3) -> Tensor3:
+    """Moore-Penrose inverse through the t-SVD a = u * s * v^T: the
+    tensor v * pinv(s) * u^T, formed blockwise from the full SVDs of the
+    half spectrum that :func:`~tprod.factorizations.t_svd` takes."""
+    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
+    return _pinv_from_block_svds(a, u, sigma, np.conj(v.swapaxes(-1, -2)))
 
 
-def t_pinv(a: Tensor3, route: str = "blocks", rtol: float | None = None) -> Tensor3:
+def t_pinv(a: Tensor3, route: str = "blocks") -> Tensor3:
+    """Moore-Penrose inverse by ``route`` "blocks" (:func:`t_pinv_blocks`)
+    or "svd" (:func:`t_pinv_svd`), which agree up to rounding."""
     if route == "blocks":
-        return t_pinv_blocks(a, rtol)
+        return t_pinv_blocks(a)
     if route == "svd":
-        return t_pinv_svd(a, rtol)
+        return t_pinv_svd(a)
     raise ValueError(f"unknown pinv route {route!r}")
 
 
@@ -144,21 +137,20 @@ def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     return report.stop()
 
 
-def _drazin_blocks(a: Tensor3, rtol: float | None, fn: Callable) -> tuple:
+def _drazin_blocks(a: Tensor3, fn: Callable) -> tuple:
     """The Fourier blocks of ``a``, the tensor's rank cutoff and
     ``fn(blocks, cutoff, sigma)`` over them, with their singular values."""
     fb = to_fourier(a)
-    sigma, cutoff = _spectrum_cutoff(fb, rtol)
+    sigma, cutoff = _spectrum_cutoff(fb)
     return fb, cutoff, fb.map(lambda blocks, s: fn(blocks, cutoff, s), sigma)
 
 
-def t_index(a: Tensor3, rtol: float | None = None) -> int:
+def t_index(a: Tensor3) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks,
     decided by the same routine as :func:`t_drazin`."""
     _require_square(a, "t_index")
     *_, (index,) = _drazin_blocks(
-        a, rtol, lambda *args: kernels.drazin_indices(*args)[0]
-    )
+        a, lambda *args: kernels.drazin_indices(*args)[0])
     return int(index.max())
 
 
@@ -169,7 +161,7 @@ class DrazinResult:
     report: ResidualReport
 
 
-def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
+def t_drazin(a: Tensor3) -> DrazinResult:
     """Drazin inverse; always exists as a real tensor.
 
     The tensor index is the largest matrix index over the Fourier blocks
@@ -179,7 +171,7 @@ def t_drazin(a: Tensor3, rtol: float | None = None) -> DrazinResult:
     invertible tensor the result is the t-inverse, bit for bit.
     """
     _require_square(a, "t_drazin")
-    fb, _, (x, index) = _drazin_blocks(a, rtol, kernels.drazin_stack)
+    fb, _, (x, index) = _drazin_blocks(a, kernels.drazin_stack)
     ad = assemble_real(FourierBlocks(x, fb.p))[0]
     index = int(index.max())
     report = drazin_report(a, ad, index)
@@ -200,14 +192,14 @@ def drazin_report(a: Tensor3, ad: Tensor3, index: int) -> ResidualReport:
     return report.stop()
 
 
-def t_group(a: Tensor3, rtol: float | None = None) -> Tensor3:
+def t_group(a: Tensor3) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
     both ranks taken at the tensor's rank cutoff: a Drazin index of at
     most 1.  It is then the Drazin inverse, so both come from the block
     map of :func:`t_drazin` (on an invertible tensor, the t-inverse bit for
     bit); a failure names the first block of larger index."""
     _require_square(a, "t_group")
-    fb, cutoff, (x, index) = _drazin_blocks(a, rtol, kernels.drazin_stack)
+    fb, cutoff, (x, index) = _drazin_blocks(a, kernels.drazin_stack)
     bad = np.flatnonzero(index > 1)
     if bad.size:
         k = int(bad[0])
@@ -239,25 +231,23 @@ class UnitRegularWitness:
     report: ResidualReport
 
 
-def unit_regular_witness(
-    a: Tensor3, rtol: float | None = None
-) -> UnitRegularWitness:
+def unit_regular_witness(a: Tensor3) -> UnitRegularWitness:
     """Invertible von Neumann inverse w with a * w * a = a.
 
-    Derived from the idempotent factorization a = u * e * v as
-    w = v^{-1} * u^{-1}; w is t-invertible by construction, which is what
-    makes every element of the square t-product ring unit regular.
+    With a = u * e * v the idempotent factorization, built from the block
+    SVDs A_k = U_k diag(sigma) V_k^H, w = v^{-1} * u^{-1} has the closed
+    form w_k = V_k diag(d) U_k^H: d = 1/sigma above the rank cutoff, 1 at
+    or below it.  w is t-invertible by construction, which is what makes
+    every element of the square t-product ring unit regular.
     """
     _require_square(a, "unit_regular_witness")
-    idem = idempotent_factorization(a, rtol)
-    fu = to_fourier(idem.u)
-    (w,) = fu.map(
-        lambda u, v: np.linalg.inv(v) @ np.linalg.inv(u),
-        to_fourier(idem.v).blocks,
-    )
-    w = assemble_real(FourierBlocks(w, fu.p))[0]
-    report = witness_report(a, w)
-    return UnitRegularWitness(w, idem.u, idem.e, idem.v, report)
+    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
+    cutoff = kernels.rank_cutoff(sigma, a.dims)
+    u_rank, e, vh = kernels.rank_normal_factors(u, sigma, v, cutoff)
+    w = kernels.pinv_from_svd(u, sigma, vh, cutoff.at(), below=1.0)
+    u, e, v, w = (assemble_real(FourierBlocks(f, a.dims[2]))[0]
+                  for f in (u_rank, e, vh, w))
+    return UnitRegularWitness(w, u, e, v, witness_report(a, w))
 
 
 @verifying

@@ -24,6 +24,7 @@ from .errors import (
     DefectiveBlock,
     DimensionError,
     GroupInverseNotExist,
+    MathError,
     SwapFailure,
 )
 
@@ -56,18 +57,17 @@ class RankCutoff:
         return np.count_nonzero(sigma > self.at(power), axis=-1)
 
 
-def rank_cutoff(sigma, dims, rtol: float | None = None) -> RankCutoff:
+def rank_cutoff(sigma, dims) -> RankCutoff:
     """The rank cutoff of an m x n x p tensor.
 
     ``sigma`` holds the singular values of its Fourier blocks, and the
     scale is their largest, S = max_k sigma_1(A_k) =
-    ||bcirc(A)||_2.  The default ``rtol`` p * max(m, n) * eps is
+    ||bcirc(A)||_2.  ``rtol`` = p * max(m, n) * eps is
     ``numpy.linalg.matrix_rank``'s rule for the mp x np matrix bcirc(A).
     A matrix is the case p = 1, with S its largest singular value.
     """
     m, n, p = dims
-    if rtol is None:
-        rtol = p * max(m, n) * EPS
+    rtol = p * max(m, n) * EPS
     scale = float(np.max(sigma, initial=0.0))
     return RankCutoff(rtol, scale)
 
@@ -436,12 +436,15 @@ def rank_normal_form(
     return RankNormalForm(u[0], v[0], int(cutoff.rank(sigma[0])))
 
 
-def pinv_from_svd(u, sigma, vh, threshold: float) -> np.ndarray:
-    """v diag(1/sigma) u^H over the singular values above ``threshold``,
-    from thin SVD factors of a matrix or a stack."""
-    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > threshold)
-    return np.conj(vh.swapaxes(-1, -2)) @ (
-        inv[..., :, None] * np.conj(u.swapaxes(-1, -2))
+def pinv_from_svd(u, sigma, vh, threshold: float, below: float = 0.0):
+    """v diag(d) u^H from thin or full SVD factors of a matrix or a stack:
+    d = 1/sigma above ``threshold`` and ``below`` at or under it, so the
+    default ``below`` = 0 gives the pseudoinverse."""
+    r = sigma.shape[-1]
+    d = np.divide(1.0, sigma, out=np.full_like(sigma, below),
+                  where=sigma > threshold)
+    return np.conj(vh[..., :r, :].swapaxes(-1, -2)) @ (
+        d[..., :, None] * np.conj(u[..., :r].swapaxes(-1, -2))
     )
 
 
@@ -455,6 +458,7 @@ def mp_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
     return pinv_from_svd(u, s, vh, cutoff.at())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     """Drazin indices of a stack of square matrices, and their powers.
 
@@ -462,7 +466,8 @@ def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     n; rank(a^j) counts the singular values above ``cutoff.at(j)``.
     ``sigma`` are the singular values of the stack.  Powers are formed one
     at a time and the loop stops once every index is known, so ``powers[j]``
-    is a^j for j = 1..max(index) + 1.
+    is a^j for j = 1..max(index) + 1.  A power beyond the float64 range is
+    a MathError, raised before any SVD sees it.
     """
     b, n, _ = stack.shape
     index = np.full(b, -1)
@@ -471,6 +476,8 @@ def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     for j in range(1, n + 2):
         if j > 1:
             powers.append(powers[-1] @ stack)
+            if not np.isfinite(powers[-1]).all():
+                raise MathError("a matrix power overflowed the float64 range")
             sigma = singular_values(powers[-1])
         rank = cutoff.rank(sigma, j)
         index[(index < 0) & (rank == prev)] = j - 1

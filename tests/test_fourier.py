@@ -9,6 +9,7 @@ from tprod import (
     BlockOpError,
     DefectiveBlock,
     FourierBlocks,
+    MathError,
     PairingViolation,
     Tensor3,
     assemble_real,
@@ -155,6 +156,17 @@ class TestFromFourier:
         t = assemble_real(fb)[0]
         assert max_abs(t.slice(0) - m) <= 1e-14
         assert max_abs(t.array[1:]) <= 1e-14
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_finite_blocks_past_the_range_are_an_overflow(self, p):
+        # every entry is finite, though its modulus is not; the slices
+        # leave the float64 range
+        blocks = np.zeros((p // 2 + 1, 2, 2), complex)
+        blocks[1] = 1.5e308 * (1 + 1j)
+        with pytest.raises(MathError) as excinfo:
+            assemble_real(FourierBlocks(blocks, p))
+        assert type(excinfo.value) is MathError
+        assert str(excinfo.value) == fourier.TRANSFORM_OVERFLOW
 
     def test_naive_jordan_blocks_fail_require_real(self):
         with pytest.raises(PairingViolation):

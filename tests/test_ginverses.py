@@ -28,7 +28,7 @@ from tprod import (
     transpose,
     unit_regular_witness,
 )
-from tprod import kernels
+from tprod import core, factorizations, ginverses, kernels
 from tprod.ginverses import penrose_report, witness_report
 from tprod.kernels import drazin_inverse, group_inverse
 
@@ -123,7 +123,8 @@ class TestTPinv:
     def test_route_agreement(self):
         for seed in range(50):
             m, n, p = 3, 2 + seed % 3, 1 + seed % 6
-            a = gen(seed, m, n, p)
+            kind = "rank_deficient" if seed % 2 else "dense"
+            a = gen(seed, m, n, p, kind)
             x1 = t_pinv_blocks(a)
             x2 = t_pinv_svd(a)
             assert max_abs((x1 - x2).array) <= 1e-9
@@ -394,6 +395,41 @@ class TestUnitRegularWitness:
         winv = t_inverse(res.w)
         expected = tprod(res.u, res.v)
         assert max_abs((winv - expected).array) <= 1e-8
+
+
+class TestOwnBlockSvds:
+    """The svd-route pseudoinverse and the witness run on the block SVDs of
+    their input, not through a whole factorization and its report."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        names = ("t_svd", "tsvd_report", "idempotent_factorization",
+                 "idem_report", "tprod")
+        for module in (core, factorizations, ginverses):
+            for name in names:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    made.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        return made
+
+    @pytest.mark.parametrize("p", [1, 4, 5])
+    def test_svd_route_pinv_makes_no_t_svd_or_tprod_call(self, calls, p):
+        for a in (gen(60 + p, 3, 3, p, "rank_deficient"), gen(70 + p, 2, 3, p)):
+            assert penrose_report(a, t_pinv(a, route="svd")).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [1, 4, 5])
+    def test_witness_makes_no_idempotent_factorization_call(self, calls, p):
+        for kind in ("dense", "rank_deficient"):
+            assert unit_regular_witness(gen(80 + p, 3, 3, p, kind)).report.passed
+        assert calls == []
 
 
 class TestRealness:

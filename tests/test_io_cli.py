@@ -323,6 +323,32 @@ def test_cli_drazin_group_and_tinv_write_one_file_on_invertible_input(tmp_path):
     assert written[0] == written[1] == written[2]
 
 
+@pytest.mark.parametrize("command", ["drazin", "group"])
+def test_cli_drazin_power_overflow_is_named_without_lapack_noise(tmp_path, command):
+    # the Drazin index needs A^2, whose entries leave the float64 range
+    a = tmp_path / "A.tns"
+    write_tensor(a, scalar_mul(2.0**600, gen(5, 3, 3, 4, "rank_deficient")))
+    done = run_python("-m", "tprod.cli", command, str(a),
+                      "-o", str(tmp_path / "X.tns"))
+    assert done.returncode == 3, done.stderr
+    assert "Fourier block" in done.stderr
+    assert "overflowed" in done.stderr
+    assert "DLASCL" not in done.stdout
+    assert "RuntimeWarning" not in done.stderr
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    out = tmp_path / "g.tns"
+    done = run_python("-m", "tprod.cli", "gen", "--seed", "1",
+                      "--dims", "2", "2", "2", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    assert read_tensor(out) == gen(1, 2, 2, 2)
+    # the input is not its own pseudoinverse
+    done = run_python("-m", "tprod.cli", "verify", "--kind", "pinv",
+                      "--input", str(out), str(out))
+    assert done.returncode == 1, done.stderr
+
+
 class TestGen:
     def test_deterministic(self):
         assert gen(1, 3, 4, 2) == gen(1, 3, 4, 2)
