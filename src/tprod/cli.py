@@ -20,13 +20,7 @@ from typing import Callable
 from . import factorizations as fz
 from . import ginverses as gi
 from .core import tprod
-from .errors import (
-    DimensionError,
-    IoError,
-    MathError,
-    NotBlockCirculant,
-    ParseError,
-)
+from .errors import DimensionError, IoError, MathError, ParseError
 from .generate import KINDS, gen
 from .io import read_tensor, write_tensor
 from .report import ResidualReport
@@ -221,7 +215,7 @@ def cli_main(argv=None) -> int:
     except (ParseError, IoError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MathError, NotBlockCirculant) as exc:
+    except MathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except ValueError as exc:

@@ -23,7 +23,8 @@ from .errors import DimensionError, MathError, NotBlockCirculant
 # the Fourier path's three FFTs cost 2.6-3.6x the whole direct product at
 # every desk_scale shape (3x3x4: 9.9 us direct, 33.8 us Fourier; min of
 # 5 x 2000 calls, one BLAS thread, Intel Xeon), and bcirc's O(p^2 mn) loses
-# above the limit.
+# above the limit.  An explicit direct product above the limit sums over
+# the p shifts instead of building the circulant.
 DIRECT_PATH_LIMIT = 64
 
 # Structural tolerance for bcirc_inv: 1e-10 * max|entry|.
@@ -260,30 +261,53 @@ def bcirc_inv(b: BlockCirculant) -> Tensor3:
 def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
     """t-product of an m x n x p tensor with an n x l x p tensor.
 
-    ``path`` selects the computation: "direct" is the exact block-circulant
+    ``path`` selects the computation: "direct" is the block-circulant
     multiply, "fourier" the transform-domain product, "auto" picks direct at
-    desk scale and fourier above it.  A product beyond the float64 range
-    raises MathError on either path.
+    desk scale and fourier above it.  Above desk scale the direct path
+    forms the same sums without the circulant (:func:`_shift_sum`).  A
+    product beyond the float64 range raises MathError on either path.
     """
     ma, na, pa = a.dims
     mb, nb, pb = b.dims
     if na != mb or pa != pb:
         raise not_conformable(a.dims, b.dims)
+    desk = pa * min(ma, na, nb) <= DIRECT_PATH_LIMIT
     if path == "auto":
-        path = "direct" if pa * min(ma, na, nb) <= DIRECT_PATH_LIMIT else "fourier"
+        path = "direct" if desk else "fourier"
     if path not in ("direct", "fourier"):
         raise ValueError(f"unknown tprod path {path!r}")
     try:
-        if path == "direct":
+        if path == "direct" and desk:
             # the bcirc matrix without its BlockCirculant wrapper: at desk
             # scale the wrapper is a tenth of the product's time
             c = _circulant(a.array) @ b.array.reshape(-1, nb)
             return Tensor3._wrap(c.reshape(pa, ma, nb))
+        if path == "direct":
+            return Tensor3._wrap(_shift_sum(a.array, b.array))
         from . import fourier
 
         return fourier.tprod_fourier(a, b)
     except ValueError as exc:  # Tensor3 refuses a non-finite product
         raise product_overflow(a.dims, b.dims) from exc
+
+
+def _shift_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The slices of fold(bcirc(a) @ unfold(b)) for (p, m, n) and (p, n, l)
+    slice stacks, without the (mp, np) circulant: c_k = sum_s a_s @
+    b_((k - s) mod p), accumulated over the p shifts s in O(p(mn + nl +
+    ml)) memory.
+
+    Row i of d is row i of every slice of b, twice over, so for shift s
+    the columns (p - s)l .. (2p - s)l - 1 of d hold b_(-s), ..., b_(p-1-s)
+    in turn, and each shift is one (m, n) x (n, pl) product.
+    """
+    p, m, n = a.shape
+    l = b.shape[2]
+    d = np.tile(b.transpose(1, 0, 2).reshape(n, p * l), 2)
+    c = np.zeros((m, p * l))
+    for s in range(p):
+        c += a[s] @ d[:, (p - s) * l:(2 * p - s) * l]
+    return np.ascontiguousarray(c.reshape(m, p, l).transpose(1, 0, 2))
 
 
 def not_conformable(a_dims, b_dims) -> DimensionError:

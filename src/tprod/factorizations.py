@@ -12,15 +12,26 @@ are always real; every operation returns a ResidualReport of its defining
 identities, checked on the half spectra of the input and the factors
 (see :mod:`tprod.report`).
 
+A t-symmetric tensor (equal to its t-transpose) has Hermitian Fourier
+blocks.  When the input is t-symmetric bit for bit, :func:`t_schur` and
+:func:`t_jordan` take the Hermitian route: one batched eigensolve per
+batch (:func:`kernels.hermitian_stack`), whose real eigenvalues give an
+f-diagonal t and j and whose orthogonal u is also a perfectly conditioned
+p.  Any other input, a near-symmetric one included, takes the general
+Schur and Jordan kernels.
+
 Structural notions: a tensor is f-diagonal when every frontal slice is
 diagonal; f-quasi-triangular when all slices are block upper triangular
 with a common diagonal partition into 1x1/2x2 blocks; f-upper-block-
 bi-diagonal when additionally only diagonal and first-superdiagonal blocks
 may be nonzero.  The partition is not assumed from the construction: it is
 re-detected on the assembled slices, and a PartitionViolation is raised
-when no partition with blocks of size at most 2 fits (this can genuinely
-happen for even slice counts, where two independently ordered real forms
-must share a partition).
+when no partition with blocks of size at most 2 fits.  The ops construct
+one that fits: a real n x n block has a number of real eigenvalues of the
+parity of n, so real-first ordering puts the 2x2 blocks of every
+real-forced block at the same positions counted from the end, and the
+complex blocks are triangular.  The violation is for factors given to a
+report from outside, under ``verify``.
 """
 
 from __future__ import annotations
@@ -180,6 +191,14 @@ def _band_residual(
     return float(np.abs(stack[:, mask]).max(initial=0.0))
 
 
+def _exactly_t_symmetric(a: Tensor3) -> bool:
+    """Whether the square-sliced a equals its t-transpose bit for bit, on
+    views of its slices: no tolerance, so a near-symmetric tensor is not."""
+    s = a.array
+    return np.array_equal(s[0], s[0].T) and np.array_equal(
+        s[1:], s[:0:-1].transpose(0, 2, 1))
+
+
 def _partition(t: Tensor3, bidiagonal: bool) -> tuple[int, ...]:
     """The finest common partition of t's slices at t's reconstruction
     allowance; PartitionViolation when none has blocks of size at most 2."""
@@ -280,7 +299,10 @@ def t_schur(a: Tensor3) -> TSchurResult:
 
     The real-forced blocks get an ordered real Schur form (1x1 blocks
     first), blocks 1..ceil(p/2)-1 complex Schur forms, which their
-    conjugate partners share.
+    conjugate partners share.  An exactly t-symmetric a takes
+    :func:`kernels.hermitian_stack` instead: u is then orthogonal with
+    eigenvectors in its columns, and t is f-diagonal with the real
+    eigenvalues of each block, nondecreasing.
     The common partition is detected a posteriori from the assembled
     slices; if some slice would need a diagonal block larger than 2x2,
     PartitionViolation is raised.
@@ -288,7 +310,9 @@ def t_schur(a: Tensor3) -> TSchurResult:
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_schur requires square slices")
-    factors = to_fourier(a).map(kernels.schur_stack)
+    kernel = (kernels.hermitian_stack if _exactly_t_symmetric(a)
+              else kernels.schur_stack)
+    factors = to_fourier(a).map(kernel)
     (u, t), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
     partition = _partition(t, bidiagonal=False)
     report = tschur_report(a, u, t, partition, realness=realness)
@@ -337,14 +361,19 @@ def t_jordan(a: Tensor3) -> TJordanResult:
 
     Supported in the diagonalizable regime of :func:`kernels.jordan_stack`:
     a block whose eigenvector basis is numerically rank deficient raises
-    DefectiveBlock.  Pairing the Jordan data across conjugate blocks is
-    what makes j real; assembling independently computed forms does not
-    (see t_jordan_naive).
+    DefectiveBlock.  An exactly t-symmetric a takes
+    :func:`kernels.hermitian_stack` instead, which never refuses: p is
+    orthogonal and j f-diagonal, real and nondecreasing in each block, even
+    where eigenvalues repeat.  Pairing the Jordan data across conjugate
+    blocks is what makes j real; assembling independently computed forms
+    does not (see t_jordan_naive).
     """
     m, n, p = a.dims
     if m != n:
         raise DimensionError("t_jordan requires square slices")
-    factors = to_fourier(a).map(kernels.jordan_stack)
+    kernel = (kernels.hermitian_stack if _exactly_t_symmetric(a)
+              else kernels.jordan_stack)
+    factors = to_fourier(a).map(kernel)
     (pt, j), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
     partition = _partition(j, bidiagonal=True)
     report = tjordan_report(a, pt, j, partition, realness=realness)

@@ -6,7 +6,8 @@ real-first Schur ordering, a diagonalizable-regime Jordan form, the rank
 normal form, and Drazin/group inverses.  The SVD, pseudoinverse, Drazin,
 Schur and Jordan kernels also take stacks of matrices, which the tensor
 ops run on the half spectrum through ``FourierBlocks.map``; the matrix
-functions are the stack of one.  Every rank decision goes through one
+functions are the stack of one.  :func:`hermitian_stack` is the Schur and
+the Jordan kernel of Hermitian stacks.  Every rank decision goes through one
 :class:`RankCutoff`, and the Jordan form refuses any matrix whose
 eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
 Everything here is deterministic for fixed input, so every tensor op
@@ -30,6 +31,8 @@ from .errors import (
 
 EIG_CLUSTER_GAP = 1e-8   # relative grid on which eigenvalues are sorted
 DEFECT_RANK_TOL = 1e-6   # sigma_min/sigma_max floor of an eigenvector basis
+
+POWER_OVERFLOW = "a matrix power overflowed the float64 range"
 
 
 EPS = np.finfo(np.float64).eps
@@ -346,6 +349,31 @@ def jordan_stack(stack: np.ndarray):
     return tuple(np.stack(family) for family in zip(*forms))
 
 
+def hermitian_stack(stack: np.ndarray):
+    """Eigendecompositions (v, j), a = v @ j @ v^H, of a stack of Hermitian
+    matrices (real symmetric for a real stack): one ``np.linalg.eigh``
+    call, which reads the lower triangles.
+
+    v is unitary, real for a real stack, and each of its columns has its
+    largest-magnitude entry real positive.  j is the real diagonal matrix
+    of the eigenvalues in LAPACK's nondecreasing order, the order
+    :func:`jordan_stack` gives real eigenvalues.  So (v, j) is a Schur form
+    with triangular j and a Jordan form with cond(v) = 1: no eigenvector
+    basis is refused.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        w, v = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    v = v * np.conj(_pivot_phases(v))[:, None, :]
+    j = np.zeros(stack.shape)
+    diag = np.arange(stack.shape[-1])
+    j[:, diag, diag] = w
+    return v, j
+
+
 def _real_form(w: np.ndarray, v: np.ndarray):
     """(p, j) of a real matrix from its sorted eigenvalues and normalized
     eigenvectors: real eigenvalues first as 1x1 blocks, then for each
@@ -477,7 +505,7 @@ def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
         if j > 1:
             powers.append(powers[-1] @ stack)
             if not np.isfinite(powers[-1]).all():
-                raise MathError("a matrix power overflowed the float64 range")
+                raise MathError(POWER_OVERFLOW)
             sigma = singular_values(powers[-1])
         rank = cutoff.rank(sigma, j)
         index[(index < 0) & (rank == prev)] = j - 1
@@ -495,7 +523,8 @@ def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     every singular value above the cutoff, so it is invertible and a^D is
     its inverse: one stacked LU ``inv``, the kernel of ``t_inverse``.  For
     k >= 1, a^D = a^k @ pinv(a^(2k+1)) @ a^k: one stacked pseudoinverse
-    per distinct index, with the cutoff of power 2k+1.
+    per distinct index, with the cutoff of power 2k+1.  An a^(2k+1) beyond
+    the float64 range is the MathError of :func:`drazin_indices`.
     """
     index, powers = drazin_indices(stack, cutoff, sigma)
     out = np.empty(stack.shape, dtype=stack.dtype)
@@ -505,9 +534,11 @@ def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
             out[group] = np.linalg.inv(stack[group])
             continue
         ak = powers[k][group]
-        middle = pinv_from_svd(
-            *svd_reduced(ak @ powers[k + 1][group]), cutoff.at(2 * k + 1)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            odd = ak @ powers[k + 1][group]
+        if not np.isfinite(odd).all():
+            raise MathError(POWER_OVERFLOW)
+        middle = pinv_from_svd(*svd_reduced(odd), cutoff.at(2 * k + 1))
         out[group] = ak @ middle @ ak
     return out, index
 

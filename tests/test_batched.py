@@ -34,6 +34,7 @@ from tprod import (
     t_schur,
     t_svd,
     to_fourier,
+    transpose,
     unit_regular_witness,
 )
 from tprod import kernels
@@ -109,6 +110,15 @@ def schur_kernel(block):
     return u, t
 
 
+def eigh_kernel(block):
+    """numpy's eigendecomposition of a Hermitian block, eigenvalues
+    nondecreasing and each eigenvector's largest-magnitude entry real
+    positive: the reference of the Hermitian route."""
+    w, v = np.linalg.eigh(block)
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(len(w))]
+    return v * (np.abs(pivot) / pivot), np.diag(w)
+
+
 def jordan_kernel(block):
     if np.iscomplexobj(block):
         dec = kernels.jordan_complex(block)
@@ -176,7 +186,9 @@ class TestMatchesBlockLoop:
     @settings(max_examples=60)
     @given(tensors(square=True))
     def test_schur(self, a):
-        u, t = loop_map(schur_kernel, a)
+        # an exactly t-symmetric tensor takes the Hermitian route
+        kernel = eigh_kernel if a == transpose(a) else schur_kernel
+        u, t = loop_map(kernel, a)
         dec = t_schur(a)
         assert_rel_close(dec.u, u)
         assert_rel_close(dec.t, t)
@@ -191,6 +203,29 @@ class TestMatchesBlockLoop:
         dec = t_jordan(a)
         assert_rel_close(dec.p, ref[0])
         assert_rel_close(dec.j, ref[1])
+
+
+class TestOneUlpFromSymmetry:
+    """A t-symmetric tensor with one entry moved by one ulp is not
+    t-symmetric: it takes the general route and matches the scipy loop."""
+
+    @pytest.mark.parametrize("n, p, at", [
+        (2, 1, (0, 0, 1)),
+        (3, 4, (0, 2, 0)),
+        (3, 5, (1, 1, 1)),
+        (4, 6, (3, 0, 3)),
+    ])
+    def test_schur_takes_the_general_route(self, monkeypatch, n, p, at):
+        data = gen(n + p, n, n, p, "t_symmetric").array.copy()
+        data[at] = np.nextafter(data[at], np.inf)
+        a = Tensor3(data)
+        # the Hermitian route would now fail as a BlockOpError
+        monkeypatch.setattr(kernels, "hermitian_stack", None)
+        u, t = loop_map(schur_kernel, a)
+        dec = t_schur(a)
+        assert dec.report.passed
+        assert_rel_close(dec.u, u)
+        assert_rel_close(dec.t, t)
 
 
 @st.composite

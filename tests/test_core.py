@@ -1,5 +1,7 @@
 """Tests for the exact (non-Fourier) t-product algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,19 @@ class TestBcirc:
         b = gen(seed + 1, n, ell, p)
         assert np.array_equal(tprod(a, b, path="direct").array,
                               fold(expected @ unfold(b), p).array)
+
+    def test_direct_path_above_the_limit_builds_no_circulant(self):
+        # the 2048x2048 circulant alone would take 33.6 MB
+        a, b = gen(1, 16, 16, 128), gen(2, 16, 16, 128)
+        expected = bcirc(a).matrix @ unfold(b)
+        tracemalloc.start()
+        try:
+            c = tprod(a, b, path="direct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert max_abs(unfold(c) - expected) <= 1e-13 * max_abs(expected)
 
     @settings(max_examples=60)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 9),

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprod import (
     DefectiveBlock,
+    FourierBlocks,
     MathError,
     PartitionViolation,
     Tensor3,
+    assemble_real,
     bcirc,
     gen,
     idempotent_factorization,
@@ -29,6 +31,7 @@ from tprod import (
     transpose,
 )
 from tprod.factorizations import _band_residual, finest_partition, rec_tolerance
+from tprod.fourier import real_forced_indices
 
 from conftest import max_abs
 
@@ -231,6 +234,48 @@ class TestTJordan:
         data[:, 0, 0] += 1.0
         report = tjordan_report(a, Tensor3(data), res.j)
         assert not report.passed
+
+
+@st.composite
+def t_symmetric_repeated(draw):
+    """An exactly t-symmetric n x n x p tensor, n in 1..6 and p in 1..9,
+    whose Hermitian Fourier blocks Q diag(lam) Q^H repeat an eigenvalue.
+
+    The blocks are assembled through FourierBlocks and assemble_real, and
+    the tensor is then made t-symmetric bit for bit as gen makes it, which
+    moves each eigenvalue by rounding only.
+    """
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = np.empty((p // 2 + 1, n, n), complex)
+    for k in range(len(half)):
+        g = rng.standard_normal((2, n, n))
+        real = k in real_forced_indices(p)
+        q = np.linalg.qr(g[0] if real else g[0] + 1j * g[1])[0]
+        lam = rng.choice([-1.0, 0.5, 2.0], n)
+        lam[-1] = lam[0]
+        h = (q * lam) @ q.conj().T
+        half[k] = (h + h.conj().T) / 2
+    g, _ = assemble_real(FourierBlocks(half, p))
+    return scalar_mul(0.5, g + transpose(g))
+
+
+class TestHermitianRoute:
+    @settings(max_examples=60)
+    @given(t_symmetric_repeated())
+    def test_repeated_eigenvalues(self, a):
+        n = a.dims[0]
+        schur, jordan = t_schur(a), t_jordan(a)
+        assert schur.report.passed and jordan.report.passed
+        assert is_f_diagonal(schur.t, 0.0) and is_f_diagonal(jordan.j, 0.0)
+        assert schur.realized_partition == jordan.realized_partition == (1,) * n
+        blocks = np.fft.rfft(a.array, axis=0)
+        eigenvalues = np.fft.rfft(schur.t.array, axis=0)
+        for block, t_block in zip(blocks, eigenvalues):
+            expected = np.linalg.eigvalsh(block)
+            assert max_abs(np.diag(t_block) - expected) <= 1e-12 * (
+                1 + max_abs(expected))
 
 
 class TestIdempotent:

@@ -464,6 +464,16 @@ class TestOverflow:
             op(scalar_mul(1e-310, gen(7, 3, 3, 6)))
         assert excinfo.value.block_index == 0
 
+    # the index is 1 (A^2 is finite), but the A^3 of A (A^3)^+ A is not:
+    # it is refused before any SVD sees it
+    @pytest.mark.parametrize("op", [t_drazin, t_group])
+    def test_drazin_product_overflow_names_its_block(self, op):
+        a = scalar_mul(1e150, gen(5, 3, 3, 4, "rank_deficient"))
+        with pytest.raises(MathError, match=kernels.POWER_OVERFLOW) as excinfo:
+            op(a)
+        assert type(excinfo.value) is MathError
+        assert excinfo.value.block_index == 0
+
     # the identity allowance (1 + max|a|)^2 overflows the float64 range and
     # is refused; the normwise residuals of ROADMAP item 2 remove it
     @pytest.mark.xfail(strict=True, raises=MathError, reason="ROADMAP item 2")

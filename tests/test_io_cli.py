@@ -269,19 +269,23 @@ def run_python(*args):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the Schur kernel alone; a module-level import
-    # anywhere on the CLI path, or in another op, would add its load time
-    # to every subprocess
+    # scipy is imported by the general Schur kernel alone; a module-level
+    # import anywhere on the CLI path, or in another op, would add its load
+    # time to every subprocess.  A t-symmetric input takes the Hermitian
+    # kernel, numpy's eigh, in t_schur and t_jordan alike
     script = (
         "import sys, tprod.cli\n"
         "def scipy_loaded():\n"
         "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not scipy_loaded()\n"
-        "from tprod import gen, t_drazin, t_pinv, t_schur, t_svd\n"
+        "from tprod import gen, t_drazin, t_jordan, t_pinv, t_schur, t_svd\n"
         "a = gen(3, 3, 3, 4)\n"
         "assert t_svd(a).report.passed\n"
         "t_pinv(a)\n"
         "t_drazin(a)\n"
+        "sym = gen(3, 3, 3, 4, 't_symmetric')\n"
+        "assert t_schur(sym).report.passed\n"
+        "assert t_jordan(sym).report.passed\n"
         "assert not scipy_loaded(), scipy_loaded()\n"
         "assert t_schur(a).report.passed\n"
         "assert 'scipy.linalg' in sys.modules\n"
