@@ -19,8 +19,9 @@ import numpy as np
 from .errors import DimensionError, MathError, NotBlockCirculant
 
 # Direct block-circulant multiply below this size, Fourier path above it.
-# Both stay: the reports call tprod many times on paper-size tensors, where
-# the Fourier path's three FFTs cost 2.6-3.6x the whole direct product at
+# Both stay: gen(..., "rank_deficient"), TSvdResult.reconstruct, users and
+# the benchmark's tprod op call tprod on paper-size tensors, where the
+# Fourier path's three FFTs cost 2.6-3.6x the whole direct product at
 # every desk_scale shape (3x3x4: 9.9 us direct, 33.8 us Fourier; min of
 # 5 x 2000 calls, one BLAS thread, Intel Xeon), and bcirc's O(p^2 mn) loses
 # above the limit.  An explicit direct product above the limit sums over
@@ -64,11 +65,6 @@ class Tensor3:
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         self._data = arr
-
-    @classmethod
-    def from_slices(cls, slices) -> "Tensor3":
-        """Build a tensor from an iterable of equally sized frontal slices."""
-        return cls(np.stack([np.asarray(s, dtype=np.float64) for s in slices]))
 
     @classmethod
     def zeros(cls, m: int, n: int, p: int) -> "Tensor3":

@@ -90,7 +90,8 @@ class Singular(MathError):
 
 
 class PartitionViolation(MathError):
-    """No partition with diagonal blocks of size at most 2 fits the slices."""
+    """No partition with diagonal blocks of size at most 2 fits the slices,
+    or a partition given to a report is not one."""
 
 
 class ParseError(TprodError):

@@ -24,14 +24,15 @@ Structural notions: a tensor is f-diagonal when every frontal slice is
 diagonal; f-quasi-triangular when all slices are block upper triangular
 with a common diagonal partition into 1x1/2x2 blocks; f-upper-block-
 bi-diagonal when additionally only diagonal and first-superdiagonal blocks
-may be nonzero.  The partition is not assumed from the construction: it is
-re-detected on the assembled slices, and a PartitionViolation is raised
-when no partition with blocks of size at most 2 fits.  The ops construct
-one that fits: a real n x n block has a number of real eigenvalues of the
-parity of n, so real-first ordering puts the 2x2 blocks of every
-real-forced block at the same positions counted from the end, and the
-complex blocks are triangular.  The violation is for factors given to a
-report from outside, under ``verify``.
+may be nonzero.  :func:`t_schur` and :func:`t_jordan` state the partition
+they construct and their reports check the band against it: a real n x n
+block has a number of real eigenvalues of the parity of n, so real-first
+ordering puts the 2x2 blocks of every real-forced block at the same
+positions counted from the end, and the complex blocks are triangular.
+Under ``verify`` the reports get no partition and detect one on the
+slices, raising PartitionViolation when none with blocks of size at most
+2 fits.  The realness residue of every op is exactly 0: real kernels run
+on the real-forced blocks, so the dropped imaginary parts are zeros.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
-from .ginverses import blockwise_inverse
+from .ginverses import _require_square, blockwise_inverse
 from .report import ResidualReport, verifying
 
 
@@ -183,6 +184,10 @@ def _band_residual(
 ) -> float:
     """Largest magnitude below the block diagonal and, when bidiagonal,
     also above the first block superdiagonal."""
+    n = stack.shape[-1]
+    if not set(partition) <= {1, 2} or sum(partition) != n:
+        raise PartitionViolation(f"partition {partition} is not made of "
+                                 f"blocks of size 1 and 2 summing to {n}")
     block = np.repeat(np.arange(len(partition)), partition)
     diff = block[None, :] - block[:, None]  # column's block minus row's
     mask = diff < 0
@@ -197,6 +202,22 @@ def _exactly_t_symmetric(a: Tensor3) -> bool:
     s = a.array
     return np.array_equal(s[0], s[0].T) and np.array_equal(
         s[1:], s[:0:-1].transpose(0, 2, 1))
+
+
+def _paired_forms(a: Tensor3, name: str, kernel):
+    """Real factors (x, y) with a = x * y * x^{-1}, from ``kernel`` on the
+    half spectrum (:func:`kernels.hermitian_stack` if a is exactly
+    t-symmetric); y's partition, read off its real-forced blocks (see
+    TSchurResult); and the realness pair."""
+    _require_square(a, name)
+    if _exactly_t_symmetric(a):
+        kernel = kernels.hermitian_stack
+    p = a.dims[2]
+    x, y = to_fourier(a).map(kernel)
+    forced = np.abs(y[list(real_forced_indices(p))].real).max(axis=0)
+    partition = kernels._scan_quasi_partition(forced)
+    (x, y), realness = _assemble(FourierBlocks(x, p), FourierBlocks(y, p))
+    return x, y, partition, realness
 
 
 def _partition(t: Tensor3, bidiagonal: bool) -> tuple[int, ...]:
@@ -288,6 +309,10 @@ def _add_realness(report: ResidualReport, realness) -> None:
 
 @dataclass
 class TSchurResult:
+    """``realized_partition`` is (1,)*r + (2,)*((n - r)/2), r the least
+    real-eigenvalue count over the real-forced blocks; it may be coarser
+    than the finest partition detection would find."""
+
     u: Tensor3
     t: Tensor3
     realized_partition: tuple[int, ...]
@@ -303,18 +328,9 @@ def t_schur(a: Tensor3) -> TSchurResult:
     :func:`kernels.hermitian_stack` instead: u is then orthogonal with
     eigenvectors in its columns, and t is f-diagonal with the real
     eigenvalues of each block, nondecreasing.
-    The common partition is detected a posteriori from the assembled
-    slices; if some slice would need a diagonal block larger than 2x2,
-    PartitionViolation is raised.
+    The report checks t against the partition the construction gives.
     """
-    m, n, p = a.dims
-    if m != n:
-        raise DimensionError("t_schur requires square slices")
-    kernel = (kernels.hermitian_stack if _exactly_t_symmetric(a)
-              else kernels.schur_stack)
-    factors = to_fourier(a).map(kernel)
-    (u, t), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
-    partition = _partition(t, bidiagonal=False)
+    u, t, partition, realness = _paired_forms(a, "t_schur", kernels.schur_stack)
     report = tschur_report(a, u, t, partition, realness=realness)
     return TSchurResult(u, t, partition, report)
 
@@ -350,6 +366,8 @@ def tschur_report(
 
 @dataclass
 class TJordanResult:
+    """``realized_partition`` is that of :class:`TSchurResult`, for j."""
+
     p: Tensor3
     j: Tensor3
     realized_partition: tuple[int, ...]
@@ -368,14 +386,7 @@ def t_jordan(a: Tensor3) -> TJordanResult:
     blocks is what makes j real; assembling independently computed forms
     does not (see t_jordan_naive).
     """
-    m, n, p = a.dims
-    if m != n:
-        raise DimensionError("t_jordan requires square slices")
-    kernel = (kernels.hermitian_stack if _exactly_t_symmetric(a)
-              else kernels.jordan_stack)
-    factors = to_fourier(a).map(kernel)
-    (pt, j), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
-    partition = _partition(j, bidiagonal=True)
+    pt, j, partition, realness = _paired_forms(a, "t_jordan", kernels.jordan_stack)
     report = tjordan_report(a, pt, j, partition, realness=realness)
     return TJordanResult(pt, j, partition, report)
 
@@ -439,9 +450,8 @@ def idempotent_factorization(a: Tensor3) -> IdempotentFactorization:
     half spectrum; the block ranks, taken at the tensor's rank cutoff,
     decide e.
     """
-    m, n, p = a.dims
-    if m != n:
-        raise DimensionError("idempotent_factorization requires square slices")
+    _require_square(a, "idempotent_factorization")
+    p = a.dims[2]
     u, sigma, v = to_fourier(a).map(kernels.svd_stack)
     cutoff = kernels.rank_cutoff(sigma, a.dims)
     factors = kernels.rank_normal_factors(u, sigma, v, cutoff)
@@ -481,9 +491,7 @@ def t_jordan_naive(a: Tensor3) -> np.ndarray:
     generic real input the result has nonvanishing imaginary parts, which
     is exactly why the paired construction exists.
     """
-    m, n, p = a.dims
-    if m != n:
-        raise DimensionError("t_jordan_naive requires square slices")
+    _require_square(a, "t_jordan_naive")
     _, j = kernels.jordan_stack(to_fourier(a).full())
     return inverse_transform(j)
 

@@ -16,6 +16,7 @@ gives bit-identical results run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,12 @@ class RankCutoff:
     scale: float
 
     def at(self, power: int = 1) -> float:
-        """The threshold for singular values of the power-th power."""
-        return self.rtol * float(np.float64(self.scale) ** power)
+        """The threshold for singular values of the power-th power; inf
+        where scale**power leaves the float64 range."""
+        try:
+            return self.rtol * float(self.scale) ** int(power)
+        except OverflowError:
+            return math.inf
 
     def rank(self, sigma: np.ndarray, power: int = 1) -> np.ndarray:
         """Ranks from singular values ``sigma`` of shape (..., r)."""
@@ -94,17 +99,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 def svd_reduced(a: np.ndarray):
     """Thin (u, sigma, vh) of a matrix or a stack, without phase fixing."""
     return _lapack_svd(a, full_matrices=False)
-
-
-def numerical_rank(a: np.ndarray, cutoff: RankCutoff | None = None) -> int:
-    """Number of singular values above the cutoff (default: a's own)."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    sigma = singular_values(a)
-    if cutoff is None:
-        cutoff = _matrix_cutoff(a, sigma)
-    return int(cutoff.rank(sigma))
 
 
 def _pivot_phases(x: np.ndarray) -> np.ndarray:
@@ -269,10 +263,10 @@ def schur_real_ordered(a: np.ndarray) -> MatrixSchur:
 
 
 def _scan_quasi_partition(t: np.ndarray) -> tuple[int, ...]:
-    """Diagonal block sizes of a LAPACK quasi-triangular matrix.
+    """Diagonal block sizes of a quasi-triangular matrix.
 
-    LAPACK stores exact zeros below the quasi-triangular band, so the scan
-    tests subdiagonal entries against zero.
+    LAPACK's Schur forms and :func:`_real_form` store exact zeros below the
+    band, so the scan tests subdiagonal entries against zero.
     """
     n = t.shape[0]
     sizes = []
@@ -412,8 +406,7 @@ def jordan_real(a: np.ndarray) -> MatrixJordan:
     a = np.asarray(a, dtype=np.float64)
     _require_square(a, "jordan_real")
     p, j = jordan_stack(a[None])
-    pairs = np.count_nonzero(np.diag(j[0], -1))
-    return MatrixJordan(p[0], j[0], (1,) * (len(a) - 2 * pairs) + (2,) * pairs)
+    return MatrixJordan(p[0], j[0], _scan_quasi_partition(j[0]))
 
 
 @dataclass(frozen=True)
@@ -600,7 +593,7 @@ def _rank_margin(cutoff: RankCutoff, sigma, sigma_sq) -> float:
     margin = np.inf
     for power, s in ((1, sigma), (2, sigma_sq)):
         threshold = cutoff.at(power)
-        if s.size == 0 or threshold == 0.0:
+        if s.size == 0 or not 0.0 < threshold < np.inf:
             continue
         margin = min(margin, float((np.abs(s - threshold) / threshold).min()))
     return margin

@@ -30,8 +30,16 @@ from tprod import (
     tprod,
     transpose,
 )
-from tprod.factorizations import _band_residual, finest_partition, rec_tolerance
+from tprod import factorizations
+from tprod.factorizations import (
+    _band_residual,
+    finest_partition,
+    rec_tolerance,
+    tjordan_report,
+    tschur_report,
+)
 from tprod.fourier import real_forced_indices
+from tprod.generate import KINDS
 
 from conftest import max_abs
 
@@ -501,3 +509,60 @@ class TestEvenPPartitionCompatibility:
         bad_t = Tensor3(data)
         with pytest.raises(PartitionViolation):
             tschur_report(a, res.u, bad_t)
+
+
+def _cuts(partition):
+    return set(np.cumsum(partition)[:-1].tolist())
+
+
+class TestStatedPartition:
+    """t_schur and t_jordan state the partition they construct: 1x1
+    blocks first, then 2x2 blocks, fitting every slice."""
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 8), st.integers(1, 9), st.sampled_from(KINDS),
+           st.integers(0, 2**16))
+    def test_stated_partition_is_refined_by_detection(self, n, p, kind, seed):
+        a = gen(seed, n, n, p, kind)
+        for op, report, bidiagonal in ((t_schur, tschur_report, False),
+                                       (t_jordan, tjordan_report, True)):
+            res = op(a)
+            x, y = (res.u, res.t) if op is t_schur else (res.p, res.j)
+            partition = res.realized_partition
+            assert set(partition) <= {1, 2} and sum(partition) == n
+            assert list(partition) == sorted(partition)
+            detected = finest_partition(y.array, rec_tolerance(y), bidiagonal)
+            assert _cuts(partition) <= _cuts(detected)
+            assert res.report.passed
+            assert report(a, x, y).passed
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 9), st.sampled_from(KINDS),
+           st.integers(0, 2**16))
+    def test_realness_residue_is_exactly_zero(self, n, p, kind, seed):
+        a = gen(seed, n, n, p, kind)
+        for op in (t_svd, t_schur, t_jordan, idempotent_factorization):
+            (realness,) = (c for c in op(a).report.checks if c.name == "realness")
+            assert realness.residual == 0.0
+
+    def test_ops_do_not_search_for_a_partition(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("partition searched for")
+
+        monkeypatch.setattr(factorizations, "finest_partition", search)
+        a = gen(1, 4, 4, 6)
+        schur, jordan = t_schur(a), t_jordan(a)
+        assert schur.report.passed and jordan.report.passed
+        with pytest.raises(AssertionError, match="searched"):
+            tschur_report(a, schur.u, schur.t)
+        with pytest.raises(AssertionError, match="searched"):
+            tjordan_report(a, jordan.p, jordan.j)
+
+    @pytest.mark.parametrize("partition", [(3,), (1,), (1, 1, 1, 1), (2, 0, 1)])
+    def test_reports_refuse_a_partition_not_of_1s_and_2s(self, partition):
+        a = gen(1, 3, 3, 4)
+        schur, jordan = t_schur(a), t_jordan(a)
+        with pytest.raises(PartitionViolation):
+            tschur_report(a, schur.u, schur.t, partition=partition)
+        with pytest.raises(PartitionViolation):
+            tjordan_report(a, jordan.p, jordan.j, partition=partition)

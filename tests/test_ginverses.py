@@ -474,6 +474,22 @@ class TestOverflow:
         assert type(excinfo.value) is MathError
         assert excinfo.value.block_index == 0
 
+    # the rank cutoff S^3 of A^3 leaves the float64 range: its threshold is
+    # inf, with no overflow warning, and A^3 = 0 has rank 0 below it
+    def test_cutoff_of_a_high_power_overflows_quietly(self):
+        a = Tensor3([[[0.0, 1e110], [0.0, 0.0]]])
+        res = t_drazin(a)
+        assert res.index == 2
+        assert not res.ad.array.any()
+        assert res.report.passed
+        with pytest.raises(GroupInverseNotExist) as excinfo:
+            t_group(a)
+        assert excinfo.value.block_index == 0
+        # at 1e200 the cutoff of A^2 is inf too, and the margin skips it
+        with pytest.raises(GroupInverseNotExist) as excinfo:
+            t_group(Tensor3([[[0.0, 1e200], [0.0, 0.0]]]))
+        assert excinfo.value.margin == 1.0
+
     # the identity allowance (1 + max|a|)^2 overflows the float64 range and
     # is refused; the normwise residuals of ROADMAP item 2 remove it
     @pytest.mark.xfail(strict=True, raises=MathError, reason="ROADMAP item 2")

@@ -11,11 +11,12 @@ from tprod.kernels import (
     jordan_real,
     matrix_index,
     mp_inverse,
-    numerical_rank,
+    rank_cutoff,
     rank_normal_form,
     schur_complex,
     schur_real_ordered,
     schur_stack,
+    singular_values,
     svd,
 )
 
@@ -348,8 +349,9 @@ class TestGroupInverse:
             assert max_abs(g - ad) <= 1e-10
 
     def test_numerical_rank(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
-        assert numerical_rank(np.eye(3)) == 3
+        for a, rank in ((np.zeros((3, 3)), 0), (np.eye(3), 3)):
+            sigma = singular_values(a)
+            assert rank_cutoff(sigma, (3, 3, 1)).rank(sigma) == rank
 
 
 class TestRealKernelsStayReal:
