@@ -100,10 +100,20 @@ class _UsageError(Exception):
     pass
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value, finite and nonnegative: NaN or a negative would
+    fail every check, and inf would pass every one."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_tolerance, default=None,
         help="check every residual of the report against this tolerance",
     )
     common.add_argument(
@@ -209,16 +219,10 @@ def cli_main(argv=None) -> int:
 
     try:
         report = args.run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, IoError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except ValueError as exc:
+    except (_UsageError, ParseError, IoError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.tol is not None:

@@ -346,14 +346,19 @@ def scalar_mul(alpha: float, t: Tensor3) -> Tensor3:
     return Tensor3(float(alpha) * t.array)
 
 
+def _require_square(a, name: str) -> None:
+    """Refuse a tensor, or a half spectrum, whose slices are not square."""
+    m, n, _ = a.dims
+    if m != n:
+        raise DimensionError(f"{name} requires square slices, got {m}x{n}")
+
+
 def power(t: Tensor3, k: int) -> Tensor3:
     """k-th t-product power of a square-slice tensor; t^0 is the identity."""
-    m, n, p = t.dims
-    if m != n:
-        raise DimensionError(f"power requires square slices, got {m}x{n}")
+    _require_square(t, "power")
     if k < 0:
         raise ValueError("power exponent must be nonnegative")
-    result = Tensor3.identity(n, p)
+    result = Tensor3.identity(*t.dims[1:])
     for _ in range(k):
         result = tprod(result, t)
     return result

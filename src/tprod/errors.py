@@ -25,7 +25,9 @@ class MathError(TprodError):
     (the lift sets it); the message then leads with that block.
     """
 
-    block_index = None
+    def __init__(self, message, block_index=None):
+        super().__init__(message)
+        self.block_index = block_index
 
     def __str__(self):
         message = super().__str__()
@@ -45,10 +47,6 @@ class PairingViolation(MathError):
 
 class BlockOpError(MathError):
     """A per-block matrix operation failed; carries the failing block index."""
-
-    def __init__(self, message, block_index):
-        super().__init__(message)
-        self.block_index = block_index
 
 
 class ConvergenceError(MathError):
@@ -73,8 +71,7 @@ class GroupInverseNotExist(MathError):
 
     def __init__(self, message, block_index=None, rank=None, rank_sq=None,
                  margin=None):
-        super().__init__(message)
-        self.block_index = block_index
+        super().__init__(message, block_index)
         self.rank = rank
         self.rank_sq = rank_sq
         self.margin = margin
@@ -84,8 +81,7 @@ class Singular(MathError):
     """A tensor (or one of its Fourier blocks) is not invertible."""
 
     def __init__(self, message, block_index=None, sigma_min=None):
-        super().__init__(message)
-        self.block_index = block_index
+        super().__init__(message, block_index)
         self.sigma_min = sigma_min
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Tensor3, transpose, tprod
+from .core import Tensor3, _require_square, transpose, tprod
 from .errors import DimensionError, PartitionViolation
 from .fourier import (
     FourierBlocks,
@@ -52,7 +52,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
-from .ginverses import _require_square, blockwise_inverse
+from .ginverses import blockwise_inverse
 from .report import ResidualReport, verifying
 
 
@@ -151,9 +151,7 @@ def is_f_upper_block_bidiagonal(
 
 @verifying
 def is_t_symmetric(t: Tensor3, tol: float) -> bool:
-    m, n, p = t.dims
-    if m != n:
-        raise DimensionError("t-symmetry requires square slices")
+    _require_square(t, "t-symmetry")
     ft = to_fourier(t)
     return ft.distance(ft.T) <= tol
 
@@ -172,9 +170,7 @@ def _orthogonality(ft: FourierBlocks) -> float:
 
 @verifying
 def is_orthogonal(t: Tensor3, tol: float) -> bool:
-    m, n, p = t.dims
-    if m != n:
-        raise DimensionError("orthogonality requires square slices")
+    _require_square(t, "orthogonality")
     ft = to_fourier(t)
     return max(_orthogonality(ft), _orthogonality(ft.T)) <= tol
 

@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Tensor3, not_conformable
+from .core import Tensor3, _require_square, not_conformable
 from .errors import BlockOpError, DimensionError, MathError, PairingViolation
 from .report import ResidualReport
 
@@ -87,7 +87,7 @@ def real_forced_indices(p: int) -> tuple[int, ...]:
     return (0, p // 2) if p % 2 == 0 and p > 1 else (0,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierBlocks:
     """The Fourier blocks 0..floor(p/2) of a real m x n x p tensor.
 
@@ -114,6 +114,13 @@ class FourierBlocks:
         arr = np.ascontiguousarray(arr, dtype=np.complex128).view()
         arr.setflags(write=False)
         object.__setattr__(self, "blocks", arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FourierBlocks):
+            return NotImplemented
+        return self.p == other.p and np.array_equal(self.blocks, other.blocks)
+
+    __hash__ = None
 
     @classmethod
     def _wrap(cls, blocks: np.ndarray, p: int) -> "FourierBlocks":
@@ -186,12 +193,10 @@ class FourierBlocks:
     def power(self, k: int) -> "FourierBlocks":
         """The half spectrum of the k-th t-product power: a stacked matrix
         power by repeated block products."""
-        m, n, p = self.dims
-        if m != n:
-            raise DimensionError(f"power requires square slices, got {m}x{n}")
+        _require_square(self, "power")
         if k < 0:
             raise ValueError("power exponent must be nonnegative")
-        result = FourierBlocks.identity(n, p) if k == 0 else self
+        result = FourierBlocks.identity(*self.dims[1:]) if k == 0 else self
         for _ in range(k - 1):
             result = result @ self
         return result
@@ -285,10 +290,11 @@ def mirror_blocks(evaluated, p: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def to_fourier(t: Tensor3) -> FourierBlocks:
     """Forward block transform of a real tensor: ``np.fft.rfft`` along the
     slice axis, blocks 0..floor(p/2) with exactly real DC and Nyquist
-    blocks."""
+    blocks.  An overflow is kept, unwarned, for the kernels to refuse."""
     return FourierBlocks._wrap(np.fft.rfft(t.array, axis=0), t.dims[2])
 
 

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .core import Tensor3
-from .errors import DimensionError, MathError, Singular
+from .core import Tensor3, _require_square
+from .errors import MathError, Singular
 from .fourier import FourierBlocks, assemble_real, to_fourier
 from .report import ResidualReport, verifying
 
@@ -37,12 +37,6 @@ def gi_tolerance(a: Tensor3) -> float:
         raise MathError(
             "the identity allowance overflowed the float64 range"
         ) from None
-
-
-def _require_square(a: Tensor3 | FourierBlocks, name: str) -> None:
-    m, n, p = a.dims
-    if m != n:
-        raise DimensionError(f"{name} requires square slices, got {m}x{n}")
 
 
 def _spectrum_cutoff(fb: FourierBlocks):
@@ -137,9 +131,11 @@ def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     return report.stop()
 
 
-def _drazin_blocks(a: Tensor3, fn: Callable) -> tuple:
-    """The Fourier blocks of ``a``, the tensor's rank cutoff and
-    ``fn(blocks, cutoff, sigma)`` over them, with their singular values."""
+def _drazin_blocks(a: Tensor3, name: str, fn: Callable) -> tuple:
+    """The Fourier blocks of the square-sliced ``a``, the tensor's rank
+    cutoff and ``fn(blocks, cutoff, sigma)`` over them, with their singular
+    values; ``name`` is the op that a non-square ``a`` is refused for."""
+    _require_square(a, name)
     fb = to_fourier(a)
     sigma, cutoff = _spectrum_cutoff(fb)
     return fb, cutoff, fb.map(lambda blocks, s: fn(blocks, cutoff, s), sigma)
@@ -148,9 +144,8 @@ def _drazin_blocks(a: Tensor3, fn: Callable) -> tuple:
 def t_index(a: Tensor3) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks,
     decided by the same routine as :func:`t_drazin`."""
-    _require_square(a, "t_index")
     *_, (index,) = _drazin_blocks(
-        a, lambda *args: kernels.drazin_indices(*args)[0])
+        a, "t_index", lambda *args: kernels.drazin_indices(*args)[0])
     return int(index.max())
 
 
@@ -170,8 +165,7 @@ def t_drazin(a: Tensor3) -> DrazinResult:
     inverts the blocks of index 0 as :func:`t_inverse` does; on an
     invertible tensor the result is the t-inverse, bit for bit.
     """
-    _require_square(a, "t_drazin")
-    fb, _, (x, index) = _drazin_blocks(a, kernels.drazin_stack)
+    fb, _, (x, index) = _drazin_blocks(a, "t_drazin", kernels.drazin_stack)
     ad = assemble_real(FourierBlocks(x, fb.p))[0]
     index = int(index.max())
     report = drazin_report(a, ad, index)
@@ -198,8 +192,7 @@ def t_group(a: Tensor3) -> Tensor3:
     most 1.  It is then the Drazin inverse, so both come from the block
     map of :func:`t_drazin` (on an invertible tensor, the t-inverse bit for
     bit); a failure names the first block of larger index."""
-    _require_square(a, "t_group")
-    fb, cutoff, (x, index) = _drazin_blocks(a, kernels.drazin_stack)
+    fb, cutoff, (x, index) = _drazin_blocks(a, "t_group", kernels.drazin_stack)
     bad = np.flatnonzero(index > 1)
     if bad.size:
         k = int(bad[0])

@@ -10,6 +10,8 @@ functions are the stack of one.  :func:`hermitian_stack` is the Schur and
 the Jordan kernel of Hermitian stacks.  Every rank decision goes through one
 :class:`RankCutoff`, and the Jordan form refuses any matrix whose
 eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
+LAPACK's drivers assume finite input: every kernel refuses a stack holding
+NaN or inf with the one ValueError of :func:`_require_finite`.
 Everything here is deterministic for fixed input, so every tensor op
 gives bit-identical results run to run.
 """
@@ -84,21 +86,32 @@ def _matrix_cutoff(a: np.ndarray, sigma: np.ndarray) -> RankCutoff:
     return rank_cutoff(sigma, (*a.shape[-2:], 1))
 
 
-def _lapack_svd(a: np.ndarray, **kwargs):
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+
+
+def _lapack(fn, failure: str, a: np.ndarray, **kwargs):
+    """``fn(a, **kwargs)`` for numpy's svd, eig or eigh ``fn``: a non-finite
+    ``a`` is refused, and a LinAlgError becomes ConvergenceError(failure).
+    np.linalg.inv, in drazin_stack and ginverses.blockwise_inverse, runs
+    unguarded: a guarded SVD of the same stack always runs before it."""
+    _require_finite(a)
     try:
-        return np.linalg.svd(a, **kwargs)
+        return fn(a, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+        raise ConvergenceError(f"{failure}: {exc}") from exc
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values, nonincreasing, of a matrix or a stack of them."""
-    return _lapack_svd(a, compute_uv=False)
+    return _lapack(np.linalg.svd, "SVD did not converge", a, compute_uv=False)
 
 
 def svd_reduced(a: np.ndarray):
     """Thin (u, sigma, vh) of a matrix or a stack, without phase fixing."""
-    return _lapack_svd(a, full_matrices=False)
+    return _lapack(np.linalg.svd, "SVD did not converge", a,
+                   full_matrices=False)
 
 
 def _pivot_phases(x: np.ndarray) -> np.ndarray:
@@ -130,8 +143,9 @@ def _fix_phases(u: np.ndarray, v: np.ndarray):
 
 
 def sigma_matrices(sigma: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The m x n diagonal matrices of singular values (..., min(m, n))."""
-    out = np.zeros(sigma.shape[:-1] + (m, n))
+    """The m x n diagonal matrices of values (..., min(m, n)), such as
+    singular values or eigenvalues, in their dtype."""
+    out = np.zeros(sigma.shape[:-1] + (m, n), dtype=sigma.dtype)
     r = np.arange(sigma.shape[-1])
     out[..., r, r] = sigma
     return out
@@ -165,9 +179,8 @@ def svd_stack(stack: np.ndarray):
     """
     stack = np.asarray(stack)
     m, n = stack.shape[-2:]
-    if not np.isfinite(stack).all():
-        raise ValueError("svd requires finite entries")
-    u, s, vh = _lapack_svd(stack, full_matrices=True)
+    u, s, vh = _lapack(np.linalg.svd, "SVD did not converge", stack,
+                       full_matrices=True)
     u, v = _fix_phases(u, np.conj(vh.swapaxes(-1, -2)))
     zero = ~stack.any(axis=(-2, -1))
     if zero.any():
@@ -212,8 +225,7 @@ def schur_stack(stack: np.ndarray):
     from scipy.linalg.lapack import get_lapack_funcs
 
     stack = np.asarray(stack)
-    if not np.isfinite(stack).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _require_finite(stack)
     u, t = np.empty_like(stack), np.empty_like(stack)
     if stack.size == 0:
         return u, t
@@ -312,10 +324,7 @@ def jordan_stack(stack: np.ndarray):
     DefectiveBlock: it is defective, or too close to it for its Jordan
     structure to be computed reliably.
     """
-    try:
-        w, v = np.linalg.eig(stack)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    w, v = _lapack(np.linalg.eig, "eigendecomposition failed", stack)
     # lexicographic (real, imag) order, quantized on the EIG_CLUSTER_GAP
     # grid so that rounding fuzz cannot reorder effectively equal parts
     grid = EIG_CLUSTER_GAP * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
@@ -335,10 +344,7 @@ def jordan_stack(stack: np.ndarray):
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     v = v * np.conj(_pivot_phases(v))[:, None, :]
     if np.iscomplexobj(stack):
-        j = np.zeros(v.shape, dtype=w.dtype)
-        diag = np.arange(v.shape[-1])
-        j[:, diag, diag] = w
-        return v, j
+        return v, sigma_matrices(w, *v.shape[-2:])
     forms = [_real_form(wk, vk) for wk, vk in zip(w, v)]
     return tuple(np.stack(family) for family in zip(*forms))
 
@@ -355,17 +361,9 @@ def hermitian_stack(stack: np.ndarray):
     with triangular j and a Jordan form with cond(v) = 1: no eigenvector
     basis is refused.
     """
-    if not np.isfinite(stack).all():
-        raise ValueError("array must not contain infs or NaNs")
-    try:
-        w, v = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    w, v = _lapack(np.linalg.eigh, "eigendecomposition failed", stack)
     v = v * np.conj(_pivot_phases(v))[:, None, :]
-    j = np.zeros(stack.shape)
-    diag = np.arange(stack.shape[-1])
-    j[:, diag, diag] = w
-    return v, j
+    return v, sigma_matrices(w, *stack.shape[-2:])
 
 
 def _real_form(w: np.ndarray, v: np.ndarray):

@@ -18,11 +18,23 @@ from tprod import (
     bcirc_inv,
     fold,
     gen,
+    idempotent_factorization,
+    is_orthogonal,
+    is_t_symmetric,
     power,
     scalar_mul,
+    t_drazin,
+    t_group,
+    t_index,
+    t_inverse,
+    t_jordan,
+    t_jordan_naive,
+    t_schur,
+    to_fourier,
     tprod,
     transpose,
     unfold,
+    unit_regular_witness,
 )
 
 from conftest import max_abs
@@ -351,3 +363,25 @@ class TestArithmetic:
             assert max_abs(assoc.array) <= 1e-12 * scale
             dist = tprod(a, b + c) - (tprod(a, b) + tprod(a, c))
             assert max_abs(dist.array) <= 1e-12 * scale
+
+
+class TestSquareSlices:
+    """Every square-slice precondition is refused by one rule, with one
+    message naming what required it."""
+
+    @pytest.mark.parametrize("check, name", [
+        pytest.param(lambda t: power(t, 2), "power", id="power"),
+        pytest.param(lambda t: to_fourier(t).power(2), "power",
+                     id="FourierBlocks.power"),
+        pytest.param(lambda t: is_t_symmetric(t, 1e-9), "t-symmetry",
+                     id="is_t_symmetric"),
+        pytest.param(lambda t: is_orthogonal(t, 1e-9), "orthogonality",
+                     id="is_orthogonal"),
+        *(pytest.param(op, op.__name__, id=op.__name__) for op in (
+            t_inverse, t_index, t_drazin, t_group, unit_regular_witness,
+            t_schur, t_jordan, idempotent_factorization, t_jordan_naive)),
+    ])
+    def test_non_square_slices_are_refused(self, check, name):
+        with pytest.raises(DimensionError,
+                           match=f"^{name} requires square slices, got 2x3$"):
+            check(gen(0, 2, 3, 4))

@@ -143,6 +143,30 @@ class TestFourierBlocksStorage:
         assert fb.blocks[0, 0, 0] == 1.0
 
 
+class TestFourierBlocksEquality:
+    def test_equal_blocks_compare_equal(self):
+        a = gen(3, 2, 3, 5)
+        fa, fb = to_fourier(a), to_fourier(a)
+        assert fa is not fb
+        assert fa == fb
+        assert not fa != fb
+
+    def test_unequal_blocks_compare_unequal(self):
+        assert to_fourier(gen(3, 2, 3, 5)) != to_fourier(gen(4, 2, 3, 5))
+        assert to_fourier(gen(3, 2, 3, 5)) != to_fourier(gen(3, 3, 2, 5))
+
+    def test_a_different_p_compares_unequal(self):
+        # p = 4 and p = 5 both store three blocks
+        blocks = to_fourier(gen(3, 2, 2, 5)).blocks
+        assert FourierBlocks(blocks, 5) != FourierBlocks(blocks, 4)
+
+    def test_unhashable_and_unequal_to_other_types(self):
+        fb = to_fourier(gen(3, 2, 2, 3))
+        with pytest.raises(TypeError):
+            hash(fb)
+        assert fb != fb.blocks.tolist()
+
+
 class TestFromFourier:
     def test_round_trip(self):
         for seed in range(30):

@@ -563,6 +563,27 @@ class TestCli:
         ])
         assert code == 1
 
+    # NaN and negative tolerances fail every check and inf passes every one,
+    # so none of them may decide the exit code
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "one"])
+    def test_tol_not_finite_and_nonnegative_is_a_usage_error(
+            self, tmp_path, tol, capsys):
+        a = self._gen_file(tmp_path)
+        x = tmp_path / "x.tns"
+        assert cli_main(["pinv", str(a), "-o", str(x), f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not x.exists()
+
+    def test_tol_zero_checks_every_residual_against_zero(self, tmp_path):
+        a = tmp_path / "zero.tns"
+        write_tensor(a, Tensor3.zeros(2, 3, 4))
+        report_path = tmp_path / "r.json"
+        assert cli_main(["pinv", str(a), "-o", str(tmp_path / "x.tns"),
+                         "--tol", "0", "--report", str(report_path),
+                         "--quiet"]) == 0
+        checks = json.loads(report_path.read_text())["checks"]
+        assert {(c["residual"], c["tolerance"]) for c in checks} == {(0.0, 0.0)}
+
     def test_all_factorization_subcommands(self, tmp_path):
         a = self._gen_file(tmp_path, dims=(3, 3, 3), seed=11)
         for command, names in [
