@@ -5,11 +5,11 @@ array of shape (p, m, n) whose entry [k, i, j] is the (i, j) element of
 frontal slice k (all 0-based in code; documentation counts slices 1..p).
 With this layout ``unfold``/``fold`` are plain reshapes.
 
-The t-product itself is ``fold(bcirc(a) @ unfold(b))``; a mathematically
-equivalent Fourier-domain path lives in :mod:`tprod.fourier` and both are
-exposed here for cross-checking.  ``bcirc`` builds the mp x np matrix
-with one copy, from a strided view of the doubled slice stack in which
-block (r, c) is slice (r - c) mod p, never block by block.
+The t-product itself is ``fold(bcirc(a) @ unfold(b))``; the equivalent
+Fourier path is the block product of :mod:`tprod.fourier`, and
+:func:`tprod` exposes both for cross-checking.  ``bcirc`` builds the mp x
+np matrix with one copy, from a strided view of the doubled slice stack
+in which block (r, c) is slice (r - c) mod p, never block by block.
 """
 
 from __future__ import annotations
@@ -258,9 +258,11 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
     """t-product of an m x n x p tensor with an n x l x p tensor.
 
     ``path`` selects the computation: "direct" is the block-circulant
-    multiply, "fourier" the transform-domain product, "auto" picks direct at
-    desk scale and fourier above it.  Above desk scale the direct path
-    forms the same sums without the circulant (:func:`_shift_sum`).  A
+    multiply, "fourier" the reports' block product ``to_fourier(a) @
+    to_fourier(b)`` turned back into slices by their certified irfft,
+    "auto" picks direct at desk scale and fourier above it.  Above desk
+    scale the direct path forms the same sums without the circulant
+    (:func:`_shift_sum`).  A
     product beyond the float64 range raises MathError on either path.
     """
     ma, na, pa = a.dims
@@ -280,9 +282,10 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
             return Tensor3._wrap(c.reshape(pa, ma, nb))
         if path == "direct":
             return Tensor3._wrap(_shift_sum(a.array, b.array))
-        from . import fourier
+        from .fourier import _certified_irfft, to_fourier
 
-        return fourier.tprod_fourier(a, b)
+        prod = to_fourier(a) @ to_fourier(b)
+        return Tensor3._wrap(_certified_irfft(prod.blocks, pa)[0])
     except ValueError as exc:  # Tensor3 refuses a non-finite product
         raise product_overflow(a.dims, b.dims) from exc
 

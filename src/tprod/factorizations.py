@@ -13,7 +13,8 @@ identities, checked on the half spectra of the input and the factors
 (see :mod:`tprod.report`).
 
 A t-symmetric tensor (equal to its t-transpose) has Hermitian Fourier
-blocks.  When the input is t-symmetric bit for bit, :func:`t_schur` and
+blocks.  When the input is t-symmetric bit for bit, which
+``is_t_symmetric(a, 0.0)`` decides on the slices, :func:`t_schur` and
 :func:`t_jordan` take the Hermitian route: one batched eigensolve per
 batch (:func:`kernels.hermitian_stack`), whose real eigenvalues give an
 f-diagonal t and j and whose orthogonal u is also a perfectly conditioned
@@ -48,7 +49,6 @@ from .fourier import (
     FourierBlocks,
     assemble_real,
     inverse_transform,
-    real_forced_indices,
     real_tolerance,
     to_fourier,
 )
@@ -151,9 +151,16 @@ def is_f_upper_block_bidiagonal(
 
 @verifying
 def is_t_symmetric(t: Tensor3, tol: float) -> bool:
+    """Whether max|t - t^T| <= tol: an exact slice-domain residual, taken
+    on views of the slices with no transform, slice 0 first.  At tol 0 it
+    is bit-for-bit symmetry; a difference beyond the float64 range is
+    inf, so a finite tol refuses it."""
     _require_square(t, "t-symmetry")
-    ft = to_fourier(t)
-    return ft.distance(ft.T) <= tol
+    s = t.array
+    if np.abs(s[0] - s[0].T).max() > tol:
+        return False
+    rest = s[1:] - s[:0:-1].transpose(0, 2, 1)
+    return bool(np.abs(rest).max(initial=0.0) <= tol)
 
 
 @verifying
@@ -192,27 +199,19 @@ def _band_residual(
     return float(np.abs(stack[:, mask]).max(initial=0.0))
 
 
-def _exactly_t_symmetric(a: Tensor3) -> bool:
-    """Whether the square-sliced a equals its t-transpose bit for bit, on
-    views of its slices: no tolerance, so a near-symmetric tensor is not."""
-    s = a.array
-    return np.array_equal(s[0], s[0].T) and np.array_equal(
-        s[1:], s[:0:-1].transpose(0, 2, 1))
-
-
 def _paired_forms(a: Tensor3, name: str, kernel):
     """Real factors (x, y) with a = x * y * x^{-1}, from ``kernel`` on the
     half spectrum (:func:`kernels.hermitian_stack` if a is exactly
     t-symmetric); y's partition, read off its real-forced blocks (see
     TSchurResult); and the realness pair."""
     _require_square(a, name)
-    if _exactly_t_symmetric(a):
+    if is_t_symmetric(a, 0.0):
         kernel = kernels.hermitian_stack
     p = a.dims[2]
-    x, y = to_fourier(a).map(kernel)
-    forced = np.abs(y[list(real_forced_indices(p))].real).max(axis=0)
+    x, y = (FourierBlocks(f, p) for f in to_fourier(a).map(kernel))
+    forced = np.abs(y.blocks[list(y.real_forced)].real).max(axis=0)
     partition = kernels._scan_quasi_partition(forced)
-    (x, y), realness = _assemble(FourierBlocks(x, p), FourierBlocks(y, p))
+    (x, y), realness = _assemble(x, y)
     return x, y, partition, realness
 
 
@@ -497,21 +496,16 @@ def t_svd_naive_real_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unpaired blockwise SVD assembly; returns complex (u, s, v) stacks.
 
-    Real SVDs are used on the real-forced blocks and complex SVDs on every
-    other block independently (both partners computed, nothing mirrored):
-    one :func:`kernels.svd_stack` call on each of the two stacks.
-    Nothing couples conjugate blocks, so realness of the assembled factors
-    is down to luck.
+    Blocks 0..floor(p/2) get the SVDs :func:`t_svd` maps (real ones on the
+    real-forced blocks), and their partners floor(p/2)+1..p-1 complex SVDs
+    of their own, in one more :func:`kernels.svd_stack` call (both partners
+    computed, nothing mirrored).  Nothing couples conjugate blocks, so
+    realness of the assembled factors is down to luck.
     """
     m, n, p = a.dims
-    blocks = to_fourier(a).full()
-    forced = np.isin(np.arange(p), real_forced_indices(p))
-    families = [np.empty((p, m, m), complex), np.empty((p, m, n), complex),
-                np.empty((p, n, n), complex)]
-    for batch, stack in ((forced, blocks[forced].real), (~forced, blocks[~forced])):
-        if batch.any():
-            u, sigma, v = kernels.svd_stack(stack)
-            parts = (u, kernels.sigma_matrices(sigma, m, n), v)
-            for family, part in zip(families, parts):
-                family[batch] = part
-    return tuple(inverse_transform(family) for family in families)
+    fb = to_fourier(a)
+    half = fb.map(kernels.svd_stack)
+    rest = kernels.svd_stack(fb.full()[p // 2 + 1:])
+    u, sigma, v = (np.concatenate(pair) for pair in zip(half, rest))
+    return tuple(inverse_transform(f)
+                 for f in (u, kernels.sigma_matrices(sigma, m, n), v))

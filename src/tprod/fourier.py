@@ -33,12 +33,16 @@ The residual reports verify on the half spectrum too.  ``@``, ``.T``,
 t-product, transpose, power and identity on blocks 0..floor(p/2), and
 :meth:`FourierBlocks.distance` measures an identity as max|lhs - rhs| over
 the slices, with one certified irfft of its residual blocks.  A residual
-beyond the float64 range is a MathError.
+beyond the float64 range is a MathError.  :func:`core.tprod`'s Fourier
+path is the same ``@``, turned back into slices by the same certified
+irfft.
 
 Blockwise maps run on one engine, :meth:`FourierBlocks.map`.  It runs a
 stacked kernel once on the real parts of the real-forced blocks and once
-on the complex rest, names the Fourier block of a failure, and joins the
-results over blocks 0..floor(p/2).  Every op runs its kernels on it.
+on the complex rest, names the Fourier block of a kernel failure, and
+joins the results over blocks 0..floor(p/2).  Every op runs its kernels
+on it, and no other code batches the real-forced blocks apart from the
+complex ones.
 :func:`lift_multi`, a per-matrix front end that no op calls any more, is
 kept only until the benchmark stops tracing it.
 
@@ -228,9 +232,12 @@ class FourierBlocks:
         family comes back joined over blocks 0..floor(p/2), as a tuple even
         when ``fn`` returns one array.  If a batch fails, every block is
         re-run alone in index order, so that the first failing Fourier
-        block is named whatever the batching: a :class:`MathError` comes
-        out with ``block_index`` set to it and any other failure as a
-        BlockOpError.
+        block is named whatever the batching.  Only the failures kernels
+        raise are named: a :class:`MathError` comes out with
+        ``block_index`` set to it, and a ValueError (a non-finite block
+        refused, or np.linalg.LinAlgError from an unguarded ``inv``) as a
+        BlockOpError.  Any other exception, a programming error in a
+        kernel or in ``fn``, propagates as itself.
         """
         batches = [(list(self.real_forced), True)]
         if self.p > 2:
@@ -245,7 +252,7 @@ class FourierBlocks:
         for indices, real in batches:
             try:
                 outs.append(call(indices, real))
-            except Exception:
+            except (MathError, ValueError):  # LinAlgError is a ValueError
                 self._raise_at_first_block(call)
                 raise
         joined = []
@@ -264,7 +271,7 @@ class FourierBlocks:
                 if exc.block_index is None:
                     exc.block_index = k
                 raise
-            except Exception as exc:
+            except ValueError as exc:
                 raise BlockOpError(f"block operation failed: {exc}", k) from exc
 
 
@@ -402,8 +409,8 @@ def lift_multi(
     ``op(block, k)`` gets :meth:`FourierBlocks.block` (real on the
     real-forced indices) and returns a tuple of matrices; each factor
     family comes back as one :class:`FourierBlocks`.  A failure is named as
-    by :meth:`FourierBlocks.map`; a result that is not a tuple, or a
-    complex factor at a real-forced block, is a BlockOpError.
+    by :meth:`FourierBlocks.map`, so a complex factor at a real-forced
+    block is a BlockOpError; a result that is not a tuple is a TypeError.
     """
 
     def per_block(stack, indices):
@@ -416,15 +423,8 @@ def lift_multi(
                 )
         families = tuple(np.stack(family) for family in zip(*outs))
         if not np.iscomplexobj(stack) and any(map(np.iscomplexobj, families)):
-            raise TypeError("a factor is complex at a real-forced block")
+            raise ValueError("a factor is complex at a real-forced block")
         return families
 
     families = fb.map(per_block, np.arange(fb.p // 2 + 1))
     return tuple(FourierBlocks(family, fb.p) for family in families)
-
-
-def tprod_fourier(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Transform-domain t-product: rfft, one stacked product of blocks
-    0..floor(p/2), and an irfft that certifies the DC and Nyquist blocks."""
-    prods = np.fft.rfft(a.array, axis=0) @ np.fft.rfft(b.array, axis=0)
-    return Tensor3._wrap(_certified_irfft(prods, a.dims[2])[0])

@@ -1,5 +1,7 @@
 """Tests for the paired real factorizations and structural predicates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,52 @@ class TestHermitianRoute:
             expected = np.linalg.eigvalsh(block)
             assert max_abs(np.diag(t_block) - expected) <= 1e-12 * (
                 1 + max_abs(expected))
+
+
+@st.composite
+def symmetry_cases(draw):
+    """An n x n x p tensor (n in 1..5, p in 1..70): dense, t_symmetric, or
+    t_symmetric with one entry moved by one ulp."""
+    n, p = draw(st.integers(1, 5)), draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["dense", "t_symmetric", "ulp"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind != "ulp":
+        return gen(seed, n, n, p, kind)
+    arr = gen(seed, n, n, p, "t_symmetric").array.copy()
+    k, i, j = (draw(st.integers(0, d - 1)) for d in (p, n, n))
+    arr[k, i, j] = np.nextafter(arr[k, i, j], draw(st.sampled_from([-2.0, 2.0])))
+    return Tensor3(arr)
+
+
+class TestTSymmetry:
+    """is_t_symmetric measures max|t - t^T| exactly on the slices, and at
+    tol 0 it decides the Hermitian route of t_schur and t_jordan."""
+
+    @settings(max_examples=80)
+    @given(symmetry_cases())
+    def test_exact_residual_and_route(self, a):
+        symmetric = a == transpose(a)
+        assert is_t_symmetric(a, 0.0) == symmetric
+        residual = max_abs((a - transpose(a)).array)
+        assert is_t_symmetric(a, residual)
+        if residual:
+            assert not is_t_symmetric(a, np.nextafter(residual, 0.0))
+        if symmetric:
+            assert is_f_diagonal(t_schur(a).t, 0.0)
+
+    @pytest.mark.parametrize("n, p", [(4, 512), (64, 16), (16, 128)])
+    def test_generated_t_symmetric_is_exact(self, n, p):
+        for seed in range(20):
+            assert is_t_symmetric(gen(seed, n, n, p, "t_symmetric"), 0.0)
+
+    def test_an_overflowing_difference_is_not_symmetric(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_t_symmetric(scalar_mul(1e308, gen(0, 3, 3, 4)), 0.0)
+
+    def test_symmetric_at_the_top_of_the_range(self):
+        a = scalar_mul(1e308, gen(0, 3, 3, 4, "t_symmetric"))
+        assert is_t_symmetric(a, 0.0)
 
 
 class TestIdempotent:

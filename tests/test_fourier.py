@@ -514,12 +514,17 @@ class TestLift:
 
         def explode(block, k):
             if k == 2:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return (block,)
 
         with pytest.raises(BlockOpError) as excinfo:
             lift_multi(fb, explode)
         assert excinfo.value.block_index == 2
+
+    def test_a_result_that_is_not_a_tuple_propagates(self):
+        fb = to_fourier(gen(2, 2, 2, 4))
+        with pytest.raises(TypeError, match="tuple of matrices"):
+            lift_multi(fb, lambda b, k: b)
 
     def test_complex_output_on_real_forced_block_rejected(self):
         fb = to_fourier(gen(2, 2, 2, 4))
@@ -565,7 +570,7 @@ class TestLiftProperties:
     @given(lift_cases(), st.booleans())
     def test_failure_names_its_block(self, case, math_error):
         t, bad = case
-        exc_type = DefectiveBlock if math_error else RuntimeError
+        exc_type = DefectiveBlock if math_error else ValueError
 
         def op(block, k):
             if k == bad:
@@ -594,7 +599,7 @@ class TestMapBatches:
         t, bad = case
         fb = to_fourier(t)
         target = fb.block(bad)
-        exc_type = DefectiveBlock if math_error else RuntimeError
+        exc_type = DefectiveBlock if math_error else ValueError
 
         def fn(stack):
             if any(np.array_equal(blk, target) for blk in stack):
@@ -605,6 +610,16 @@ class TestMapBatches:
             fb.map(fn)
         assert excinfo.value.block_index == bad
         assert str(excinfo.value).count("Fourier block") == 1
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_a_programming_error_is_not_a_block_failure(self, p):
+        fb = to_fourier(gen(p, 2, 2, p))
+
+        def fn(stack):
+            raise TypeError("oops")
+
+        with pytest.raises(TypeError, match="^oops$"):
+            fb.map(fn)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
     def test_identity_round_trip(self, p):
@@ -631,7 +646,7 @@ class TestMapBatches:
         assert [k for ks in calls for k in ks] == map_order(fb)
         assert len(calls) == (1 if fb.p <= 2 else 2)
 
-        exc_type = DefectiveBlock if math_error else RuntimeError
+        exc_type = DefectiveBlock if math_error else ValueError
 
         def fail_at_bad(stack, k):
             if bad in k:
