@@ -7,6 +7,9 @@ pseudoinverses from thin SVDs and the t-SVD route from full ones; their
 agreement is a built-in cross-check, and :func:`penrose_report`
 certifies either.  Every rank decision is relative to the tensor's scale
 S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
+:func:`t_index`, :func:`t_drazin` and :func:`t_group` decide Drazin index
+0 once per tensor, by the test :func:`t_inverse` decides invertibility
+by, so on an invertible tensor they run its block map and nothing else.
 Residual allowances scale quadratically with the data magnitude because
 the defining identities are triple products.  The reports check those
 identities on the half spectra of their operands (see :mod:`tprod.report`).
@@ -15,7 +18,6 @@ identities on the half spectra of their operands (see :mod:`tprod.report`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,6 +48,20 @@ def _spectrum_cutoff(fb: FourierBlocks):
     return sigma, kernels.rank_cutoff(sigma, fb.dims)
 
 
+def _inverse_if_invertible(fb: FourierBlocks, sigma: np.ndarray,
+                           cutoff: kernels.RankCutoff) -> tuple:
+    """``(blocks, None)``: the inverse of every Fourier block, by one
+    stacked LU ``inv`` per batch, when each block's smallest singular value
+    ``sigma`` lies above the cutoff (:meth:`~kernels.RankCutoff.invertible`);
+    else ``(None, k)`` with k the first block that fails.  The one
+    invertible route of :func:`t_inverse`, :func:`t_drazin` and
+    :func:`t_group`."""
+    singular = np.flatnonzero(~cutoff.invertible(sigma))
+    if singular.size:
+        return None, int(singular[0])
+    return fb.map(np.linalg.inv)[0], None
+
+
 def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
     """The half spectrum of the t-inverse, and the singular values of the
     blocks that decided it exists: every block's smallest singular value
@@ -53,16 +69,15 @@ def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
     block where it does not."""
     _require_square(fb, "t_inverse")
     sigma, cutoff = _spectrum_cutoff(fb)
-    sigma_min = sigma[:, -1]
-    singular = np.flatnonzero(~(sigma_min > cutoff.at()))
-    if singular.size:
-        k = int(singular[0])
+    x, k = _inverse_if_invertible(fb, sigma, cutoff)
+    if x is None:
+        sigma_min = float(sigma[k, -1])
         raise Singular(
-            f"not invertible (smallest singular value {sigma_min[k]:.3e})",
+            f"not invertible (smallest singular value {sigma_min:.3e})",
             block_index=k,
-            sigma_min=float(sigma_min[k]),
+            sigma_min=sigma_min,
         )
-    return FourierBlocks(*fb.map(np.linalg.inv), fb.p), sigma
+    return FourierBlocks(x, fb.p), sigma
 
 
 def t_inverse(a: Tensor3) -> Tensor3:
@@ -131,21 +146,32 @@ def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     return report.stop()
 
 
-def _drazin_blocks(a: Tensor3, name: str, fn: Callable) -> tuple:
-    """The Fourier blocks of the square-sliced ``a``, the tensor's rank
-    cutoff and ``fn(blocks, cutoff, sigma)`` over them, with their singular
-    values; ``name`` is the op that a non-square ``a`` is refused for."""
+def _drazin_blocks(a: Tensor3, name: str) -> tuple:
+    """The Fourier blocks of the square-sliced ``a``, their singular values
+    and the tensor's rank cutoff; ``name`` is the op that a non-square
+    ``a`` is refused for.
+
+    Drazin index 0 is decided from these once for the whole tensor, by
+    the test :func:`blockwise_inverse` decides Singular by
+    (:meth:`~kernels.RankCutoff.invertible`): when every block passes,
+    every index is 0, and :func:`t_drazin` and :func:`t_group` return the
+    inverse of :func:`_inverse_if_invertible`.  Any other tensor takes
+    :func:`kernels.drazin_indices` at that cutoff.
+    """
     _require_square(a, name)
     fb = to_fourier(a)
-    sigma, cutoff = _spectrum_cutoff(fb)
-    return fb, cutoff, fb.map(lambda blocks, s: fn(blocks, cutoff, s), sigma)
+    return (fb, *_spectrum_cutoff(fb))
 
 
 def t_index(a: Tensor3) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks,
-    decided by the same routine as :func:`t_drazin`."""
-    *_, (index,) = _drazin_blocks(
-        a, "t_index", lambda *args: kernels.drazin_indices(*args)[0])
+    decided by the same routine as :func:`t_drazin`; 0 exactly when
+    :func:`t_inverse` does not raise Singular."""
+    fb, sigma, cutoff = _drazin_blocks(a, "t_index")
+    if cutoff.invertible(sigma).all():
+        return 0
+    (index,) = fb.map(
+        lambda blocks, s: kernels.drazin_indices(blocks, cutoff, s)[0], sigma)
     return int(index.max())
 
 
@@ -160,45 +186,75 @@ def t_drazin(a: Tensor3) -> DrazinResult:
     """Drazin inverse; always exists as a real tensor.
 
     The tensor index is the largest matrix index over the Fourier blocks
-    (conjugate partners share theirs).  The blocks' indices and inverses
-    come from :func:`kernels.drazin_stack` on the half spectrum, which
-    inverts the blocks of index 0 as :func:`t_inverse` does; on an
-    invertible tensor the result is the t-inverse, bit for bit.
+    (conjugate partners share theirs).  An invertible tensor (index 0) is
+    inverted by the block map of :func:`t_inverse`, so its Drazin inverse
+    is the t-inverse bit for bit by construction; any other tensor takes
+    :func:`kernels.drazin_stack` on the half spectrum.
     """
-    fb, _, (x, index) = _drazin_blocks(a, "t_drazin", kernels.drazin_stack)
+    fb, sigma, cutoff = _drazin_blocks(a, "t_drazin")
+    x, _ = _inverse_if_invertible(fb, sigma, cutoff)
+    index = 0
+    if x is None:
+        x, indices = fb.map(
+            lambda blocks, s: kernels.drazin_stack(blocks, cutoff, s), sigma)
+        index = int(indices.max())
     ad = assemble_real(FourierBlocks(x, fb.p))[0]
-    index = int(index.max())
     report = drazin_report(a, ad, index)
     return DrazinResult(ad, index, report)
 
 
 @verifying
 def drazin_report(a: Tensor3, ad: Tensor3, index: int) -> ResidualReport:
-    """Residuals of the three Drazin identities at the given index."""
+    """Residuals of the three Drazin identities at the given index.  At
+    index 0, A^0 = I and the power identity is A*A^D = I."""
     report = ResidualReport("drazin").start()
     t_gi = gi_tolerance(a)
     fa, fd = to_fourier(a), to_fourier(ad)
     ak = fa.power(index)
-    report.add_identity("power_identity", ak @ fa @ fd, ak, t_gi)
+    a_ad = fa @ fd
+    lhs = a_ad if index == 0 else ak @ fa @ fd
+    report.add_identity("power_identity", lhs, ak, t_gi)
     da = fd @ fa
     report.add_identity("outer_identity", da @ fd, fd, t_gi)
-    report.add_identity("commutation", fa @ fd, da, t_gi)
+    report.add_identity("commutation", a_ad, da, t_gi)
     return report.stop()
+
+
+def _index_and_square(blocks: np.ndarray, cutoff: kernels.RankCutoff,
+                      sigma: np.ndarray) -> tuple:
+    """The Drazin indices of a batch of blocks and their squares, the one
+    power beyond the blocks that a group inverse of index 1 is formed
+    from.  A batch of index 0 forms no square and passes its blocks in
+    its place, unread."""
+    index, powers = kernels.drazin_indices(blocks, cutoff, sigma)
+    return index, powers[2] if len(powers) > 2 else blocks
 
 
 def t_group(a: Tensor3) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
     both ranks taken at the tensor's rank cutoff: a Drazin index of at
-    most 1.  It is then the Drazin inverse, so both come from the block
-    map of :func:`t_drazin` (on an invertible tensor, the t-inverse bit for
-    bit); a failure names the first block of larger index."""
-    fb, cutoff, (x, index) = _drazin_blocks(a, "t_group", kernels.drazin_stack)
-    bad = np.flatnonzero(index > 1)
-    if bad.size:
-        k = int(bad[0])
-        exc = kernels.no_group_inverse(fb.block(k), cutoff)
-        exc.block_index = k
-        raise exc
+    most 1.  It is then the Drazin inverse, built as :func:`t_drazin`
+    builds it (on an invertible tensor, the t-inverse bit for bit by
+    construction).  Existence is decided from the indices of every block
+    before any block's inverse is formed, so a failure is
+    GroupInverseNotExist naming the first block of larger index, even
+    where the A_k^3 of another block would overflow.
+    """
+    fb, sigma, cutoff = _drazin_blocks(a, "t_group")
+    x, _ = _inverse_if_invertible(fb, sigma, cutoff)
+    if x is None:
+        index, square = fb.map(
+            lambda blocks, s: _index_and_square(blocks, cutoff, s), sigma)
+        over = np.flatnonzero(index > 1)
+        if over.size:
+            k = int(over[0])
+            exc = kernels.no_group_inverse(fb.block(k), cutoff)
+            exc.block_index = k
+            raise exc
+        (x,) = fb.map(
+            lambda blocks, i, sq: kernels.drazin_from_powers(
+                blocks, cutoff, i, [None, blocks, sq]),
+            index, square)
     return assemble_real(FourierBlocks(x, fb.p))[0]
 
 

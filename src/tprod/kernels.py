@@ -66,6 +66,12 @@ class RankCutoff:
         """Ranks from singular values ``sigma`` of shape (..., r)."""
         return np.count_nonzero(sigma > self.at(power), axis=-1)
 
+    def invertible(self, sigma: np.ndarray) -> np.ndarray:
+        """Whether each square matrix is invertible, from its singular
+        values ``sigma`` of shape (..., n), largest first: the smallest
+        lies above the cutoff, so its rank is n and its Drazin index 0."""
+        return sigma[..., -1] > self.at()
+
 
 def rank_cutoff(sigma, dims) -> RankCutoff:
     """The rank cutoff of an m x n x p tensor.
@@ -94,7 +100,7 @@ def _require_finite(a: np.ndarray) -> None:
 def _lapack(fn, failure: str, a: np.ndarray, **kwargs):
     """``fn(a, **kwargs)`` for numpy's svd, eig or eigh ``fn``: a non-finite
     ``a`` is refused, and a LinAlgError becomes ConvergenceError(failure).
-    np.linalg.inv, in drazin_stack and ginverses.blockwise_inverse, runs
+    np.linalg.inv, in drazin_from_powers and ginverses, runs
     unguarded: a guarded SVD of the same stack always runs before it."""
     _require_finite(a)
     try:
@@ -508,16 +514,28 @@ def drazin_indices(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
 
 
 def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
-    """Drazin inverses and indices of a stack of square matrices.
-
-    With k the index from :func:`drazin_indices`, a matrix of index 0 has
-    every singular value above the cutoff, so it is invertible and a^D is
-    its inverse: one stacked LU ``inv``, the kernel of ``t_inverse``.  For
-    k >= 1, a^D = a^k @ pinv(a^(2k+1)) @ a^k: one stacked pseudoinverse
-    per distinct index, with the cutoff of power 2k+1.  An a^(2k+1) beyond
-    the float64 range is the MathError of :func:`drazin_indices`.
-    """
+    """Drazin inverses and indices of a stack of square matrices: the
+    indices and powers of :func:`drazin_indices`, then
+    :func:`drazin_from_powers`.  The tensor ops invert an invertible tensor
+    without this kernel (``ginverses._inverse_if_invertible``), so among
+    them it serves only tensors with a block of index 1 or more."""
     index, powers = drazin_indices(stack, cutoff, sigma)
+    return drazin_from_powers(stack, cutoff, index, powers), index
+
+
+def drazin_from_powers(stack: np.ndarray, cutoff: RankCutoff,
+                       index: np.ndarray, powers: list) -> np.ndarray:
+    """Drazin inverses of a stack of square matrices from their indices k
+    and powers (``powers[j]`` = a^j up to j = max(k) + 1), as
+    :func:`drazin_indices` returns them.
+
+    A matrix of index 0 has every singular value above the cutoff, so it
+    is invertible and a^D is its inverse: one stacked LU ``inv``, the
+    kernel of ``t_inverse``.  For k >= 1, a^D = a^k @ pinv(a^(2k+1)) @ a^k:
+    one stacked pseudoinverse per distinct index, with the cutoff of power
+    2k+1.  An a^(2k+1) beyond the float64 range is the MathError of
+    :func:`drazin_indices`.
+    """
     out = np.empty(stack.shape, dtype=stack.dtype)
     for k in np.unique(index):
         group = index == k
@@ -531,7 +549,7 @@ def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
             raise MathError(POWER_OVERFLOW)
         middle = pinv_from_svd(*svd_reduced(odd), cutoff.at(2 * k + 1))
         out[group] = ak @ middle @ ak
-    return out, index
+    return out
 
 
 def _square_with_cutoff(a, name, cutoff):
@@ -560,12 +578,13 @@ def drazin_inverse(
 def group_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
     """Group inverse; exists iff rank(a^2) == rank(a), i.e. the Drazin
     index is at most 1, and is then the Drazin inverse.  The failure is
-    :func:`no_group_inverse`, as in ``ginverses.t_group``."""
+    :func:`no_group_inverse`, as in ``ginverses.t_group``, decided from the
+    index before a^3 is formed."""
     a, sigma, cutoff = _square_with_cutoff(a, "group_inverse", cutoff)
-    ad, index = drazin_stack(a[None], cutoff, sigma[None])
+    index, powers = drazin_indices(a[None], cutoff, sigma[None])
     if index[0] > 1:
         raise no_group_inverse(a, cutoff)
-    return ad[0]
+    return drazin_from_powers(a[None], cutoff, index, powers)[0]
 
 
 def no_group_inverse(a: np.ndarray, cutoff: RankCutoff) -> GroupInverseNotExist:

@@ -254,6 +254,79 @@ class TestTDrazin:
         t_group(rd)
         assert len(calls) >= 1
 
+    def test_invertible_runs_no_index_machinery(self, monkeypatch):
+        calls = []
+        for name in ("drazin_indices", "drazin_stack"):
+            kernel = getattr(kernels, name)
+
+            def counting(*args, _name=name, _kernel=kernel, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(f"tprod.kernels.{name}", counting)
+        for kind in ("dense", "t_symmetric"):
+            a = gen(3, 3, 3, 5, kind)
+            assert t_drazin(a).index == t_index(a) == 0
+            t_group(a)
+        assert calls == []
+        # tensors with a block of index >= 1 keep the index route
+        for a in (mixed_index_tensor(), gen(10, 2, 2, 4, "rank_deficient")):
+            for op in (t_drazin, t_group, t_index):
+                calls.clear()
+                try:
+                    op(a)
+                except GroupInverseNotExist:
+                    pass
+                assert calls
+
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(1, 5),
+        p=st.integers(1, 9),
+        kind=st.sampled_from(("dense", "t_symmetric", "rank_deficient")),
+        seed=st.integers(0, 2**16),
+        k=st.integers(0, 4),
+        e=st.floats(0.0, 18.0),
+    )
+    def test_index_zero_is_decided_as_t_inverse_decides_it(
+        self, n, p, kind, seed, k, e
+    ):
+        # one Fourier block scaled toward the rank cutoff by 10^-e
+        fb = to_fourier(gen(seed, n, n, p, kind))
+        blocks = np.array(fb.blocks)
+        blocks[k % len(blocks)] *= 10.0**-e
+        a = assemble_real(FourierBlocks(blocks, p))[0]
+        fa = to_fourier(a)
+        sigma, cutoff = ginverses._spectrum_cutoff(fa)
+        (index,) = fa.map(
+            lambda b, s: kernels.drazin_indices(b, cutoff, s)[0], sigma)
+        invertible = bool(cutoff.invertible(sigma).all())
+        assert invertible == bool((index == 0).all())
+        try:
+            inv = t_inverse(a).array
+        except Singular:
+            assert not invertible
+            assert t_index(a) == t_drazin(a).index == int(index.max()) > 0
+            return
+        assert invertible
+        res = t_drazin(a)
+        assert res.index == t_index(a) == 0
+        np.testing.assert_array_equal(res.ad.array, inv)
+        np.testing.assert_array_equal(t_group(a).array, inv)
+
+    def test_report_power_identity_is_a_times_ad_at_index_zero(self):
+        # at index 0 the power identity (A^0*A)*A^D = A^0 is measured as
+        # A*A^D = I, to the same residual
+        for n in range(1, 6):
+            for p in range(1, 10):
+                for kind in ("dense", "t_symmetric", "rank_deficient"):
+                    a = gen(7 * n + p, n, n, p, kind)
+                    res = t_drazin(a)
+                    fa, fd = to_fourier(a), to_fourier(res.ad)
+                    ak = fa.power(res.index)
+                    old = (ak @ fa @ fd).distance(ak)
+                    assert res.report.residual("power_identity") == old
+
     def test_nilpotent_block(self):
         res = t_drazin(nilpotent_block_tensor())
         assert res.index == 2
@@ -318,6 +391,34 @@ class TestTGroup:
         with pytest.raises(GroupInverseNotExist) as excinfo:
             t_group(nilpotent_block_tensor())
         assert excinfo.value.block_index == 0
+
+    def test_existence_decided_before_the_odd_power_overflows(self):
+        # index 2: A^k = s^k e_11 for k >= 2, so the A^3 of the index pass
+        # is finite, the A^5 a Drazin inverse would form is not at s = 1e70,
+        # and no group inverse exists at any s
+        errors = []
+        for s in (1.0, 1e50, 1e70):
+            a = Tensor3(np.array([[[s, 0, 0], [0, 0, s], [0, 0, 0]]]))
+            assert t_index(a) == 2
+            with pytest.raises(GroupInverseNotExist) as excinfo:
+                t_group(a)
+            errors.append(excinfo.value)
+            with pytest.raises(GroupInverseNotExist):
+                group_inverse(a.array[0])
+        for exc in errors:
+            assert exc.block_index == 0
+            assert (exc.rank, exc.rank_sq) == (2, 1)
+        # across batches: real-forced block 0 has index 1 and an A^3 beyond
+        # the float64 range, complex block 1 has index 2; existence is
+        # decided from both before block 0's inverse is formed
+        blocks = np.zeros((2, 3, 3), dtype=complex)
+        blocks[0] = np.diag([1e110, 0, 0])
+        blocks[1] = [[1e100, 0, 0], [0, 0, 1e100], [0, 0, 0]]
+        a = assemble_real(FourierBlocks(blocks, 3))[0]
+        assert t_index(a) == 2
+        with pytest.raises(GroupInverseNotExist) as excinfo:
+            t_group(a)
+        assert excinfo.value.block_index == 1
 
     def test_matches_drazin_when_exists(self):
         for seed in range(10):
