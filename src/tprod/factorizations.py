@@ -52,7 +52,7 @@ from .fourier import (
     real_tolerance,
     to_fourier,
 )
-from .ginverses import blockwise_inverse
+from .ginverses import _Spectrum, blockwise_inverse
 from .report import ResidualReport, verifying
 
 
@@ -446,11 +446,10 @@ def idempotent_factorization(a: Tensor3) -> IdempotentFactorization:
     decide e.
     """
     _require_square(a, "idempotent_factorization")
-    p = a.dims[2]
-    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
-    cutoff = kernels.rank_cutoff(sigma, a.dims)
-    factors = kernels.rank_normal_factors(u, sigma, v, cutoff)
-    (u, e, v), realness = _assemble(*(FourierBlocks(f, p) for f in factors))
+    spec = _Spectrum(to_fourier(a), kernels.svd_stack)
+    factors = kernels.rank_normal_factors(*spec.families, spec.cutoff)
+    (u, e, v), realness = _assemble(*(FourierBlocks(f, spec.fb.p)
+                                      for f in factors))
     report = idem_report(a, u, e, v, realness=realness)
     return IdempotentFactorization(u, e, v, report)
 

@@ -91,6 +91,11 @@ def real_forced_indices(p: int) -> tuple[int, ...]:
     return (0, p // 2) if p % 2 == 0 and p > 1 else (0,)
 
 
+def real_forced_slice(p: int) -> slice:
+    """:func:`real_forced_indices` as a slice, which indexes a view."""
+    return slice(None, None, p // 2) if p % 2 == 0 else slice(1)
+
+
 @dataclass(frozen=True, eq=False)
 class FourierBlocks:
     """The Fourier blocks 0..floor(p/2) of a real m x n x p tensor.
@@ -239,7 +244,7 @@ class FourierBlocks:
         BlockOpError.  Any other exception, a programming error in a
         kernel or in ``fn``, propagates as itself.
         """
-        batches = [(list(self.real_forced), True)]
+        batches = [(real_forced_slice(self.p), True)]
         if self.p > 2:
             batches.append((slice(1, (self.p + 1) // 2), False))
 
@@ -325,8 +330,7 @@ def _certified_irfft(half: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     not certified: the slices are then non-finite too, and the callers
     refuse them, as they do the slices of a transform that overflowed.
     """
-    # the real-forced blocks 0 and, p even, p/2, as a view
-    edge = half.imag[::p // 2] if p % 2 == 0 else half.imag[:1]
+    edge = half.imag[real_forced_slice(p)]
     max_imag = float(np.abs(edge).sum(axis=0).max()) / p if edge.any() else 0.0
     if max_imag and math.isfinite(max_imag):
         tol = pair_tolerance(float(np.abs(half).max()))

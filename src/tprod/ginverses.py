@@ -5,8 +5,8 @@ domain, which implies the conjugate partners, so every output is a real
 tensor.  The Moore-Penrose inverse has two routes, blockwise matrix
 pseudoinverses from thin SVDs and the t-SVD route from full ones; their
 agreement is a built-in cross-check, and :func:`penrose_report`
-certifies either.  Every rank decision is relative to the tensor's scale
-S = max_k sigma_1(A_k) (see :func:`kernels.rank_cutoff`).
+certifies either.  Every op takes its rank decisions, at the tensor's
+scale S = max_k sigma_1(A_k), from one :class:`_Spectrum` built once.
 :func:`t_index`, :func:`t_drazin` and :func:`t_group` decide Drazin index
 0 once per tensor, by the test :func:`t_inverse` decides invertibility
 by, so on an invertible tensor they run its block map and nothing else.
@@ -18,6 +18,7 @@ identities on the half spectra of their operands (see :mod:`tprod.report`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,43 +42,65 @@ def gi_tolerance(a: Tensor3) -> float:
         ) from None
 
 
-def _spectrum_cutoff(fb: FourierBlocks):
-    """The singular values of the Fourier blocks and the tensor's rank
-    cutoff taken from them."""
-    (sigma,) = fb.map(kernels.singular_values)
-    return sigma, kernels.rank_cutoff(sigma, fb.dims)
+class _Spectrum:
+    """One op's half spectrum ``fb``, the result families of the SVD
+    ``kernel`` it runs on it, their singular values ``sigma`` (the
+    kernel's only or second result) and the tensor's rank cutoff
+    (:func:`kernels.rank_cutoff`): the one source of the op's decisions."""
 
+    def __init__(self, fb: FourierBlocks, kernel: Callable):
+        self.fb = fb
+        self.families = fb.map(kernel)
+        self.sigma = self.families[0 if len(self.families) == 1 else 1]
+        self.cutoff = kernels.rank_cutoff(self.sigma, fb.dims)
 
-def _inverse_if_invertible(fb: FourierBlocks, sigma: np.ndarray,
-                           cutoff: kernels.RankCutoff) -> tuple:
-    """``(blocks, None)``: the inverse of every Fourier block, by one
-    stacked LU ``inv`` per batch, when each block's smallest singular value
-    ``sigma`` lies above the cutoff (:meth:`~kernels.RankCutoff.invertible`);
-    else ``(None, k)`` with k the first block that fails.  The one
-    invertible route of :func:`t_inverse`, :func:`t_drazin` and
-    :func:`t_group`."""
-    singular = np.flatnonzero(~cutoff.invertible(sigma))
-    if singular.size:
-        return None, int(singular[0])
-    return fb.map(np.linalg.inv)[0], None
+    def singular_block(self) -> int | None:
+        """The first block whose smallest singular value lies at or below
+        the cutoff (:meth:`~kernels.RankCutoff.invertible`); None when
+        there is none, so the tensor is invertible and of Drazin index 0."""
+        singular = np.flatnonzero(~self.cutoff.invertible(self.sigma))
+        return int(singular[0]) if singular.size else None
+
+    def inverse(self) -> np.ndarray:
+        """The inverse of every block, by one stacked LU ``inv`` per batch."""
+        return self.fb.map(np.linalg.inv)[0]
+
+    def map(self, kernel: Callable, *args) -> tuple:
+        """:meth:`FourierBlocks.map` of ``kernel(blocks, cutoff, sigma,
+        *args)``, with sigma and ``args`` split like the blocks."""
+        return self.fb.map(
+            lambda blocks, sigma, *rest: kernel(blocks, self.cutoff, sigma,
+                                                *rest),
+            self.sigma, *args)
+
+    def pinv(self, vh: np.ndarray, below: float = 0.0) -> np.ndarray:
+        """:func:`kernels.pinv_from_svd` at the cutoff, of the blocks' SVDs
+        with right factors ``vh``."""
+        u, sigma = self.families[:2]
+        return kernels.pinv_from_svd(u, sigma, vh, self.cutoff.at(), below)
+
+    def real(self, *families: np.ndarray) -> list[Tensor3]:
+        """The real tensors whose half spectra are ``families``."""
+        return [assemble_real(FourierBlocks(f, self.fb.p))[0]
+                for f in families]
 
 
 def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
     """The half spectrum of the t-inverse, and the singular values of the
-    blocks that decided it exists: every block's smallest singular value
-    must lie above the tensor's rank cutoff, or Singular names the first
-    block where it does not."""
+    blocks that decided it exists (:meth:`_Spectrum.singular_block`):
+    every block's smallest singular value must lie above the tensor's rank
+    cutoff, or Singular names the first block where it does not."""
     _require_square(fb, "t_inverse")
-    sigma, cutoff = _spectrum_cutoff(fb)
-    x, k = _inverse_if_invertible(fb, sigma, cutoff)
-    if x is None:
-        sigma_min = float(sigma[k, -1])
+    spec = _Spectrum(fb, kernels.singular_values)
+    k = spec.singular_block()
+    if k is not None:
+        sigma_min = float(spec.sigma[k, -1])
         raise Singular(
             f"not invertible (smallest singular value {sigma_min:.3e})",
             block_index=k,
             sigma_min=sigma_min,
         )
-    return FourierBlocks(x, fb.p), sigma
+    return FourierBlocks(spec.inverse(), fb.p), spec.sigma
 
 
 def t_inverse(a: Tensor3) -> Tensor3:
@@ -99,26 +122,19 @@ def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     return report.stop()
 
 
-def _pinv_from_block_svds(a: Tensor3, u, sigma, vh) -> Tensor3:
-    """The real tensor whose Fourier blocks are the pseudoinverses of a's,
-    from the SVDs of a's half spectrum, taken at a's rank cutoff."""
-    threshold = kernels.rank_cutoff(sigma, a.dims).at()
-    x = kernels.pinv_from_svd(u, sigma, vh, threshold)
-    return assemble_real(FourierBlocks(x, a.dims[2]))[0]
-
-
 def t_pinv_blocks(a: Tensor3) -> Tensor3:
     """Moore-Penrose inverse via blockwise matrix pseudoinverses, from the
     thin SVDs of the half spectrum."""
-    return _pinv_from_block_svds(a, *to_fourier(a).map(kernels.svd_reduced))
+    spec = _Spectrum(to_fourier(a), kernels.svd_reduced)
+    return spec.real(spec.pinv(spec.families[2]))[0]
 
 
 def t_pinv_svd(a: Tensor3) -> Tensor3:
     """Moore-Penrose inverse through the t-SVD a = u * s * v^T: the
     tensor v * pinv(s) * u^T, formed blockwise from the full SVDs of the
     half spectrum that :func:`~tprod.factorizations.t_svd` takes."""
-    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
-    return _pinv_from_block_svds(a, u, sigma, np.conj(v.swapaxes(-1, -2)))
+    spec = _Spectrum(to_fourier(a), kernels.svd_stack)
+    return spec.real(spec.pinv(np.conj(spec.families[2].swapaxes(-1, -2))))[0]
 
 
 def t_pinv(a: Tensor3, route: str = "blocks") -> Tensor3:
@@ -146,32 +162,15 @@ def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     return report.stop()
 
 
-def _drazin_blocks(a: Tensor3, name: str) -> tuple:
-    """The Fourier blocks of the square-sliced ``a``, their singular values
-    and the tensor's rank cutoff; ``name`` is the op that a non-square
-    ``a`` is refused for.
-
-    Drazin index 0 is decided from these once for the whole tensor, by
-    the test :func:`blockwise_inverse` decides Singular by
-    (:meth:`~kernels.RankCutoff.invertible`): when every block passes,
-    every index is 0, and :func:`t_drazin` and :func:`t_group` return the
-    inverse of :func:`_inverse_if_invertible`.  Any other tensor takes
-    :func:`kernels.drazin_indices` at that cutoff.
-    """
-    _require_square(a, name)
-    fb = to_fourier(a)
-    return (fb, *_spectrum_cutoff(fb))
-
-
 def t_index(a: Tensor3) -> int:
     """Drazin index of a tensor: largest matrix index over Fourier blocks,
-    decided by the same routine as :func:`t_drazin`; 0 exactly when
-    :func:`t_inverse` does not raise Singular."""
-    fb, sigma, cutoff = _drazin_blocks(a, "t_index")
-    if cutoff.invertible(sigma).all():
+    decided at the cutoff :func:`t_drazin` takes; 0 exactly when
+    :func:`t_inverse` does not raise Singular, by the same test."""
+    _require_square(a, "t_index")
+    spec = _Spectrum(to_fourier(a), kernels.singular_values)
+    if spec.singular_block() is None:
         return 0
-    (index,) = fb.map(
-        lambda blocks, s: kernels.drazin_indices(blocks, cutoff, s)[0], sigma)
+    index, _ = spec.map(_index_and_square)
     return int(index.max())
 
 
@@ -186,21 +185,20 @@ def t_drazin(a: Tensor3) -> DrazinResult:
     """Drazin inverse; always exists as a real tensor.
 
     The tensor index is the largest matrix index over the Fourier blocks
-    (conjugate partners share theirs).  An invertible tensor (index 0) is
-    inverted by the block map of :func:`t_inverse`, so its Drazin inverse
-    is the t-inverse bit for bit by construction; any other tensor takes
-    :func:`kernels.drazin_stack` on the half spectrum.
+    (conjugate partners share theirs).  An invertible tensor (index 0),
+    by the test of :func:`t_inverse`, is inverted by its block map, so its
+    Drazin inverse is the t-inverse bit for bit by construction; any other
+    tensor takes :func:`kernels.drazin_stack` at the same cutoff.
     """
-    fb, sigma, cutoff = _drazin_blocks(a, "t_drazin")
-    x, _ = _inverse_if_invertible(fb, sigma, cutoff)
-    index = 0
-    if x is None:
-        x, indices = fb.map(
-            lambda blocks, s: kernels.drazin_stack(blocks, cutoff, s), sigma)
+    _require_square(a, "t_drazin")
+    spec = _Spectrum(to_fourier(a), kernels.singular_values)
+    if spec.singular_block() is None:
+        x, index = spec.inverse(), 0
+    else:
+        x, indices = spec.map(kernels.drazin_stack)
         index = int(indices.max())
-    ad = assemble_real(FourierBlocks(x, fb.p))[0]
-    report = drazin_report(a, ad, index)
-    return DrazinResult(ad, index, report)
+    ad = spec.real(x)[0]
+    return DrazinResult(ad, index, drazin_report(a, ad, index))
 
 
 @verifying
@@ -224,38 +222,38 @@ def _index_and_square(blocks: np.ndarray, cutoff: kernels.RankCutoff,
                       sigma: np.ndarray) -> tuple:
     """The Drazin indices of a batch of blocks and their squares, the one
     power beyond the blocks that a group inverse of index 1 is formed
-    from.  A batch of index 0 forms no square and passes its blocks in
-    its place, unread."""
+    from (:func:`t_index` reads only the indices).  A batch of index 0
+    forms no square and passes its blocks in its place, unread."""
     index, powers = kernels.drazin_indices(blocks, cutoff, sigma)
     return index, powers[2] if len(powers) > 2 else blocks
 
 
 def t_group(a: Tensor3) -> Tensor3:
     """Group inverse; exists iff rank(A_k^2) = rank(A_k) for every block,
-    both ranks taken at the tensor's rank cutoff: a Drazin index of at
-    most 1.  It is then the Drazin inverse, built as :func:`t_drazin`
+    both ranks taken at the one cutoff of its spectrum: a Drazin index of
+    at most 1.  It is then the Drazin inverse, built as :func:`t_drazin`
     builds it (on an invertible tensor, the t-inverse bit for bit by
     construction).  Existence is decided from the indices of every block
     before any block's inverse is formed, so a failure is
     GroupInverseNotExist naming the first block of larger index, even
     where the A_k^3 of another block would overflow.
     """
-    fb, sigma, cutoff = _drazin_blocks(a, "t_group")
-    x, _ = _inverse_if_invertible(fb, sigma, cutoff)
-    if x is None:
-        index, square = fb.map(
-            lambda blocks, s: _index_and_square(blocks, cutoff, s), sigma)
-        over = np.flatnonzero(index > 1)
-        if over.size:
-            k = int(over[0])
-            exc = kernels.no_group_inverse(fb.block(k), cutoff)
-            exc.block_index = k
-            raise exc
-        (x,) = fb.map(
-            lambda blocks, i, sq: kernels.drazin_from_powers(
-                blocks, cutoff, i, [None, blocks, sq]),
-            index, square)
-    return assemble_real(FourierBlocks(x, fb.p))[0]
+    _require_square(a, "t_group")
+    spec = _Spectrum(to_fourier(a), kernels.singular_values)
+    if spec.singular_block() is None:
+        return spec.real(spec.inverse())[0]
+    index, square = spec.map(_index_and_square)
+    over = np.flatnonzero(index > 1)
+    if over.size:
+        k = int(over[0])
+        exc = kernels.no_group_inverse(spec.fb.block(k), spec.cutoff)
+        exc.block_index = k
+        raise exc
+    (x,) = spec.fb.map(
+        lambda blocks, i, sq: kernels.drazin_from_powers(
+            blocks, spec.cutoff, i, [None, blocks, sq]),
+        index, square)
+    return spec.real(x)[0]
 
 
 @verifying
@@ -290,12 +288,9 @@ def unit_regular_witness(a: Tensor3) -> UnitRegularWitness:
     every element of the square t-product ring unit regular.
     """
     _require_square(a, "unit_regular_witness")
-    u, sigma, v = to_fourier(a).map(kernels.svd_stack)
-    cutoff = kernels.rank_cutoff(sigma, a.dims)
-    u_rank, e, vh = kernels.rank_normal_factors(u, sigma, v, cutoff)
-    w = kernels.pinv_from_svd(u, sigma, vh, cutoff.at(), below=1.0)
-    u, e, v, w = (assemble_real(FourierBlocks(f, a.dims[2]))[0]
-                  for f in (u_rank, e, vh, w))
+    spec = _Spectrum(to_fourier(a), kernels.svd_stack)
+    u_rank, e, vh = kernels.rank_normal_factors(*spec.families, spec.cutoff)
+    u, e, v, w = spec.real(u_rank, e, vh, spec.pinv(vh, below=1.0))
     return UnitRegularWitness(w, u, e, v, witness_report(a, w))
 
 

@@ -517,8 +517,8 @@ def drazin_stack(stack: np.ndarray, cutoff: RankCutoff, sigma: np.ndarray):
     """Drazin inverses and indices of a stack of square matrices: the
     indices and powers of :func:`drazin_indices`, then
     :func:`drazin_from_powers`.  The tensor ops invert an invertible tensor
-    without this kernel (``ginverses._inverse_if_invertible``), so among
-    them it serves only tensors with a block of index 1 or more."""
+    without this kernel (``ginverses._Spectrum.inverse``), so among them
+    it serves only tensors with a block of index 1 or more."""
     index, powers = drazin_indices(stack, cutoff, sigma)
     return drazin_from_powers(stack, cutoff, index, powers), index
 

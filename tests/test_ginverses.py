@@ -1,5 +1,7 @@
 """Tests for the tensor generalized inverses."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -12,6 +14,7 @@ from tprod import (
     MathError,
     Singular,
     Tensor3,
+    TprodError,
     assemble_real,
     bcirc,
     gen,
@@ -297,7 +300,8 @@ class TestTDrazin:
         blocks[k % len(blocks)] *= 10.0**-e
         a = assemble_real(FourierBlocks(blocks, p))[0]
         fa = to_fourier(a)
-        sigma, cutoff = ginverses._spectrum_cutoff(fa)
+        spec = ginverses._Spectrum(fa, kernels.singular_values)
+        sigma, cutoff = spec.sigma, spec.cutoff
         (index,) = fa.map(
             lambda b, s: kernels.drazin_indices(b, cutoff, s)[0], sigma)
         invertible = bool(cutoff.invertible(sigma).all())
@@ -531,6 +535,127 @@ class TestOwnBlockSvds:
         for kind in ("dense", "rank_deficient"):
             assert unit_regular_witness(gen(80 + p, 3, 3, p, kind)).report.passed
         assert calls == []
+
+
+class TestDecisionBudget:
+    """The LAPACK calls (``kernels._lapack``, by function) and the rank
+    cutoffs (``kernels.rank_cutoff``) each op takes.  An op takes one
+    cutoff per tensor it judges, its report included: the witness judges
+    a and then, in witness_report, w, and tjordan_report judges p.  The
+    decisions add no SVD pass to the one the op runs."""
+
+    OPS = {
+        "t_svd": factorizations.t_svd,
+        "t_schur": factorizations.t_schur,
+        "t_jordan": factorizations.t_jordan,
+        "idem": factorizations.idempotent_factorization,
+        "t_inverse": t_inverse,
+        "t_pinv_blocks": t_pinv_blocks,
+        "t_pinv_svd": t_pinv_svd,
+        "t_drazin": t_drazin,
+        "t_index": t_index,
+        "t_group": t_group,
+        "witness": unit_regular_witness,
+    }
+
+    # per op, on 3x3x4 inputs (a real-forced and a complex batch) and
+    # mixed_index_tensor(); t_schur runs gees outside kernels._lapack
+    SQUARE = {
+        "dense": {
+            "t_svd": {"svd": 2},
+            "t_schur": {},
+            "t_jordan": {"eig": 2, "rank_cutoff": 1, "svd": 4},
+            "idem": {"rank_cutoff": 1, "svd": 2},
+            "t_inverse": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_blocks": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"rank_cutoff": 1, "svd": 2},
+            "t_index": {"rank_cutoff": 1, "svd": 2},
+            "t_group": {"rank_cutoff": 1, "svd": 2},
+            "witness": {"rank_cutoff": 2, "svd": 4},
+        },
+        "t_symmetric": {
+            "t_svd": {"svd": 2},
+            "t_schur": {"eigh": 2},
+            "t_jordan": {"eigh": 2, "rank_cutoff": 1, "svd": 2},
+            "idem": {"rank_cutoff": 1, "svd": 2},
+            "t_inverse": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_blocks": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"rank_cutoff": 1, "svd": 2},
+            "t_index": {"rank_cutoff": 1, "svd": 2},
+            "t_group": {"rank_cutoff": 1, "svd": 2},
+            "witness": {"rank_cutoff": 2, "svd": 4},
+        },
+        "rank_deficient": {
+            "t_svd": {"svd": 2},
+            "t_schur": {},
+            "t_jordan": {"eig": 2, "rank_cutoff": 1, "svd": 4},
+            "idem": {"rank_cutoff": 1, "svd": 2},
+            "t_inverse": {"rank_cutoff": 1, "svd": 2},  # Singular
+            "t_pinv_blocks": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"rank_cutoff": 1, "svd": 6},
+            "t_index": {"rank_cutoff": 1, "svd": 4},
+            "t_group": {"rank_cutoff": 1, "svd": 6},
+            "witness": {"rank_cutoff": 2, "svd": 4},
+        },
+        "mixed_index": {
+            "t_svd": {"svd": 2},
+            "t_schur": {},
+            "t_jordan": {"eig": 5, "svd": 5},  # DefectiveBlock
+            "idem": {"rank_cutoff": 1, "svd": 2},
+            "t_inverse": {"rank_cutoff": 1, "svd": 2},  # Singular
+            "t_pinv_blocks": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"rank_cutoff": 1, "svd": 7},
+            "t_index": {"rank_cutoff": 1, "svd": 5},
+            "t_group": {"rank_cutoff": 1, "svd": 7},  # GroupInverseNotExist
+            "witness": {"rank_cutoff": 2, "svd": 4},
+        },
+    }
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        made = Counter()
+        lapack, rank_cutoff = kernels._lapack, kernels.rank_cutoff
+
+        def counting_lapack(fn, *args, **kwargs):
+            made[fn.__name__] += 1
+            return lapack(fn, *args, **kwargs)
+
+        def counting_cutoff(*args, **kwargs):
+            made["rank_cutoff"] += 1
+            return rank_cutoff(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_lapack", counting_lapack)
+        monkeypatch.setattr(kernels, "rank_cutoff", counting_cutoff)
+        return made
+
+    def spent(self, counts, a, ops) -> dict:
+        out = {}
+        for name in ops:
+            counts.clear()
+            try:
+                self.OPS[name](a)
+            except TprodError:
+                pass
+            out[name] = dict(counts)
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(SQUARE))
+    def test_square_ops(self, counts, kind):
+        a = (mixed_index_tensor() if kind == "mixed_index"
+             else gen(1, 3, 3, 4, kind))
+        assert self.spent(counts, a, self.OPS) == self.SQUARE[kind]
+
+    def test_rectangular_ops(self, counts):
+        ops = ("t_svd", "t_pinv_blocks", "t_pinv_svd")
+        assert self.spent(counts, gen(1, 2, 3, 5), ops) == {
+            "t_svd": {"svd": 2},
+            "t_pinv_blocks": {"rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+        }
 
 
 class TestRealness:
