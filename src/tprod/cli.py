@@ -179,10 +179,11 @@ def _run_tprod(args) -> ResidualReport:
     c = tprod(a, b, path="direct")
     write_tensor(args.output, c)
     c_fourier = tprod(a, b, path="fourier")
-    report = ResidualReport("tprod").start()
-    scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
-    report.add("dual_path_agreement", (c - c_fourier).max_abs, 1e-11 * scale)
-    return report.stop()
+    with ResidualReport("tprod") as report:
+        scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
+        report.add("dual_path_agreement", (c - c_fourier).max_abs,
+                   1e-11 * scale)
+    return report
 
 
 def _run_op(args) -> ResidualReport:

@@ -32,8 +32,11 @@ ordering puts the 2x2 blocks of every real-forced block at the same
 positions counted from the end, and the complex blocks are triangular.
 Under ``verify`` the reports get no partition and detect one on the
 slices, raising PartitionViolation when none with blocks of size at most
-2 fits.  The realness residue of every op is exactly 0: real kernels run
-on the real-forced blocks, so the dropped imaginary parts are zeros.
+2 fits.  Each factorization appends the imaginary residue its inverse
+transforms dropped to its report as a last row, ``realness``; the report
+functions take only the real factors, as ``verify`` passes them, and have
+no such row.  The residue is exactly 0: real kernels run on the
+real-forced blocks, so the dropped imaginary parts are zeros.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .fourier import (
     FourierBlocks,
     assemble_real,
     inverse_transform,
+    real_forced_slice,
     real_tolerance,
     to_fourier,
 )
@@ -209,7 +213,7 @@ def _paired_forms(a: Tensor3, name: str, kernel):
         kernel = kernels.hermitian_stack
     p = a.dims[2]
     x, y = (FourierBlocks(f, p) for f in to_fourier(a).map(kernel))
-    forced = np.abs(y.blocks[list(y.real_forced)].real).max(axis=0)
+    forced = np.abs(y.blocks[real_forced_slice(p)].real).max(axis=0)
     partition = kernels._scan_quasi_partition(forced)
     (x, y), realness = _assemble(x, y)
     return x, y, partition, realness
@@ -257,45 +261,33 @@ def t_svd(a: Tensor3) -> TSvdResult:
     # the partners of blocks 1..ceil(p/2)-1 share their singular values
     k = np.arange(p)
     sigma = sigma[np.minimum(k, p - k)]
-    report = tsvd_report(a, u, s, v, realness=realness)
+    report = tsvd_report(a, u, s, v)
+    report.add("realness", *realness)
     return TSvdResult(u, s, v, report, sigma)
 
 
-@verifying
-def tsvd_report(
-    a: Tensor3,
-    u: Tensor3,
-    s: Tensor3,
-    v: Tensor3,
-    realness: tuple[float, float] | None = None,
-) -> ResidualReport:
+def tsvd_report(a: Tensor3, u: Tensor3, s: Tensor3, v: Tensor3) -> ResidualReport:
     """Residuals of the t-SVD identities for given factors."""
     m, n, p = a.dims
-    report = ResidualReport("tsvd").start()
-    t_rec = rec_tolerance(a)
-    t_orth = orth_tolerance(max(m, n), p)
-    fa, fu, fs, fv = (to_fourier(t) for t in (a, u, s, v))
-    report.add_identity("reconstruction", fu @ fs @ fv.T, fa, t_rec)
-    report.add("orthogonality_u", _orthogonality(fu), t_orth)
-    report.add("orthogonality_v", _orthogonality(fv), t_orth)
-    report.add("f_diagonal", off_diagonal_max(s), t_rec)
-    _add_realness(report, realness)
-    return report.stop()
+    with ResidualReport("tsvd") as report:
+        t_rec = rec_tolerance(a)
+        t_orth = orth_tolerance(max(m, n), p)
+        fa, fu, fs, fv = (to_fourier(t) for t in (a, u, s, v))
+        report.add_identity("reconstruction", fu @ fs @ fv.T, fa, t_rec)
+        report.add("orthogonality_u", _orthogonality(fu), t_orth)
+        report.add("orthogonality_v", _orthogonality(fv), t_orth)
+        report.add("f_diagonal", off_diagonal_max(s), t_rec)
+    return report
 
 
 def _assemble(*families: FourierBlocks) -> tuple[list[Tensor3], tuple]:
-    """The real tensors of factor families, and the realness pair of their
-    report: the largest certified residue and its allowance at the largest
-    block entry."""
+    """The real tensors of factor families, and the realness pair its op
+    adds to its report, last: the largest certified residue and its
+    allowance at the largest block entry."""
     assembled = [assemble_real(fb) for fb in families]
     residue = max(im for _, im in assembled)
     allowance = real_tolerance(max(fb.max_abs for fb in families), families[0].p)
     return [t for t, _ in assembled], (residue, allowance)
-
-
-def _add_realness(report: ResidualReport, realness) -> None:
-    if realness is not None:
-        report.add("realness", *realness)
 
 
 # ---------------------------------------------------------------------------
@@ -326,33 +318,29 @@ def t_schur(a: Tensor3) -> TSchurResult:
     The report checks t against the partition the construction gives.
     """
     u, t, partition, realness = _paired_forms(a, "t_schur", kernels.schur_stack)
-    report = tschur_report(a, u, t, partition, realness=realness)
+    report = tschur_report(a, u, t, partition)
+    report.add("realness", *realness)
     return TSchurResult(u, t, partition, report)
 
 
-@verifying
 def tschur_report(
-    a: Tensor3,
-    u: Tensor3,
-    t: Tensor3,
-    partition: tuple[int, ...] | None = None,
-    realness: tuple[float, float] | None = None,
+    a: Tensor3, u: Tensor3, t: Tensor3, partition: tuple[int, ...] | None = None
 ) -> ResidualReport:
     """Residuals of the t-Schur identities for given factors."""
     m, n, p = a.dims
     if partition is None:
         partition = _partition(t, bidiagonal=False)
-    report = ResidualReport("tschur").start()
-    fa, fu, ft = (to_fourier(x) for x in (a, u, t))
-    report.add_identity("reconstruction", fu @ ft @ fu.T, fa, rec_tolerance(a))
-    report.add("orthogonality_u", _orthogonality(fu), orth_tolerance(n, p))
-    report.add(
-        "quasi_triangularity",
-        _band_residual(t.array, partition, bidiagonal=False),
-        rec_tolerance(t),
-    )
-    _add_realness(report, realness)
-    return report.stop()
+    with ResidualReport("tschur") as report:
+        fa, fu, ft = (to_fourier(x) for x in (a, u, t))
+        report.add_identity("reconstruction", fu @ ft @ fu.T, fa,
+                            rec_tolerance(a))
+        report.add("orthogonality_u", _orthogonality(fu), orth_tolerance(n, p))
+        report.add(
+            "quasi_triangularity",
+            _band_residual(t.array, partition, bidiagonal=False),
+            rec_tolerance(t),
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +370,13 @@ def t_jordan(a: Tensor3) -> TJordanResult:
     does not (see t_jordan_naive).
     """
     pt, j, partition, realness = _paired_forms(a, "t_jordan", kernels.jordan_stack)
-    report = tjordan_report(a, pt, j, partition, realness=realness)
+    report = tjordan_report(a, pt, j, partition)
+    report.add("realness", *realness)
     return TJordanResult(pt, j, partition, report)
 
 
-@verifying
 def tjordan_report(
-    a: Tensor3,
-    pt: Tensor3,
-    j: Tensor3,
-    partition: tuple[int, ...] | None = None,
-    realness: tuple[float, float] | None = None,
+    a: Tensor3, pt: Tensor3, j: Tensor3, partition: tuple[int, ...] | None = None
 ) -> ResidualReport:
     """Residuals of the t-Jordan identities for given factors.
 
@@ -404,26 +388,26 @@ def tjordan_report(
     m, n, p = a.dims
     if partition is None:
         partition = _partition(j, bidiagonal=True)
-    report = ResidualReport("tjordan").start()
-    fp = to_fourier(pt)
-    p_inv, sigma = blockwise_inverse(fp)
-    # cap the conditioning multiplier where t_jordan refuses an eigenvector
-    # basis: beyond it the transform is numerically singular, and inflating
-    # the allowance further would let garbage factors verify
-    kappa = max(1.0, float((sigma[:, 0] / sigma[:, -1]).max()))
-    t_rec = rec_tolerance(a) * min(kappa, 1 / kernels.DEFECT_RANK_TOL)
-    fa, fj = to_fourier(a), to_fourier(j)
-    report.add_identity("reconstruction", fp @ fj @ p_inv, fa, t_rec)
-    report.add_identity(
-        "invertibility", fp @ p_inv, FourierBlocks.identity(n, p), t_rec
-    )
-    report.add(
-        "bidiagonal_structure",
-        _band_residual(j.array, partition, bidiagonal=True),
-        rec_tolerance(j),
-    )
-    _add_realness(report, realness)
-    return report.stop()
+    with ResidualReport("tjordan") as report:
+        fp = to_fourier(pt)
+        p_inv, sigma = blockwise_inverse(fp)
+        # cap the conditioning multiplier where t_jordan refuses an
+        # eigenvector basis: beyond it the transform is numerically
+        # singular, and inflating the allowance further would let garbage
+        # factors verify
+        kappa = max(1.0, float((sigma[:, 0] / sigma[:, -1]).max()))
+        t_rec = rec_tolerance(a) * min(kappa, 1 / kernels.DEFECT_RANK_TOL)
+        fa, fj = to_fourier(a), to_fourier(j)
+        report.add_identity("reconstruction", fp @ fj @ p_inv, fa, t_rec)
+        report.add_identity(
+            "invertibility", fp @ p_inv, FourierBlocks.identity(n, p), t_rec
+        )
+        report.add(
+            "bidiagonal_structure",
+            _band_residual(j.array, partition, bidiagonal=True),
+            rec_tolerance(j),
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -450,26 +434,19 @@ def idempotent_factorization(a: Tensor3) -> IdempotentFactorization:
     factors = kernels.rank_normal_factors(*spec.families, spec.cutoff)
     (u, e, v), realness = _assemble(*(FourierBlocks(f, spec.fb.p)
                                       for f in factors))
-    report = idem_report(a, u, e, v, realness=realness)
+    report = idem_report(a, u, e, v)
+    report.add("realness", *realness)
     return IdempotentFactorization(u, e, v, report)
 
 
-@verifying
-def idem_report(
-    a: Tensor3,
-    u: Tensor3,
-    e: Tensor3,
-    v: Tensor3,
-    realness: tuple[float, float] | None = None,
-) -> ResidualReport:
+def idem_report(a: Tensor3, u: Tensor3, e: Tensor3, v: Tensor3) -> ResidualReport:
     """Residuals of the idempotent factorization identities."""
-    report = ResidualReport("idem").start()
-    t_rec = rec_tolerance(a)
-    fa, fu, fe, fv = (to_fourier(t) for t in (a, u, e, v))
-    report.add_identity("reconstruction", fu @ fe @ fv, fa, t_rec)
-    report.add_identity("idempotency", fe @ fe, fe, t_rec)
-    _add_realness(report, realness)
-    return report.stop()
+    with ResidualReport("idem") as report:
+        t_rec = rec_tolerance(a)
+        fa, fu, fe, fv = (to_fourier(t) for t in (a, u, e, v))
+        report.add_identity("reconstruction", fu @ fe @ fv, fa, t_rec)
+        report.add_identity("idempotency", fe @ fe, fe, t_rec)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,8 @@ class FourierBlocks:
     # The verification algebra: the reports write each identity with these
     # on the half spectra of their operands and measure it by distance,
     # which refuses an overflow anywhere in its making as MathError.  Its
-    # products keep numpy's overflow warning, which the reports switch off
-    # (report.verifying).
+    # products keep numpy's overflow warning, which a report switches off
+    # while it runs (``with ResidualReport(...)``).
 
     def __matmul__(self, other: "FourierBlocks") -> "FourierBlocks":
         """The half spectrum of the t-product self * other: one stacked
@@ -383,13 +383,14 @@ def check_pairing(blocks) -> ResidualReport:
 def _pairing_report(blocks, p: int, tol: float, pair_dev=None) -> ResidualReport:
     """Realness of blocks 0 and, p even, p/2 (present in a full stack and
     in its half alike), with the conjugate-pairing residual if given."""
-    report = ResidualReport("check_pairing").start()
-    report.add("block1_realness", np.abs(blocks[0].imag).max(), tol)
-    if pair_dev is not None:
-        report.add("conjugate_pairing", pair_dev, tol)
-    if p % 2 == 0 and p > 1:
-        report.add("mid_block_realness", np.abs(blocks[p // 2].imag).max(), tol)
-    return report.stop()
+    with ResidualReport("check_pairing") as report:
+        report.add("block1_realness", np.abs(blocks[0].imag).max(), tol)
+        if pair_dev is not None:
+            report.add("conjugate_pairing", pair_dev, tol)
+        if p % 2 == 0 and p > 1:
+            report.add("mid_block_realness", np.abs(blocks[p // 2].imag).max(),
+                       tol)
+    return report
 
 
 def _require_paired(report: ResidualReport) -> None:

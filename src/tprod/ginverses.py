@@ -26,7 +26,7 @@ from . import kernels
 from .core import Tensor3, _require_square
 from .errors import MathError, Singular
 from .fourier import FourierBlocks, assemble_real, to_fourier
-from .report import ResidualReport, verifying
+from .report import ResidualReport
 
 
 def gi_tolerance(a: Tensor3) -> float:
@@ -109,17 +109,16 @@ def t_inverse(a: Tensor3) -> Tensor3:
     return assemble_real(blockwise_inverse(to_fourier(a))[0])[0]
 
 
-@verifying
 def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     """Residuals of a*x = x*a = identity."""
     m, n, p = a.dims
-    report = ResidualReport("tinv").start()
-    t_gi = gi_tolerance(a)
-    fa, fx = to_fourier(a), to_fourier(x)
-    eye = FourierBlocks.identity(n, p)
-    report.add_identity("left_inverse", fx @ fa, eye, t_gi)
-    report.add_identity("right_inverse", fa @ fx, eye, t_gi)
-    return report.stop()
+    with ResidualReport("tinv") as report:
+        t_gi = gi_tolerance(a)
+        fa, fx = to_fourier(a), to_fourier(x)
+        eye = FourierBlocks.identity(n, p)
+        report.add_identity("left_inverse", fx @ fa, eye, t_gi)
+        report.add_identity("right_inverse", fa @ fx, eye, t_gi)
+    return report
 
 
 def t_pinv_blocks(a: Tensor3) -> Tensor3:
@@ -147,19 +146,18 @@ def t_pinv(a: Tensor3, route: str = "blocks") -> Tensor3:
     raise ValueError(f"unknown pinv route {route!r}")
 
 
-@verifying
 def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     """Residuals of the four Penrose equations under the t-product."""
-    report = ResidualReport("pinv").start()
-    t_gi = gi_tolerance(a)
-    fa, fx = to_fourier(a), to_fourier(x)
-    ax = fa @ fx
-    xa = fx @ fa
-    report.add_identity("axa_equals_a", ax @ fa, fa, t_gi)
-    report.add_identity("xax_equals_x", xa @ fx, fx, t_gi)
-    report.add_identity("ax_t_symmetric", ax, ax.T, t_gi)
-    report.add_identity("xa_t_symmetric", xa, xa.T, t_gi)
-    return report.stop()
+    with ResidualReport("pinv") as report:
+        t_gi = gi_tolerance(a)
+        fa, fx = to_fourier(a), to_fourier(x)
+        ax = fa @ fx
+        xa = fx @ fa
+        report.add_identity("axa_equals_a", ax @ fa, fa, t_gi)
+        report.add_identity("xax_equals_x", xa @ fx, fx, t_gi)
+        report.add_identity("ax_t_symmetric", ax, ax.T, t_gi)
+        report.add_identity("xa_t_symmetric", xa, xa.T, t_gi)
+    return report
 
 
 def t_index(a: Tensor3) -> int:
@@ -201,21 +199,20 @@ def t_drazin(a: Tensor3) -> DrazinResult:
     return DrazinResult(ad, index, drazin_report(a, ad, index))
 
 
-@verifying
 def drazin_report(a: Tensor3, ad: Tensor3, index: int) -> ResidualReport:
     """Residuals of the three Drazin identities at the given index.  At
     index 0, A^0 = I and the power identity is A*A^D = I."""
-    report = ResidualReport("drazin").start()
-    t_gi = gi_tolerance(a)
-    fa, fd = to_fourier(a), to_fourier(ad)
-    ak = fa.power(index)
-    a_ad = fa @ fd
-    lhs = a_ad if index == 0 else ak @ fa @ fd
-    report.add_identity("power_identity", lhs, ak, t_gi)
-    da = fd @ fa
-    report.add_identity("outer_identity", da @ fd, fd, t_gi)
-    report.add_identity("commutation", a_ad, da, t_gi)
-    return report.stop()
+    with ResidualReport("drazin") as report:
+        t_gi = gi_tolerance(a)
+        fa, fd = to_fourier(a), to_fourier(ad)
+        ak = fa.power(index)
+        a_ad = fa @ fd
+        lhs = a_ad if index == 0 else ak @ fa @ fd
+        report.add_identity("power_identity", lhs, ak, t_gi)
+        da = fd @ fa
+        report.add_identity("outer_identity", da @ fd, fd, t_gi)
+        report.add_identity("commutation", a_ad, da, t_gi)
+    return report
 
 
 def _index_and_square(blocks: np.ndarray, cutoff: kernels.RankCutoff,
@@ -256,17 +253,16 @@ def t_group(a: Tensor3) -> Tensor3:
     return spec.real(x)[0]
 
 
-@verifying
 def group_report(a: Tensor3, g: Tensor3) -> ResidualReport:
     """Residuals of the three group-inverse identities."""
-    report = ResidualReport("group").start()
-    t_gi = gi_tolerance(a)
-    fa, fg = to_fourier(a), to_fourier(g)
-    ag, ga = fa @ fg, fg @ fa
-    report.add_identity("inner_identity", ag @ fa, fa, t_gi)
-    report.add_identity("outer_identity", ga @ fg, fg, t_gi)
-    report.add_identity("commutation", ag, ga, t_gi)
-    return report.stop()
+    with ResidualReport("group") as report:
+        t_gi = gi_tolerance(a)
+        fa, fg = to_fourier(a), to_fourier(g)
+        ag, ga = fa @ fg, fg @ fa
+        report.add_identity("inner_identity", ag @ fa, fa, t_gi)
+        report.add_identity("outer_identity", ga @ fg, fg, t_gi)
+        report.add_identity("commutation", ag, ga, t_gi)
+    return report
 
 
 @dataclass
@@ -294,16 +290,14 @@ def unit_regular_witness(a: Tensor3) -> UnitRegularWitness:
     return UnitRegularWitness(w, u, e, v, witness_report(a, w))
 
 
-@verifying
 def witness_report(a: Tensor3, w: Tensor3) -> ResidualReport:
     """Residuals of the unit-regular witness identities."""
     m, n, p = a.dims
-    report = ResidualReport("witness").start()
-    t_gi = gi_tolerance(a)
-    fa, fw = to_fourier(a), to_fourier(w)
-    report.add_identity("von_neumann", fa @ fw @ fa, fa, t_gi)
-    w_inv, _ = blockwise_inverse(fw)
-    report.add_identity(
-        "witness_invertibility", fw @ w_inv, FourierBlocks.identity(n, p), t_gi
-    )
-    return report.stop()
+    with ResidualReport("witness") as report:
+        t_gi = gi_tolerance(a)
+        fa, fw = to_fourier(a), to_fourier(w)
+        report.add_identity("von_neumann", fa @ fw @ fa, fa, t_gi)
+        w_inv, _ = blockwise_inverse(fw)
+        report.add_identity("witness_invertibility", fw @ w_inv,
+                            FourierBlocks.identity(n, p), t_gi)
+    return report

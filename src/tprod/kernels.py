@@ -461,10 +461,13 @@ def rank_normal_form(
     return RankNormalForm(u[0], v[0], int(cutoff.rank(sigma[0])))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pinv_from_svd(u, sigma, vh, threshold: float, below: float = 0.0):
     """v diag(d) u^H from thin or full SVD factors of a matrix or a stack:
     d = 1/sigma above ``threshold`` and ``below`` at or under it, so the
-    default ``below`` = 0 gives the pseudoinverse."""
+    default ``below`` = 0 gives the pseudoinverse.  A 1/sigma beyond the
+    float64 range leaves non-finite entries, without a warning: the tensor
+    ops refuse them when they assemble the real tensor, naming the block."""
     r = sigma.shape[-1]
     d = np.divide(1.0, sigma, out=np.full_like(sigma, below),
                   where=sigma > threshold)

@@ -25,10 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Decorates every function that verifies on the half spectrum.  An identity
-# whose blocks overflow is refused as MathError when it is measured
-# (FourierBlocks.distance), so numpy's warnings about the overflow are off;
-# one errstate per report costs less than one per block product.
+# Decorates the checks that are not reports (t-symmetry, orthogonality) with
+# the error state a report enters.
 verifying = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -53,21 +51,22 @@ class Check:
 
 @dataclass
 class ResidualReport:
-    """Collected residual checks for one operation."""
+    """Collected residual checks for one operation; as a context manager,
+    the verification that collects them (see the module docstring)."""
 
     operation: str
     checks: list[Check] = field(default_factory=list)
     seconds: float = 0.0
-    _started: float | None = None
 
-    def start(self) -> "ResidualReport":
+    def __enter__(self) -> "ResidualReport":
+        self._quiet = np.errstate(over="ignore", invalid="ignore")
+        self._quiet.__enter__()
         self._started = time.perf_counter()
         return self
 
-    def stop(self) -> "ResidualReport":
-        if self._started is not None:
-            self.seconds = time.perf_counter() - self._started
-        return self
+    def __exit__(self, *exc) -> None:
+        self.seconds = time.perf_counter() - self._started
+        self._quiet.__exit__(*exc)
 
     def add(self, name: str, residual: float, tolerance: float) -> Check:
         residual = float(abs(residual))

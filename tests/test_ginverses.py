@@ -1,5 +1,6 @@
 """Tests for the tensor generalized inverses."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -492,6 +493,22 @@ class TestUnitRegularWitness:
         assert excinfo.value.block_index == 1
         assert str(excinfo.value).count("Fourier block 1") == 1
 
+    @pytest.mark.parametrize("e", [-10, 0, 10])
+    def test_report_passes_near_unit_scale(self, e):
+        a = scalar_mul(2.0**e, gen(5, 3, 3, 4, "rank_deficient"))
+        assert unit_regular_witness(a).report.passed
+
+    # d = 1 at or below the cutoff is not scale-equivariant, and neither is
+    # rank_normal_factors' padding with ones, so cond(w) grows with
+    # max(c, 1/c) for scale c: at 2^-30 witness_invertibility fails, at
+    # 2^-50 and 2^50 w is refused as Singular at block 0
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, Singular),
+                       reason="ROADMAP item 1")
+    @pytest.mark.parametrize("e", [-50, -30, 50])
+    def test_report_passes_at_power_of_two_scales(self, e):
+        a = scalar_mul(2.0**e, gen(5, 3, 3, 4, "rank_deficient"))
+        assert unit_regular_witness(a).report.passed
+
     def test_witness_from_factorization(self):
         a = gen(13, 3, 3, 3, "rank_deficient")
         res = unit_regular_witness(a)
@@ -675,9 +692,8 @@ class TestRealness:
 
 
 class TestOverflow:
-    # 1/sigma of a subnormal input overflows; numpy warns, and the inverse
-    # blocks turn non-finite before they are assembled
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # 1/sigma of a subnormal input overflows, and the inverse blocks turn
+    # non-finite before they are assembled
     @pytest.mark.parametrize("op", [
         t_pinv,
         t_drazin,
@@ -688,6 +704,21 @@ class TestOverflow:
     def test_non_finite_blocks_named_as_overflow(self, op):
         with pytest.raises(BlockOpError, match="non-finite") as excinfo:
             op(scalar_mul(1e-310, gen(7, 3, 3, 6)))
+        assert excinfo.value.block_index == 0
+
+    # singular values below about 5.6e-309 overflow 1/sigma inside
+    # kernels.pinv_from_svd, which keeps numpy's warnings quiet
+    @pytest.mark.parametrize("op", [t_pinv_blocks, t_pinv_svd,
+                                    unit_regular_witness])
+    @pytest.mark.parametrize("kind", ["dense", "rank_deficient"])
+    @pytest.mark.parametrize("e", [-1040, -1070])
+    def test_pseudoinverse_overflow_is_refused_without_warning(self, op,
+                                                                kind, e):
+        a = scalar_mul(2.0**e, gen(5, 3, 3, 4, kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlockOpError, match="non-finite") as excinfo:
+                op(a)
         assert excinfo.value.block_index == 0
 
     # the index is 1 (A^2 is finite), but the A^3 of A (A^3)^+ A is not:

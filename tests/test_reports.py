@@ -36,6 +36,7 @@ from tprod import (
     t_svd,
     unit_regular_witness,
 )
+from tprod import cli
 from tprod import factorizations as fz
 from tprod import ginverses as gi
 
@@ -298,19 +299,60 @@ def test_report_matches_slice_domain_oracle(name, m, n, p, kind, seed):
 # overflow inside a report
 
 
-@pytest.mark.parametrize("report", [
-    # x * a * x leaves the float64 range, while a * x * a stays inside it
-    lambda a: gi.penrose_report(a, scalar_mul(1e200, a)),
-    # the stacked power a^4 overflows before the identity is formed
-    lambda a: gi.drazin_report(scalar_mul(1e100, a), a, 4),
-    # u * s * v^T overflows
-    lambda a: fz.tsvd_report(a, scalar_mul(1e160, a), scalar_mul(1e160, a), a),
-])
-def test_overflowing_identity_is_a_math_error(report):
-    # pytest turns numpy's RuntimeWarning into an error, so this also checks
-    # that the overflow warning is kept quiet
+def _overflowing(name):
+    """Arguments of report ``name`` with which one of its identities
+    leaves the float64 range while every operand stays inside it."""
     a = gen(3, 3, 3, 4)
-    with pytest.raises(MathError,
-                       match="^an identity residual overflowed the float64 "
-                             "range$"):
-        report(a)
+    big = lambda c: scalar_mul(c, a)  # noqa: E731
+    return {
+        # x * a * x overflows, while a * x * a stays inside the range
+        "penrose": (a, big(1e200)),
+        # the stacked power a^4 overflows before the identity is formed
+        "drazin": (big(1e100), a, 4),
+        "inverse": (big(1e150), big(1e200)),
+        "group": (big(1e150), big(1e200)),
+        "witness": (big(1e150), big(1e200)),
+        # u * s * v^T overflows
+        "tsvd": (a, big(1e160), big(1e160), a),
+        "tschur": (a, big(1e160), big(1e160), (1, 1, 1)),
+        "tjordan": (a, big(1e160), big(1e160), (1, 1, 1)),
+        "idem": (a, big(1e160), big(1e160), a),
+    }[name]
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_overflowing_identity_is_a_math_error(name):
+    # under an outer error state that raises, a FloatingPointError would
+    # show a report that does not set its own; pytest also turns numpy's
+    # RuntimeWarning into an error, so the warning must stay quiet too
+    report_fn = REPORTS[name][1]
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(MathError,
+                           match="^an identity residual overflowed the "
+                                 "float64 range$"):
+            report_fn(*_overflowing(name))
+
+
+# ---------------------------------------------------------------------------
+# an op's own report against the one verify calls on the op's factors
+
+
+OWN_REPORT = ("tsvd", "tschur", "tjordan", "idem", "drazin", "witness")
+REALNESS = ("tsvd", "tschur", "tjordan", "idem")
+
+
+def test_the_ops_with_a_report_of_their_own():
+    assert {k for k, op in cli.OPS.items() if op.attrs} == set(OWN_REPORT)
+
+
+@pytest.mark.parametrize("kind", ["dense", "t_symmetric", "rank_deficient"])
+@pytest.mark.parametrize("name", OWN_REPORT)
+def test_op_and_verify_check_in_the_same_order(name, kind):
+    # the one difference is the realness row a factorization appends, last
+    op = cli.OPS[name]
+    a = gen(11, 3, 3, 4, kind)
+    res = op.compute(a, None)
+    factors = [getattr(res, attr) for attr in op.attrs]
+    own = [c.name for c in res.report.checks]
+    verified = [c.name for c in op.report(a, *factors).checks]
+    assert own == verified + ["realness"] * (name in REALNESS)
