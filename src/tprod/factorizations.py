@@ -167,14 +167,9 @@ def is_t_symmetric(t: Tensor3, tol: float) -> bool:
     return bool(np.abs(rest).max(initial=0.0) <= tol)
 
 
-@verifying
-def orthogonality_residual(t: Tensor3) -> float:
-    """max|t^T * t - I|, with I of t's row count (a non-square t fails)."""
-    return _orthogonality(to_fourier(t))
-
-
 def _orthogonality(ft: FourierBlocks) -> float:
-    """:func:`orthogonality_residual` of the tensor with half spectrum ft."""
+    """max|t^T * t - I| of the tensor t with half spectrum ft, with I of
+    t's row count (a non-square t fails)."""
     m, n, p = ft.dims
     return (ft.T @ ft).distance(FourierBlocks.identity(m, p))
 
@@ -212,10 +207,10 @@ def _paired_forms(a: Tensor3, name: str, kernel):
     if is_t_symmetric(a, 0.0):
         kernel = kernels.hermitian_stack
     p = a.dims[2]
-    x, y = (FourierBlocks(f, p) for f in to_fourier(a).map(kernel))
-    forced = np.abs(y.blocks[real_forced_slice(p)].real).max(axis=0)
+    x, y = to_fourier(a).map(kernel)
+    forced = np.abs(y[real_forced_slice(p)].real).max(axis=0)
     partition = kernels._scan_quasi_partition(forced)
-    (x, y), realness = _assemble(x, y)
+    (x, y), realness = _assemble(p, x, y)
     return x, y, partition, realness
 
 
@@ -255,9 +250,8 @@ def t_svd(a: Tensor3) -> TSvdResult:
     """
     m, n, p = a.dims
     u, sigma, v = to_fourier(a).map(kernels.svd_stack)
-    (u, s, v), realness = _assemble(*(
-        FourierBlocks(f, p) for f in (u, kernels.sigma_matrices(sigma, m, n), v)
-    ))
+    s = kernels.sigma_matrices(sigma, m, n)
+    (u, s, v), realness = _assemble(p, u, s, v)
     # the partners of blocks 1..ceil(p/2)-1 share their singular values
     k = np.arange(p)
     sigma = sigma[np.minimum(k, p - k)]
@@ -280,13 +274,14 @@ def tsvd_report(a: Tensor3, u: Tensor3, s: Tensor3, v: Tensor3) -> ResidualRepor
     return report
 
 
-def _assemble(*families: FourierBlocks) -> tuple[list[Tensor3], tuple]:
-    """The real tensors of factor families, and the realness pair its op
-    adds to its report, last: the largest certified residue and its
-    allowance at the largest block entry."""
-    assembled = [assemble_real(fb) for fb in families]
+def _assemble(p: int, *families: np.ndarray) -> tuple[list[Tensor3], tuple]:
+    """The real tensors of factor families over blocks 0..floor(p/2), and
+    the realness pair their op adds to its report, last: the largest
+    certified residue and its allowance at the largest block entry."""
+    fbs = [FourierBlocks(f, p) for f in families]
+    assembled = [assemble_real(fb) for fb in fbs]
     residue = max(im for _, im in assembled)
-    allowance = real_tolerance(max(fb.max_abs for fb in families), families[0].p)
+    allowance = real_tolerance(max(fb.max_abs for fb in fbs), p)
     return [t for t, _ in assembled], (residue, allowance)
 
 
@@ -432,8 +427,7 @@ def idempotent_factorization(a: Tensor3) -> IdempotentFactorization:
     _require_square(a, "idempotent_factorization")
     spec = _Spectrum(to_fourier(a), kernels.svd_stack)
     factors = kernels.rank_normal_factors(*spec.families, spec.cutoff)
-    (u, e, v), realness = _assemble(*(FourierBlocks(f, spec.fb.p)
-                                      for f in factors))
+    (u, e, v), realness = _assemble(spec.fb.p, *factors)
     report = idem_report(a, u, e, v)
     report.add("realness", *realness)
     return IdempotentFactorization(u, e, v, report)

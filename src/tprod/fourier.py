@@ -43,8 +43,8 @@ on the complex rest, names the Fourier block of a kernel failure, and
 joins the results over blocks 0..floor(p/2).  Every op runs its kernels
 on it, and no other code batches the real-forced blocks apart from the
 complex ones.
-:func:`lift_multi`, a per-matrix front end that no op calls any more, is
-kept only until the benchmark stops tracing it.
+:func:`lift_multi`, a per-matrix front end that no op calls and ``tprod``
+does not export, is kept only until the benchmark stops tracing it.
 
 The full p-block stack (:func:`mirror_blocks`, :func:`check_pairing`,
 :func:`inverse_transform`) serves only the unpaired demonstrations and the
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -79,11 +78,6 @@ def real_tolerance(max_abs: float, p: int) -> float:
     """The allowance of a factorization report's ``realness`` row: the
     imaginary residue a p-term inverse transform may leave."""
     return 1e-9 * (1.0 + max_abs) * p
-
-
-def partner(k: int, p: int) -> int:
-    """Conjugate partner of block k (0-based): (p - k) mod p."""
-    return (p - k) % p
 
 
 def real_forced_indices(p: int) -> tuple[int, ...]:
@@ -165,10 +159,6 @@ class FourierBlocks:
         _, m, n = self.blocks.shape
         return m, n, self.p
 
-    @cached_property
-    def real_forced(self) -> tuple[int, ...]:
-        return real_forced_indices(self.p)
-
     @property
     def max_abs(self) -> float:
         return float(np.abs(self.blocks).max())
@@ -176,7 +166,8 @@ class FourierBlocks:
     def block(self, k: int) -> np.ndarray:
         """Block k, real on the real-forced indices (whose imaginary part
         is transform rounding), complex elsewhere."""
-        return self.blocks[k].real if k in self.real_forced else self.blocks[k]
+        block = self.blocks[k]
+        return block.real if k in real_forced_indices(self.p) else block
 
     # The verification algebra: the reports write each identity with these
     # on the half spectra of their operands and measure it by distance,
@@ -271,7 +262,7 @@ class FourierBlocks:
     def _raise_at_first_block(self, call: Callable) -> None:
         for k in range(self.p // 2 + 1):
             try:
-                call([k], k in self.real_forced)
+                call([k], k in real_forced_indices(self.p))
             except MathError as exc:
                 if exc.block_index is None:
                     exc.block_index = k

@@ -478,12 +478,16 @@ def pinv_from_svd(u, sigma, vh, threshold: float, below: float = 0.0):
 
 def mp_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
     """Moore-Penrose inverse of a matrix or a stack of matrices, with the
-    singular values at or below the cutoff (default: a's own) as zero."""
+    singular values at or below the cutoff (default: a's own) as zero; an
+    inverse beyond the float64 range is a MathError."""
     a = np.asarray(a)
     u, s, vh = svd_reduced(a)
     if cutoff is None:
         cutoff = _matrix_cutoff(a, s)
-    return pinv_from_svd(u, s, vh, cutoff.at())
+    x = pinv_from_svd(u, s, vh, cutoff.at())
+    if not np.isfinite(x).all():
+        raise MathError("the pseudoinverse overflowed the float64 range")
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")

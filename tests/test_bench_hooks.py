@@ -48,7 +48,7 @@ def test_traced_run_matches_untraced():
     a = tprod.gen(0, 3, 3, 4)
 
     def run():
-        tprod.lift_multi(tprod.to_fourier(a), lambda b, k: (b,))
+        tprod.fourier.lift_multi(tprod.to_fourier(a), lambda b, k: (b,))
         schur, svd = tprod.t_schur(a), tprod.t_svd(a)
         return [schur.u.array, schur.t.array, svd.u.array, svd.s.array,
                 svd.v.array, svd.fourier_singular_values]

@@ -448,18 +448,19 @@ class TestCli:
         ])
         assert code == 0
 
-    def test_verify_detects_tampering(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["pinv", "tinv", "witness"])
+    def test_verify_detects_tampering(self, tmp_path, kind):
         a = self._gen_file(tmp_path)
         x = tmp_path / "X.tns"
-        assert cli_main(["pinv", str(a), "-o", str(x), "--quiet"]) == 0
+        assert cli_main([kind, str(a), "-o", str(x), "--quiet"]) == 0
+        verify = ["verify", "--kind", kind, str(x), "--input", str(a),
+                  "--quiet"]
+        assert cli_main(verify) == 0
         t = read_tensor(x)
         data = t.array.copy()
         data[0, 0, 0] += 0.5
         write_tensor(x, Tensor3(data))
-        code = cli_main([
-            "verify", "--kind", "pinv", str(x), "--input", str(a), "--quiet",
-        ])
-        assert code == 1
+        assert cli_main(verify) == 1
 
     def test_group_nilpotent_exits_3(self, tmp_path):
         nil = tmp_path / "nil.tns"
@@ -508,9 +509,8 @@ class TestCli:
                 out = (["--out-prefix", str(out_dir / command)]
                        if len(names) > 1 else ["-o", names[0]])
                 runs.append([command, str(a), *out])
-                if op.verifiable:
-                    runs.append(["verify", "--kind", command, *names,
-                                 "--input", str(a)])
+                runs.append(["verify", "--kind", command, *names,
+                             "--input", str(a)])
             for argv in runs:
                 assert isinstance(cli_main([*argv, "--quiet"]), int), argv
         capsys.readouterr()

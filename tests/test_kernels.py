@@ -1,9 +1,11 @@
 """Tests for the matrix decomposition and generalized-inverse kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from tprod import DefectiveBlock, DimensionError, GroupInverseNotExist
+from tprod import DefectiveBlock, DimensionError, GroupInverseNotExist, MathError
 from tprod.kernels import (
     drazin_inverse,
     group_inverse,
@@ -278,6 +280,15 @@ class TestMpInverse:
             assert max_abs(
                 mp_inverse(np.conj(a)) - np.conj(mp_inverse(a))
             ) <= 1e-9 * max_abs(a)
+
+    # 1/sigma overflows below about 5.6e-309; pinv_from_svd keeps numpy
+    # quiet, so the non-finite result is refused here
+    @pytest.mark.parametrize("e", [-1040, -1060])
+    def test_overflow_is_refused_without_warning(self, e):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MathError, match="overflowed"):
+                mp_inverse(np.array([[2.0**e]]))
 
 
 class TestDrazin:
