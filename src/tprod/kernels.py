@@ -18,8 +18,13 @@ gives bit-identical results run to run.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -217,27 +222,53 @@ class MatrixSchur:
         return self.u @ self.t @ self.u.conj().T
 
 
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded once
+    per process from its file without importing the ``scipy.linalg``
+    package, whose import costs about 200 ms against 5-10 ms for this
+    module.  It is registered under its own name, so a later ``import
+    scipy.linalg`` takes this module and its ``get_lapack_funcs``
+    returns the same ``dgees`` and ``zgees``; a module that
+    ``scipy.linalg`` already loaded is taken as it is."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+    spec = FileFinder(linalg, loaders).find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def schur_stack(stack: np.ndarray):
-    """Schur forms (u, t), a = u @ t @ u^H, of a (b, n, n) stack.
+    """Schur forms (u, t), a = u @ t @ u^H, of a (b, n, n) float64 or
+    complex128 stack.
 
     A complex stack gets complex Schur forms: unitary u, upper triangular
     t.  A real stack gets real Schur forms with all 1x1 diagonal blocks
     before the 2x2 blocks, reordered by orthogonal block swaps inside
-    LAPACK; an ill-conditioned exchange raises SwapFailure.  One ``gees``
-    lookup, one workspace query and one finiteness check serve the whole
-    stack, and the driver runs once per matrix.
+    LAPACK; an ill-conditioned exchange raises SwapFailure.  The driver is
+    LAPACK's ``dgees`` or ``zgees`` from :func:`_flapack`, the functions
+    ``scipy.linalg.lapack.get_lapack_funcs`` returns for such a stack.
+    One workspace query and one finiteness check serve the whole stack,
+    and the driver runs once per matrix.
     """
-    # here, not at the top: only Schur pays for scipy's import
-    from scipy.linalg.lapack import get_lapack_funcs
-
     stack = np.asarray(stack)
     _require_finite(stack)
     u, t = np.empty_like(stack), np.empty_like(stack)
     if stack.size == 0:
         return u, t
-    (gees,) = get_lapack_funcs(("gees",), (stack,))
-    lwork = int(gees(lambda *x: None, stack[0], lwork=-1)[-2][0].real)
     real = not np.iscomplexobj(stack)
+    gees = _flapack().dgees if real else _flapack().zgees
+    lwork = int(gees(lambda *x: None, stack[0], lwork=-1)[-2][0].real)
     # select the real eigenvalues, which LAPACK then moves to the top
     select = (lambda x, y: y == 0) if real else (lambda x: None)
     n = stack.shape[-1]

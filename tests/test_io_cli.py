@@ -269,10 +269,11 @@ def run_python(*args):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the general Schur kernel alone; a module-level
-    # import anywhere on the CLI path, or in another op, would add its load
-    # time to every subprocess.  A t-symmetric input takes the Hermitian
-    # kernel, numpy's eigh, in t_schur and t_jordan alike
+    # the general Schur kernel loads scipy's compiled LAPACK module alone,
+    # not the scipy package; a module-level scipy import anywhere on the
+    # CLI path, or in another op, would add its load time to every
+    # subprocess.  A t-symmetric input takes the Hermitian kernel, numpy's
+    # eigh, in t_schur and t_jordan alike
     script = (
         "import sys, tprod.cli\n"
         "def scipy_loaded():\n"
@@ -288,7 +289,58 @@ def test_cli_import_leaves_scipy_unloaded():
         "assert t_jordan(sym).report.passed\n"
         "assert not scipy_loaded(), scipy_loaded()\n"
         "assert t_schur(a).report.passed\n"
-        "assert 'scipy.linalg' in sys.modules\n"
+        "assert scipy_loaded() == ['scipy.linalg._flapack'], scipy_loaded()\n"
+    )
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_schur_driver_is_scipys_in_either_load_order():
+    # subprocesses, because test_batched imports scipy.linalg at collection;
+    # the identity checks also fail here if scipy moves its _flapack module
+    schur = (
+        "import hashlib\n"
+        "from tprod import gen, t_schur\n"
+        "r = t_schur(gen(5, 4, 4, 5))\n"
+        "print(hashlib.sha256(r.u.array.tobytes() + r.t.array.tobytes())"
+        ".hexdigest())\n"
+    )
+    scipy_works = (
+        "import numpy as np, scipy.linalg\n"
+        "from scipy.linalg.lapack import get_lapack_funcs\n"
+        "from tprod.kernels import _flapack\n"
+        "assert scipy.linalg.lapack._flapack is _flapack()\n"
+        "x = np.array([[1.0, 2.0], [-3.0, 4.0]])\n"
+        "assert get_lapack_funcs(('gees',), (x,))[0] is _flapack().dgees\n"
+        "assert get_lapack_funcs(('gees',), (x + 0j,))[0] is _flapack().zgees\n"
+        "t, u = scipy.linalg.schur(x)\n"
+        "assert np.allclose(u @ t @ u.T, x)\n"
+    )
+    kernel_first = run_python("-c", schur + scipy_works)
+    scipy_first = run_python("-c", scipy_works + schur)
+    assert kernel_first.returncode == 0, kernel_first.stderr
+    assert scipy_first.returncode == 0, scipy_first.stderr
+    assert kernel_first.stdout == scipy_first.stdout
+
+
+def test_only_the_general_schur_route_needs_scipy():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tprod import gen, t_drazin, t_jordan, t_pinv, t_schur, t_svd\n"
+        "a = gen(3, 3, 3, 4)\n"
+        "assert t_svd(a).report.passed\n"
+        "t_pinv(a)\n"
+        "t_drazin(a)\n"
+        "sym = gen(3, 3, 3, 4, 't_symmetric')\n"
+        "assert t_schur(sym).report.passed\n"
+        "assert t_jordan(sym).report.passed\n"
+        "try:\n"
+        "    t_schur(a)\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    assert exc.name == 'scipy' and 'scipy' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('t_schur ran without scipy')\n"
     )
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
