@@ -14,6 +14,7 @@ repeats on the factor files of any of them but ``tprod``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -170,6 +171,16 @@ def _run_gen(args) -> ResidualReport:
     return ResidualReport("gen")
 
 
+def _dual_path_tolerance(a, b) -> float:
+    """The ``dual_path_agreement`` allowance: 1e-11 * (1 + max|A|) *
+    (1 + max|B|).  Beyond the float64 range it would pass any
+    disagreement, as ``--tol inf`` would, so it is a MathError."""
+    scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
+    if not math.isfinite(scale):
+        raise MathError("the dual-path allowance overflowed the float64 range")
+    return 1e-11 * scale
+
+
 def _run_tprod(args) -> ResidualReport:
     a = read_tensor(args.a)
     b = read_tensor(args.b)
@@ -177,9 +188,8 @@ def _run_tprod(args) -> ResidualReport:
     write_tensor(args.output, c)
     c_fourier = tprod(a, b, path="fourier")
     with ResidualReport("tprod") as report:
-        scale = (1.0 + a.max_abs) * (1.0 + b.max_abs)
         report.add("dual_path_agreement", (c - c_fourier).max_abs,
-                   1e-11 * scale)
+                   _dual_path_tolerance(a, b))
     return report
 
 

@@ -53,6 +53,7 @@ tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -136,9 +137,12 @@ class FourierBlocks:
         return fb
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def identity(cls, n: int, p: int) -> "FourierBlocks":
         """The half spectrum of the n x n x p identity tensor: I_n in
-        every block."""
+        every block, a read-only view of one n x n array.  The reports
+        compare against it several times per op, so the 16 most recently
+        used (n, p) are kept, not built again."""
         eye = np.eye(n, dtype=np.complex128)
         return cls._wrap(np.broadcast_to(eye, (p // 2 + 1, n, n)), p)
 
@@ -210,7 +214,7 @@ class FourierBlocks:
         certifies them.  A non-finite residual, from a block product or a
         transform beyond the float64 range, is a MathError.
         """
-        if self.dims != other.dims:
+        if self.p != other.p or self.blocks.shape != other.blocks.shape:
             raise DimensionError(f"dims {self.dims} != {other.dims}")
         slices, _ = _certified_irfft(self.blocks - other.blocks, self.p)
         residual = float(np.abs(slices).max())
@@ -339,16 +343,29 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
     tensor together with the residue they leave in the slices (useful for
     residual reports).  Non-finite block entries are a BlockOpError naming
     their first block, and slices beyond the float64 range are a MathError.
+    A non-finite block always leaves non-finite slices or a non-finite
+    residue, so the blocks are searched only then, and the one finiteness
+    pass of finite blocks is Tensor3's, over the slices.
     """
-    finite = np.isfinite(fb.blocks)
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=(1, 2))))
-        raise BlockOpError("block entries are non-finite (overflow)", k)
-    slices, residue = _certified_irfft(fb.blocks, fb.p)
     try:
+        slices, residue = _certified_irfft(fb.blocks, fb.p)
+        if not math.isfinite(residue):
+            _require_finite_blocks(fb)
         return Tensor3._wrap(slices), residue
+    except PairingViolation:  # a NaN block makes the pairing allowance NaN
+        _require_finite_blocks(fb)
+        raise
     except ValueError as exc:  # Tensor3 refuses non-finite slices
+        _require_finite_blocks(fb)
         raise MathError(TRANSFORM_OVERFLOW) from exc
+
+
+def _require_finite_blocks(fb: FourierBlocks) -> None:
+    """BlockOpError naming the first block with a non-finite entry."""
+    finite = np.isfinite(fb.blocks).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise BlockOpError("block entries are non-finite (overflow)", k)
 
 
 def check_pairing(blocks) -> ResidualReport:

@@ -129,7 +129,7 @@ def _pivot_phases(x: np.ndarray) -> np.ndarray:
     """Unit phase of the largest-magnitude entry of each column of a
     stack (b, r, c); 1 for a zero column."""
     mag = np.abs(x)
-    rows = np.argmax(mag, axis=1)
+    rows = mag.argmax(axis=1)
     at = (np.arange(x.shape[0])[:, None], rows, np.arange(x.shape[2]))
     pivot, size = x[at], mag[at]
     return np.divide(pivot, size, out=np.ones_like(pivot), where=size != 0)
@@ -141,12 +141,14 @@ def _fix_phases(u: np.ndarray, v: np.ndarray):
     The largest-magnitude entry of each left singular vector is made real
     positive; the matching right singular vector absorbs the same factor so
     the product is unchanged.  Surplus columns (null-space completions) are
-    normalized independently.
+    normalized independently.  v, which the caller passes fresh and
+    C-ordered, is scaled in place; u comes back as a new array, because
+    numpy's in-place complex multiply rounds a one-element stack
+    differently.
     """
     paired = min(u.shape[-1], v.shape[-1])
     phase = np.conj(_pivot_phases(u))
     u = u * phase[..., None, :]
-    v = v.copy()
     v[..., :paired] *= phase[..., None, :paired]
     if v.shape[-1] > paired:
         v[..., paired:] *= np.conj(_pivot_phases(v[..., paired:]))[..., None, :]
@@ -192,7 +194,7 @@ def svd_stack(stack: np.ndarray):
     m, n = stack.shape[-2:]
     u, s, vh = _lapack(np.linalg.svd, "SVD did not converge", stack,
                        full_matrices=True)
-    u, v = _fix_phases(u, np.conj(vh.swapaxes(-1, -2)))
+    u, v = _fix_phases(u, np.conj(vh.swapaxes(-1, -2), order="C"))
     zero = ~stack.any(axis=(-2, -1))
     if zero.any():
         u[zero] = np.eye(m)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tprod import (
     BlockOpError,
     DefectiveBlock,
+    DimensionError,
     FourierBlocks,
     MathError,
     PairingViolation,
@@ -141,6 +142,36 @@ class TestFourierBlocksStorage:
         assert fb.blocks[0, 0, 0] == 1.0
 
 
+class TestIdentityAndDistance:
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 4), (3, 4), (3, 5), (4, 6)])
+    def test_identity_is_read_only_and_distance_is_one_irfft(self, n, p):
+        eye = FourierBlocks.identity(n, p)
+        assert eye.dims == (n, n, p)
+        assert not eye.blocks.flags.writeable
+        with pytest.raises(ValueError):
+            eye.blocks[0, 0, 0] = 2.0
+        assert np.array_equal(
+            eye.blocks, np.broadcast_to(np.eye(n), (p // 2 + 1, n, n)))
+        for seed in range(3):
+            x = to_fourier(gen(seed, n, n, p))
+            slices = np.fft.irfft(x.blocks - np.eye(n), n=p, axis=0)
+            assert x.distance(eye) == np.abs(slices).max()
+            # t^0 is the identity, as the Drazin report takes it at index 0
+            assert x.power(0) == eye
+            assert not x.power(0).blocks.flags.writeable
+        assert FourierBlocks.identity(n, p) == eye
+
+    def test_distance_refuses_unequal_dims(self):
+        # p = 4 and p = 5 both store three blocks
+        blocks = to_fourier(gen(3, 2, 2, 5)).blocks
+        with pytest.raises(DimensionError,
+                           match=r"dims \(2, 2, 5\) != \(2, 2, 4\)"):
+            FourierBlocks(blocks, 5).distance(FourierBlocks(blocks, 4))
+        with pytest.raises(DimensionError,
+                           match=r"dims \(2, 3, 5\) != \(3, 2, 5\)"):
+            to_fourier(gen(3, 2, 3, 5)).distance(to_fourier(gen(3, 3, 2, 5)))
+
+
 class TestFourierBlocksEquality:
     def test_equal_blocks_compare_equal(self):
         a = gen(3, 2, 3, 5)
@@ -179,7 +210,7 @@ class TestFromFourier:
         assert max_abs(t.slice(0) - m) <= 1e-14
         assert max_abs(t.array[1:]) <= 1e-14
 
-    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("p", range(3, 9))
     def test_finite_blocks_past_the_range_are_an_overflow(self, p):
         # every entry is finite, though its modulus is not; the slices
         # leave the float64 range
@@ -189,6 +220,33 @@ class TestFromFourier:
             assemble_real(FourierBlocks(blocks, p))
         assert type(excinfo.value) is MathError
         assert str(excinfo.value) == fourier.TRANSFORM_OVERFLOW
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_a_non_finite_entry_is_named_at_its_block(self, p):
+        # anywhere in the stored blocks, the imaginary parts of the DC and
+        # Nyquist blocks included, which irfft drops
+        base = to_fourier(gen(p, 2, 3, p)).blocks
+        for bad in (np.inf, -np.inf, np.nan):
+            for k, i, j in np.ndindex(base.shape):
+                for part in ("real", "imag"):
+                    blocks = base.copy()
+                    getattr(blocks, part)[k, i, j] = bad
+                    if k + 1 < len(blocks):  # a later block is not named
+                        blocks[-1].real[1, 2] = np.nan
+                    with pytest.raises(BlockOpError) as excinfo:
+                        assemble_real(FourierBlocks(blocks, p))
+                    assert excinfo.value.block_index == k
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_a_nan_block_is_named_before_the_pairing_check(self, p):
+        # a finite imaginary DC part is held to the pairing allowance,
+        # which the NaN block would make NaN
+        blocks = to_fourier(gen(p, 2, 2, p)).blocks.copy()
+        blocks[0, 0, 0] += 1e-3j
+        blocks[1, 1, 0] = complex(np.nan, 0.0)
+        with pytest.raises(BlockOpError) as excinfo:
+            assemble_real(FourierBlocks(blocks, p))
+        assert excinfo.value.block_index == 1
 
     def test_naive_jordan_blocks_fail_require_real(self):
         with pytest.raises(PairingViolation):

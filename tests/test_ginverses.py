@@ -675,6 +675,84 @@ class TestDecisionBudget:
         }
 
 
+class TestTransformBudget:
+    """The forward (``np.fft.rfft``) and inverse (``np.fft.irfft``)
+    transforms each op makes together with its report, on the inputs of
+    TestDecisionBudget.  A report transforms its input and every factor
+    itself, and takes one irfft per identity: it never reuses the op's own
+    blocks or shares one transform between identities."""
+
+    # (rfft, irfft): the op's forward transform of a, one irfft per
+    # assembled factor, then its report's transforms
+    WITH_REPORT = {
+        "t_svd": (5, 6),
+        "t_schur": (4, 4),
+        "t_jordan": (4, 4),
+        "idem": (5, 5),
+        "t_inverse": (3, 3),
+        "t_pinv_blocks": (3, 5),
+        "t_pinv_svd": (3, 5),
+        "t_drazin": (3, 4),
+        "t_index": (1, 0),
+        "t_group": (3, 4),
+        "witness": (3, 6),
+    }
+    # an op that raises stops after the forward transform of a
+    RAISES = {
+        "dense": (),
+        "t_symmetric": (),
+        "rank_deficient": ("t_inverse",),
+        "mixed_index": ("t_jordan", "t_inverse", "t_group"),
+    }
+    OPS = dict(
+        TestDecisionBudget.OPS,
+        t_inverse=lambda a: ginverses.inverse_report(a, t_inverse(a)),
+        t_pinv_blocks=lambda a: penrose_report(a, t_pinv_blocks(a)),
+        t_pinv_svd=lambda a: penrose_report(a, t_pinv_svd(a)),
+        t_group=lambda a: ginverses.group_report(a, t_group(a)),
+    )
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        made = Counter()
+
+        def counted(name):
+            fft = getattr(np.fft, name)
+
+            def counting(*args, **kwargs):
+                made[name] += 1
+                return fft(*args, **kwargs)
+            return counting
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        return made
+
+    def spent(self, counts, a, ops) -> dict:
+        out = {}
+        for name in ops:
+            counts.clear()
+            try:
+                self.OPS[name](a)
+            except TprodError:
+                pass
+            out[name] = (counts["rfft"], counts["irfft"])
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(RAISES))
+    def test_square_ops(self, counts, kind):
+        a = (mixed_index_tensor() if kind == "mixed_index"
+             else gen(1, 3, 3, 4, kind))
+        expected = {name: (1, 0) if name in self.RAISES[kind] else budget
+                    for name, budget in self.WITH_REPORT.items()}
+        assert self.spent(counts, a, self.OPS) == expected
+
+    def test_rectangular_ops(self, counts):
+        ops = ("t_svd", "t_pinv_blocks", "t_pinv_svd")
+        assert self.spent(counts, gen(1, 2, 3, 5), ops) == {
+            name: self.WITH_REPORT[name] for name in ops}
+
+
 class TestRealness:
     def test_all_outputs_real(self):
         a = gen(17, 3, 3, 4)

@@ -489,6 +489,25 @@ class TestCli:
         expected = tprod(read_tensor(a), read_tensor(b))
         assert max_abs((read_tensor(c) - expected).array) <= 1e-12
 
+    def test_tprod_dual_path_allowance_overflow_exits_3(self, tmp_path, capsys):
+        # the product is finite, but the allowance 1e-11 * (1 + 1e200)^2 is
+        # not: an infinite allowance would pass any disagreement
+        a = np.zeros((2, 2, 2))
+        a[0, 0, 0], a[1, 1, 1] = 1e200, 1.0
+        b = np.zeros((2, 2, 2))
+        b[0, 1, 1], b[1, 0, 0] = 1e200, 1.0
+        paths = [tmp_path / "A.tns", tmp_path / "B.tns"]
+        for path, data in zip(paths, (a, b)):
+            write_tensor(path, Tensor3(data))
+        assert tprod(Tensor3(a), Tensor3(b)).max_abs == 1e200
+        report = tmp_path / "r.json"
+        code = cli_main(["tprod", *map(str, paths), "-o", str(tmp_path / "C.tns"),
+                         "--report", str(report), "--quiet"])
+        assert code == 3
+        assert ("the dual-path allowance overflowed the float64 range"
+                in capsys.readouterr().err)
+        assert not report.exists()
+
     def test_tsvd_writes_factors_and_verifies(self, tmp_path):
         a = self._gen_file(tmp_path, dims=(3, 5, 4))
         prefix = tmp_path / "out"
