@@ -322,14 +322,17 @@ def _certified_irfft(half: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     C-ordered (p, m, n) slice stack and the residue the dropped parts
     would add to a slice entry (their sum over the blocks divided by p).
     A non-finite residue (an overflowed block product leaves NaN there) is
-    not certified: the slices are then non-finite too, and the callers
-    refuse them, as they do the slices of a transform that overflowed.
+    not certified, nor is any residue against a non-finite allowance (a
+    block entry that is NaN or inf): the slices are then non-finite too,
+    and the callers refuse them, as they do the slices of a transform that
+    overflowed.
     """
     edge = half.imag[real_forced_slice(p)]
     max_imag = float(np.abs(edge).sum(axis=0).max()) / p if edge.any() else 0.0
     if max_imag and math.isfinite(max_imag):
         tol = pair_tolerance(float(np.abs(half).max()))
-        _require_paired(_pairing_report(half, p, tol))
+        if math.isfinite(tol):
+            _require_paired(_pairing_report(half, p, tol))
     return np.ascontiguousarray(np.fft.irfft(half, n=p, axis=0)), max_imag
 
 
@@ -352,9 +355,6 @@ def assemble_real(fb: FourierBlocks) -> tuple[Tensor3, float]:
         if not math.isfinite(residue):
             _require_finite_blocks(fb)
         return Tensor3._wrap(slices), residue
-    except PairingViolation:  # a NaN block makes the pairing allowance NaN
-        _require_finite_blocks(fb)
-        raise
     except ValueError as exc:  # Tensor3 refuses non-finite slices
         _require_finite_blocks(fb)
         raise MathError(TRANSFORM_OVERFLOW) from exc

@@ -4,12 +4,15 @@ These are thin, contract-checked wrappers over LAPACK (via numpy/scipy)
 plus the pieces LAPACK does not provide: deterministic phase conventions,
 real-first Schur ordering, a diagonalizable-regime Jordan form, the rank
 normal form, and Drazin/group inverses.  The SVD, pseudoinverse, Drazin,
-Schur and Jordan kernels also take stacks of matrices, which the tensor
-ops run on the half spectrum through ``FourierBlocks.map``; the matrix
-functions are the stack of one.  :func:`hermitian_stack` is the Schur and
-the Jordan kernel of Hermitian stacks.  Every rank decision goes through one
-:class:`RankCutoff`, and the Jordan form refuses any matrix whose
-eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
+Schur and Jordan kernels take stacks of matrices, which the tensor ops
+run on the half spectrum through ``FourierBlocks.map``.
+:func:`hermitian_stack` is the Schur and the Jordan kernel of Hermitian
+stacks.  A matrix is the tensor with p = 1, so it has no kernels of its
+own: the ten per-matrix names the benchmark's tracer still wraps are
+stubs (:func:`_retired`) that name their replacement.  Every rank
+decision goes through one :class:`RankCutoff`, and the Jordan form
+refuses any matrix whose eigenvector basis is numerically rank
+deficient (DEFECT_RANK_TOL).
 LAPACK's drivers assume finite input: every kernel refuses a stack holding
 NaN or inf with the one ValueError of :func:`_require_finite`.
 Everything here is deterministic for fixed input, so every tensor op
@@ -31,7 +34,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DefectiveBlock,
-    DimensionError,
     GroupInverseNotExist,
     MathError,
     SwapFailure,
@@ -91,10 +93,6 @@ def rank_cutoff(sigma, dims) -> RankCutoff:
     rtol = p * max(m, n) * EPS
     scale = float(np.max(sigma, initial=0.0))
     return RankCutoff(rtol, scale)
-
-
-def _matrix_cutoff(a: np.ndarray, sigma: np.ndarray) -> RankCutoff:
-    return rank_cutoff(sigma, (*a.shape[-2:], 1))
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -164,25 +162,6 @@ def sigma_matrices(sigma: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MatrixSvd:
-    """Full SVD a = u @ sigma_matrix @ v.conj().T with sigma nonincreasing."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.u.shape[0], self.v.shape[0]
-
-    def sigma_matrix(self) -> np.ndarray:
-        return sigma_matrices(self.sigma, *self.shape)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ self.sigma_matrix().astype(self.u.dtype) @ self.v.conj().T
-
-
 def svd_stack(stack: np.ndarray):
     """Full SVDs of a stack of matrices with a deterministic phase convention.
 
@@ -200,28 +179,6 @@ def svd_stack(stack: np.ndarray):
         u[zero] = np.eye(m)
         v[zero] = np.eye(n)
     return u, s, v
-
-
-def svd(a: np.ndarray) -> MatrixSvd:
-    """Singular value decomposition of one matrix; see :func:`svd_stack`."""
-    u, s, v = svd_stack(np.asarray(a)[None])
-    return MatrixSvd(u[0], s[0], v[0])
-
-
-@dataclass(frozen=True)
-class MatrixSchur:
-    """Schur form a = u @ t @ u.conj().T.
-
-    ``partition`` lists the diagonal block sizes (1 or 2) for the real
-    quasi-triangular variant and is None for the complex variant.
-    """
-
-    u: np.ndarray
-    t: np.ndarray
-    partition: tuple[int, ...] | None = None
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ self.t @ self.u.conj().T
 
 
 @functools.cache
@@ -295,24 +252,6 @@ def schur_stack(stack: np.ndarray):
     return u, t
 
 
-def schur_complex(a: np.ndarray) -> MatrixSchur:
-    """Complex Schur decomposition: unitary u, upper triangular t; see
-    :func:`schur_stack`."""
-    a = np.asarray(a, dtype=complex)
-    _require_square(a, "schur_complex")
-    u, t = schur_stack(a[None])
-    return MatrixSchur(u[0], t[0], None)
-
-
-def schur_real_ordered(a: np.ndarray) -> MatrixSchur:
-    """Real Schur form with all 1x1 diagonal blocks before the 2x2 blocks;
-    see :func:`schur_stack`."""
-    a = np.asarray(a, dtype=np.float64)
-    _require_square(a, "schur_real_ordered")
-    u, t = schur_stack(a[None])
-    return MatrixSchur(u[0], t[0], _scan_quasi_partition(t[0]))
-
-
 def _scan_quasi_partition(t: np.ndarray) -> tuple[int, ...]:
     """Diagonal block sizes of a quasi-triangular matrix.
 
@@ -330,24 +269,6 @@ def _scan_quasi_partition(t: np.ndarray) -> tuple[int, ...]:
             sizes.append(1)
             i += 1
     return tuple(sizes)
-
-
-@dataclass(frozen=True)
-class MatrixJordan:
-    """Similarity a = p @ j @ inv(p) with j in (real) Jordan form.
-
-    Only the diagonalizable regime is supported: j is diagonal over the
-    complex field, or block diagonal with 1x1 blocks (real eigenvalues,
-    first) and 2x2 rotation-scaling blocks [[a, b], [-b, a]] (conjugate
-    pairs a +- ib, b > 0) over the real field.
-    """
-
-    p: np.ndarray
-    j: np.ndarray
-    partition: tuple[int, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.p @ self.j @ np.linalg.inv(self.p)
 
 
 def jordan_stack(stack: np.ndarray):
@@ -426,42 +347,6 @@ def _real_form(w: np.ndarray, v: np.ndarray):
     return p, j
 
 
-def jordan_complex(a: np.ndarray) -> MatrixJordan:
-    """Complex Jordan form in the diagonalizable regime: j = diag(eigs);
-    see :func:`jordan_stack`."""
-    a = np.asarray(a, dtype=complex)
-    _require_square(a, "jordan_complex")
-    p, j = jordan_stack(a[None])
-    return MatrixJordan(p[0], j[0], (1,) * a.shape[0])
-
-
-def jordan_real(a: np.ndarray) -> MatrixJordan:
-    """Real Jordan form in the diagonalizable regime, real eigenvalues
-    first; see :func:`jordan_stack` and :func:`_real_form`."""
-    if np.iscomplexobj(a):
-        raise ValueError("jordan_real requires a real matrix")
-    a = np.asarray(a, dtype=np.float64)
-    _require_square(a, "jordan_real")
-    p, j = jordan_stack(a[None])
-    return MatrixJordan(p[0], j[0], _scan_quasi_partition(j[0]))
-
-
-@dataclass(frozen=True)
-class RankNormalForm:
-    """Invertible u, v with inv(u) @ a @ inv(v) = [[I_r, 0], [0, 0]]."""
-
-    u: np.ndarray
-    v: np.ndarray
-    r: int
-
-    def canonical(self) -> np.ndarray:
-        n_rows = self.u.shape[0]
-        n_cols = self.v.shape[0]
-        e = np.zeros((n_rows, n_cols))
-        e[:self.r, :self.r] = np.eye(self.r)
-        return e
-
-
 def rank_normal_factors(u, sigma, v, cutoff: RankCutoff):
     """Stacks (u', e, v') of rank normal forms a = u' @ e @ v' from the
     full SVD stacks of :func:`svd_stack`.
@@ -480,20 +365,6 @@ def rank_normal_factors(u, sigma, v, cutoff: RankCutoff):
     return u * scale[..., None, :], e, np.conj(v.swapaxes(-1, -2))
 
 
-def rank_normal_form(
-    a: np.ndarray, cutoff: RankCutoff | None = None
-) -> RankNormalForm:
-    """Rank normal form built from the SVD; see :func:`rank_normal_factors`.
-    The rank counts the singular values above the cutoff (default: a's
-    own)."""
-    a = np.asarray(a)
-    u, sigma, v = svd_stack(a[None])
-    if cutoff is None:
-        cutoff = _matrix_cutoff(a, sigma)
-    u, _, v = rank_normal_factors(u, sigma, v, cutoff)
-    return RankNormalForm(u[0], v[0], int(cutoff.rank(sigma[0])))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def pinv_from_svd(u, sigma, vh, threshold: float, below: float = 0.0):
     """v diag(d) u^H from thin or full SVD factors of a matrix or a stack:
@@ -507,20 +378,6 @@ def pinv_from_svd(u, sigma, vh, threshold: float, below: float = 0.0):
     return np.conj(vh[..., :r, :].swapaxes(-1, -2)) @ (
         d[..., :, None] * np.conj(u[..., :r].swapaxes(-1, -2))
     )
-
-
-def mp_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
-    """Moore-Penrose inverse of a matrix or a stack of matrices, with the
-    singular values at or below the cutoff (default: a's own) as zero; an
-    inverse beyond the float64 range is a MathError."""
-    a = np.asarray(a)
-    u, s, vh = svd_reduced(a)
-    if cutoff is None:
-        cutoff = _matrix_cutoff(a, s)
-    x = pinv_from_svd(u, s, vh, cutoff.at())
-    if not np.isfinite(x).all():
-        raise MathError("the pseudoinverse overflowed the float64 range")
-    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -592,41 +449,6 @@ def drazin_from_powers(stack: np.ndarray, cutoff: RankCutoff,
     return out
 
 
-def _square_with_cutoff(a, name, cutoff):
-    """a as a square matrix, its singular values and its cutoff."""
-    a = np.asarray(a)
-    _require_square(a, name)
-    sigma = singular_values(a)
-    return a, sigma, cutoff if cutoff is not None else _matrix_cutoff(a, sigma)
-
-
-def matrix_index(a: np.ndarray, cutoff: RankCutoff | None = None) -> int:
-    """Least k with rank(a^(k+1)) == rank(a^k); at most n."""
-    a, sigma, cutoff = _square_with_cutoff(a, "matrix_index", cutoff)
-    return int(drazin_indices(a[None], cutoff, sigma[None])[0][0])
-
-
-def drazin_inverse(
-    a: np.ndarray, cutoff: RankCutoff | None = None
-) -> tuple[np.ndarray, int]:
-    """Drazin inverse a^D and the index i(a); see :func:`drazin_stack`."""
-    a, sigma, cutoff = _square_with_cutoff(a, "drazin_inverse", cutoff)
-    ad, index = drazin_stack(a[None], cutoff, sigma[None])
-    return ad[0], int(index[0])
-
-
-def group_inverse(a: np.ndarray, cutoff: RankCutoff | None = None) -> np.ndarray:
-    """Group inverse; exists iff rank(a^2) == rank(a), i.e. the Drazin
-    index is at most 1, and is then the Drazin inverse.  The failure is
-    :func:`no_group_inverse`, as in ``ginverses.t_group``, decided from the
-    index before a^3 is formed."""
-    a, sigma, cutoff = _square_with_cutoff(a, "group_inverse", cutoff)
-    index, powers = drazin_indices(a[None], cutoff, sigma[None])
-    if index[0] > 1:
-        raise no_group_inverse(a, cutoff)
-    return drazin_from_powers(a[None], cutoff, index, powers)[0]
-
-
 def no_group_inverse(a: np.ndarray, cutoff: RankCutoff) -> GroupInverseNotExist:
     """The error for a square matrix of Drazin index above 1, with its
     ranks and how close their decision was."""
@@ -656,6 +478,35 @@ def _rank_margin(cutoff: RankCutoff, sigma, sigma_sq) -> float:
     return margin
 
 
-def _require_square(a: np.ndarray, name: str) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} requires a square matrix, got {a.shape}")
+def _retired(name: str, replacement: str):
+    """A stub for the retired per-matrix kernel ``name``: a matrix a is
+    the tensor ``Tensor3(a[None])``, whose op gives the same bits, and a
+    complex matrix takes the stack kernel on ``a[None]``.  It stays bound
+    only while the benchmark's tracer wraps the name."""
+
+    def retired(*args, **kwargs):
+        raise NotImplementedError(
+            f"kernels.{name} is retired; use {replacement}")
+
+    retired.__name__ = retired.__qualname__ = name
+    return retired
+
+
+svd = _retired("svd", "t_svd(Tensor3(a[None])) or svd_stack(a[None])")
+schur_complex = _retired("schur_complex", "schur_stack(a[None])")
+schur_real_ordered = _retired(
+    "schur_real_ordered", "t_schur(Tensor3(a[None])) or schur_stack(a[None])")
+jordan_complex = _retired("jordan_complex", "jordan_stack(a[None])")
+jordan_real = _retired(
+    "jordan_real", "t_jordan(Tensor3(a[None])) or jordan_stack(a[None])")
+rank_normal_form = _retired(
+    "rank_normal_form",
+    "idempotent_factorization(Tensor3(a[None])) or rank_normal_factors")
+mp_inverse = _retired(
+    "mp_inverse", "t_pinv(Tensor3(a[None])) or pinv_from_svd")
+matrix_index = _retired(
+    "matrix_index", "t_index(Tensor3(a[None])) or drazin_indices")
+drazin_inverse = _retired(
+    "drazin_inverse", "t_drazin(Tensor3(a[None])) or drazin_stack")
+group_inverse = _retired(
+    "group_inverse", "t_group(Tensor3(a[None])) or drazin_from_powers")

@@ -41,7 +41,7 @@ from tprod import kernels
 from tprod.factorizations import idempotent_factorization
 from tprod.generate import KINDS
 
-from conftest import max_abs
+from conftest import drazin_of_one, group_of_one, max_abs, pinv_of_one
 
 
 @st.composite
@@ -120,11 +120,8 @@ def eigh_kernel(block):
 
 
 def jordan_kernel(block):
-    if np.iscomplexobj(block):
-        dec = kernels.jordan_complex(block)
-    else:
-        dec = kernels.jordan_real(block)
-    return dec.p, dec.j
+    p, j = kernels.jordan_stack(block[None])
+    return p[0], j[0]
 
 
 def assert_rel_close(x, ref, rtol=1e-12):
@@ -136,15 +133,15 @@ class TestMatchesBlockLoop:
     @given(tensors())
     def test_pinv(self, a):
         cutoff = loop_cutoff(a)
-        (ref,) = loop_map(lambda b: (kernels.mp_inverse(b, cutoff),), a)
+        (ref,) = loop_map(lambda b: (pinv_of_one(b, cutoff),), a)
         assert_rel_close(t_pinv(a), ref)
 
     @settings(max_examples=60)
     @given(tensors())
     def test_svd_factors_and_phase_convention(self, a):
         def kernel(block):
-            dec = kernels.svd(block)
-            return dec.u, dec.sigma_matrix(), dec.v
+            u, sigma, v = kernels.svd_stack(block[None])
+            return u[0], kernels.sigma_matrices(sigma[0], *block.shape), v[0]
 
         u, s, v = loop_map(kernel, a)
         dec = t_svd(a)
@@ -157,9 +154,8 @@ class TestMatchesBlockLoop:
     @given(tensors(square=True))
     def test_drazin(self, a):
         cutoff = loop_cutoff(a)
-        indices = [kernels.drazin_inverse(block, cutoff)[1]
-                   for block in half_blocks(a)]
-        (ref,) = loop_map(lambda b: (kernels.drazin_inverse(b, cutoff)[0],), a)
+        indices = [drazin_of_one(block, cutoff)[1] for block in half_blocks(a)]
+        (ref,) = loop_map(lambda b: (drazin_of_one(b, cutoff)[0],), a)
         result = t_drazin(a)
         assert result.index == t_index(a) == max(indices)
         assert_rel_close(result.ad, ref)
@@ -168,7 +164,7 @@ class TestMatchesBlockLoop:
     @given(tensors(square=True))
     def test_group(self, a):
         cutoff = loop_cutoff(a)
-        ref = loop_or_error(lambda b: (kernels.group_inverse(b, cutoff),), a)
+        ref = loop_or_error(lambda b: (group_of_one(b, cutoff),), a)
         if isinstance(ref, GroupInverseNotExist):
             assert_same_error(lambda: t_group(a), ref)
         else:
@@ -252,7 +248,7 @@ class TestFailureNamesFirstBlock:
     def test_group_and_jordan(self, case):
         a, first = case
         cutoff = loop_cutoff(a)
-        ref = loop_or_error(lambda b: (kernels.group_inverse(b, cutoff),), a)
+        ref = loop_or_error(lambda b: (group_of_one(b, cutoff),), a)
         assert isinstance(ref, GroupInverseNotExist)
         assert ref.block_index == first
         assert_same_error(lambda: t_group(a), ref)

@@ -41,6 +41,39 @@ def test_every_traced_span_resolves():
     assert not missing, missing
 
 
+# the per-matrix kernels retired in favour of the ops at p = 1, with the
+# replacement each stub's error names; the tracer still wraps them
+RETIRED = {
+    "svd": "t_svd(Tensor3(a[None])) or svd_stack(a[None])",
+    "schur_complex": "schur_stack(a[None])",
+    "schur_real_ordered": "t_schur(Tensor3(a[None])) or schur_stack(a[None])",
+    "jordan_complex": "jordan_stack(a[None])",
+    "jordan_real": "t_jordan(Tensor3(a[None])) or jordan_stack(a[None])",
+    "rank_normal_form":
+        "idempotent_factorization(Tensor3(a[None])) or rank_normal_factors",
+    "mp_inverse": "t_pinv(Tensor3(a[None])) or pinv_from_svd",
+    "matrix_index": "t_index(Tensor3(a[None])) or drazin_indices",
+    "drazin_inverse": "t_drazin(Tensor3(a[None])) or drazin_stack",
+    "group_inverse": "t_group(Tensor3(a[None])) or drazin_from_powers",
+}
+
+
+def test_retired_kernels_are_stubs_the_tracer_still_wraps():
+    """Each retired name is its own callable, still a span, and raises
+    NotImplementedError naming its replacement.  Once the tracer drops
+    these spans this fails: then delete the stubs and this test."""
+    spans = set(_load("tracer").SPANS.values())
+    stubs = [getattr(tprod.kernels, name) for name in RETIRED]
+    assert all(map(callable, stubs))
+    assert len(set(map(id, stubs))) == len(RETIRED)
+    for name, replacement in RETIRED.items():
+        assert ("tprod.kernels", name) in spans
+        with pytest.raises(NotImplementedError) as excinfo:
+            getattr(tprod.kernels, name)(np.eye(2))
+        assert str(excinfo.value) == (
+            f"kernels.{name} is retired; use {replacement}")
+
+
 def test_traced_run_matches_untraced():
     """``--trace 1`` wraps ``lift_multi``'s op to count the blocks it
     evaluates, so a change to the lift's calling convention shows here.

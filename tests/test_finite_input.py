@@ -32,11 +32,12 @@ from tprod import (
 )
 from tprod.cli import cli_main
 from tprod.kernels import (
-    jordan_real,
-    matrix_index,
-    mp_inverse,
-    schur_real_ordered,
-    svd,
+    hermitian_stack,
+    jordan_stack,
+    schur_stack,
+    singular_values,
+    svd_reduced,
+    svd_stack,
 )
 
 NON_FINITE = "matrix entries must be finite"
@@ -139,12 +140,15 @@ def test_forward_transform_keeps_an_overflow_without_warning():
 
 
 @pytest.mark.parametrize(
-    "twin", [mp_inverse, svd, jordan_real, schur_real_ordered, matrix_index],
+    "kernel",
+    [singular_values, svd_reduced, svd_stack, schur_stack, jordan_stack,
+     hermitian_stack],
     ids=lambda f: f.__name__)
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_matrix_kernels_refuse_non_finite_entries(twin, bad):
+def test_matrix_kernels_refuse_non_finite_entries(kernel, bad):
+    # every stack kernel an op applies to raw Fourier blocks, on a stack of one
     with pytest.raises(ValueError, match=NON_FINITE):
-        twin(np.array([[bad, 1.0], [0.0, 1.0]]))
+        kernel(np.array([[[bad, 1.0], [0.0, 1.0]]]))
 
 
 def test_cli_names_the_block_of_an_overflowing_transform(tmp_path, capsys):

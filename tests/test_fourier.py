@@ -46,11 +46,16 @@ from tprod.ginverses import (
     penrose_report,
     witness_report,
 )
-from tprod.kernels import mp_inverse
 
-from conftest import max_abs
+from conftest import matrix_cutoff, max_abs, pinv_of_one
 
 SQRT2 = np.sqrt(2.0)
+
+
+def pinv(b):
+    """The pseudoinverse of the block b at its own rank cutoff."""
+    return pinv_of_one(b, matrix_cutoff(b))
+
 
 # independently chosen (unpaired) Jordan forms of the Jordan-example blocks
 NAIVE_JORDAN_BLOCKS = [
@@ -170,6 +175,22 @@ class TestIdentityAndDistance:
         with pytest.raises(DimensionError,
                            match=r"dims \(2, 3, 5\) != \(3, 2, 5\)"):
             to_fourier(gen(3, 2, 3, 5)).distance(to_fourier(gen(3, 3, 2, 5)))
+
+    @pytest.mark.parametrize("p", range(3, 9))
+    def test_a_nan_block_is_one_overflow_whatever_the_dc_imaginary_part(self, p):
+        # a NaN block makes the pairing allowance NaN, so a finite
+        # imaginary DC part is not certified against it: the NaN residual
+        # is the one error, as it is with that part at 0
+        base = to_fourier(gen(p, 2, 2, p)).blocks.copy()
+        base[1, 1, 0] = complex(np.nan, 0.0)
+        zeros = FourierBlocks(np.zeros_like(base), p)
+        for imag in (0.0, 1e-3):
+            blocks = base.copy()
+            blocks[0, 0, 0] += 1j * imag
+            with pytest.raises(MathError) as excinfo:
+                FourierBlocks(blocks, p).distance(zeros)
+            assert type(excinfo.value) is MathError
+            assert str(excinfo.value) == fourier.IDENTITY_OVERFLOW
 
 
 class TestFourierBlocksEquality:
@@ -544,7 +565,7 @@ class TestLift:
     def test_pinv_map_matches_bcirc_oracle(self):
         for seed in range(5):
             t = gen(seed, 2, 3, 3)
-            (fx,) = lift_multi(to_fourier(t), lambda b, k: (mp_inverse(b),))
+            (fx,) = lift_multi(to_fourier(t), lambda b, k: (pinv(b),))
             x = assemble_real(fx)[0]
             oracle = np.linalg.pinv(bcirc(t).matrix)
             assert max_abs(bcirc(x).matrix - oracle) <= 1e-9
@@ -553,7 +574,7 @@ class TestLift:
         fb = to_fourier(gen(9, 3, 3, 6))
 
         def phi(b, k):
-            return (mp_inverse(b),)
+            return (pinv(b),)
 
         (first,) = lift_multi(fb, phi)
         (second,) = lift_multi(fb, phi)

@@ -34,9 +34,8 @@ from tprod import (
 )
 from tprod import core, factorizations, ginverses, kernels
 from tprod.ginverses import penrose_report, witness_report
-from tprod.kernels import drazin_inverse, group_inverse
 
-from conftest import max_abs
+from conftest import drazin_of_one, group_of_one, matrix_cutoff, max_abs
 
 
 def nilpotent_block_tensor() -> Tensor3:
@@ -230,11 +229,10 @@ class TestTDrazin:
         cutoff = kernels.rank_cutoff(sigma, a.dims)
         for k, index in enumerate(MIXED_INDICES):
             block = fa.block(k)
-            assert kernels.matrix_index(block, cutoff) == index
+            oracle, block_index = drazin_of_one(block, cutoff)
+            assert block_index == index
             if index == 0:
                 oracle = np.linalg.inv(block)
-            else:
-                oracle = drazin_inverse(block, cutoff)[0]
             assert max_abs(fd.block(k) - oracle) <= 1e-13 * max_abs(oracle)
 
     def test_invertible_runs_no_svd_with_vectors(self, monkeypatch):
@@ -342,9 +340,9 @@ class TestTDrazin:
         for seed in range(10):
             a = gen(seed, 3, 3, 3)
             res = t_drazin(a)
-            oracle, oracle_index = drazin_inverse(bcirc(a).matrix)
-            assert res.index == oracle_index
-            assert max_abs(bcirc(res.ad).matrix - oracle) <= 1e-9
+            oracle = t_drazin(Tensor3(bcirc(a).matrix[None]))
+            assert res.index == oracle.index
+            assert max_abs(bcirc(res.ad).matrix - oracle.ad.array[0]) <= 1e-9
 
     def test_index_matches_bcirc_rank_stabilization(self):
         for a in [
@@ -409,7 +407,7 @@ class TestTGroup:
                 t_group(a)
             errors.append(excinfo.value)
             with pytest.raises(GroupInverseNotExist):
-                group_inverse(a.array[0])
+                group_of_one(a.array[0], matrix_cutoff(a.array[0]))
         for exc in errors:
             assert exc.block_index == 0
             assert (exc.rank, exc.rank_sq) == (2, 1)
@@ -445,7 +443,7 @@ class TestTGroup:
             expected = True
             for k in range(3):
                 try:
-                    group_inverse(blocks[k])
+                    group_of_one(blocks[k], matrix_cutoff(blocks[k]))
                 except GroupInverseNotExist:
                     expected = False
                     break
