@@ -25,7 +25,13 @@ from .errors import DimensionError, MathError, NotBlockCirculant
 # every desk_scale shape (3x3x4: 9.9 us direct, 33.8 us Fourier; min of
 # 5 x 2000 calls, one BLAS thread, Intel Xeon), and bcirc's O(p^2 mn) loses
 # above the limit.  An explicit direct product above the limit sums over
-# the p shifts instead of building the circulant.
+# the p shifts instead of building the circulant.  tprod goes direct when
+# p * min(m, n, l) is within the limit.  The same limit decides where the
+# residual reports verify (fourier.operands): on the slices, with these
+# circulant products and no transform, when p * max(m, n) of every operand
+# is within it, so that no circulant they build exceeds 64 x 64, and on
+# the half spectrum above it (penrose_report at 3x3x4: 86 us on the half
+# spectrum, 44 us on the slices; same machine and method).
 DIRECT_PATH_LIMIT = 64
 
 # Structural tolerance for bcirc_inv: 1e-10 * max|entry|.
@@ -276,10 +282,7 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
         raise ValueError(f"unknown tprod path {path!r}")
     try:
         if path == "direct" and desk:
-            # the bcirc matrix without its BlockCirculant wrapper: at desk
-            # scale the wrapper is a tenth of the product's time
-            c = _circulant(a.array) @ b.array.reshape(-1, nb)
-            return Tensor3._wrap(c.reshape(pa, ma, nb))
+            return Tensor3._wrap(_circulant_product(a.array, b.array))
         if path == "direct":
             return Tensor3._wrap(_shift_sum(a.array, b.array))
         from .fourier import _certified_irfft, to_fourier
@@ -288,6 +291,15 @@ def tprod(a: Tensor3, b: Tensor3, path: str = "auto") -> Tensor3:
         return Tensor3._wrap(_certified_irfft(prod.blocks, pa)[0])
     except ValueError as exc:  # Tensor3 refuses a non-finite product
         raise product_overflow(a.dims, b.dims) from exc
+
+
+def _circulant_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The slices of fold(bcirc(a) @ unfold(b)) for (p, m, n) and (p, n, l)
+    slice stacks, through the circulant matrix without its BlockCirculant
+    wrapper: at desk scale the wrapper is a tenth of the product's time."""
+    p, m, _ = a.shape
+    l = b.shape[2]
+    return (_circulant(a) @ b.reshape(-1, l)).reshape(p, m, l)
 
 
 def _shift_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,8 +347,14 @@ def transpose(t: Tensor3) -> Tensor3:
 
     Satisfies bcirc(transpose(t)) == bcirc(t).T exactly.
     """
-    arr = t.array
-    return Tensor3(np.concatenate((arr[:1], arr[:0:-1])).transpose(0, 2, 1))
+    return Tensor3._wrap(_transpose_slices(t.array))
+
+
+def _transpose_slices(stack: np.ndarray) -> np.ndarray:
+    """The slice stack of the tensor transpose of a (p, m, n) slice stack,
+    fresh and C-ordered, as :func:`_circulant` needs it."""
+    return np.ascontiguousarray(
+        np.concatenate((stack[:1], stack[:0:-1])).transpose(0, 2, 1))
 
 
 def add(a: Tensor3, b: Tensor3) -> Tensor3:

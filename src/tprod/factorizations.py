@@ -9,7 +9,8 @@ factor family is a :class:`~tprod.fourier.FourierBlocks`, which implies
 them.  Every factorization, Schur included, runs stacked kernels in
 ``FourierBlocks.map`` calls.  The resulting factors
 are always real; every operation returns a ResidualReport of its defining
-identities, checked on the half spectra of the input and the factors
+identities, checked on the slices of the input and the factors at desk
+scale (the t-Jordan report excepted) and on their half spectra above it
 (see :mod:`tprod.report`).
 
 A t-symmetric tensor (equal to its t-transpose) has Hermitian Fourier
@@ -52,6 +53,7 @@ from .fourier import (
     FourierBlocks,
     assemble_real,
     inverse_transform,
+    operands,
     real_forced_slice,
     real_tolerance,
     to_fourier,
@@ -170,17 +172,18 @@ def is_t_symmetric(t: Tensor3, tol: float) -> bool:
     return bool(np.abs(rest).max(initial=0.0) <= tol)
 
 
-def _orthogonality(ft: FourierBlocks) -> float:
-    """max|t^T * t - I| of the tensor t with half spectrum ft, with I of
-    t's row count (a non-square t fails)."""
+def _orthogonality(ft) -> float:
+    """max|t^T * t - I| of the tensor t with verification operand ft
+    (:func:`~tprod.fourier.operands`), with I of t's row count (a
+    non-square t fails)."""
     m, n, p = ft.dims
-    return (ft.T @ ft).distance(FourierBlocks.identity(m, p))
+    return (ft.T @ ft).distance(type(ft).identity(m, p))
 
 
 @verifying
 def is_orthogonal(t: Tensor3, tol: float) -> bool:
     _require_square(t, "orthogonality")
-    ft = to_fourier(t)
+    (ft,) = operands(t)
     return max(_orthogonality(ft), _orthogonality(ft.T)) <= tol
 
 
@@ -269,7 +272,7 @@ def tsvd_report(a: Tensor3, u: Tensor3, s: Tensor3, v: Tensor3) -> ResidualRepor
     with ResidualReport("tsvd") as report:
         t_rec = rec_tolerance(a)
         t_orth = orth_tolerance(max(m, n), p)
-        fa, fu, fs, fv = (to_fourier(t) for t in (a, u, s, v))
+        fa, fu, fs, fv = operands(a, u, s, v)
         report.add_identity("reconstruction", fu @ fs @ fv.T, fa, t_rec)
         report.add("orthogonality_u", _orthogonality(fu), t_orth)
         report.add("orthogonality_v", _orthogonality(fv), t_orth)
@@ -329,7 +332,7 @@ def tschur_report(
     if partition is None:
         partition = _partition(t, bidiagonal=False)
     with ResidualReport("tschur") as report:
-        fa, fu, ft = (to_fourier(x) for x in (a, u, t))
+        fa, fu, ft = operands(a, u, t)
         report.add_identity("reconstruction", fu @ ft @ fu.T, fa,
                             rec_tolerance(a))
         report.add("orthogonality_u", _orthogonality(fu), orth_tolerance(n, p))
@@ -382,6 +385,9 @@ def tjordan_report(
     transforming tensor, since the similarity amplifies rounding by cond(P),
     up to 1 / kernels.DEFECT_RANK_TOL.  One SVD of P's blocks gives both
     cond(P) and the decision that P is invertible, as t_inverse takes it.
+    It verifies on the half spectrum at every size, never on the slices
+    (:func:`~tprod.fourier.operands`), because P's inverse comes from
+    those block SVDs (:func:`~tprod.ginverses.blockwise_inverse`).
     """
     m, n, p = a.dims
     if partition is None:
@@ -440,7 +446,7 @@ def idem_report(a: Tensor3, u: Tensor3, e: Tensor3, v: Tensor3) -> ResidualRepor
     """Residuals of the idempotent factorization identities."""
     with ResidualReport("idem") as report:
         t_rec = rec_tolerance(a)
-        fa, fu, fe, fv = (to_fourier(t) for t in (a, u, e, v))
+        fa, fu, fe, fv = operands(a, u, e, v)
         report.add_identity("reconstruction", fu @ fe @ fv, fa, t_rec)
         report.add_identity("idempotency", fe @ fe, fe, t_rec)
     return report

@@ -28,14 +28,20 @@ so they are certified before it runs, never silently dropped, in one
 place (``_certified_irfft``) under one rule (:func:`pair_tolerance`,
 PairingViolation); every real inverse transform goes through it.
 
-The residual reports verify on the half spectrum too.  ``@``, ``.T``,
-:meth:`FourierBlocks.power` and :meth:`FourierBlocks.identity` are the
-t-product, transpose, power and identity on blocks 0..floor(p/2), and
-:meth:`FourierBlocks.distance` measures an identity as max|lhs - rhs| over
-the slices, with one certified irfft of its residual blocks.  A residual
-beyond the float64 range is a MathError.  :func:`core.tprod`'s Fourier
-path is the same ``@``, turned back into slices by the same certified
-irfft.
+The residual reports verify in one of two domains, chosen by size in
+:func:`operands` under :data:`core.DIRECT_PATH_LIMIT`, the rule by which
+:func:`core.tprod` picks its path.  Above the limit (and four of them
+at every size; see :mod:`tprod.report`) they verify on the half spectrum:
+``@``, ``.T``, :meth:`FourierBlocks.power` and
+:meth:`FourierBlocks.identity` are the t-product, transpose, power and
+identity on blocks 0..floor(p/2), and :meth:`FourierBlocks.distance`
+measures an identity as max|lhs - rhs| over the slices, with one certified
+irfft of its residual blocks.  At desk scale a :class:`SliceStack` has the
+same five operations on the slices, with no transform: ``@`` is the
+block-circulant product of :func:`core.tprod`'s direct path.  In either
+domain a residual beyond the float64 range is a MathError.
+:func:`core.tprod`'s Fourier path is the half spectrum's ``@``, turned
+back into slices by the same certified irfft.
 
 Blockwise maps run on one engine, :meth:`FourierBlocks.map`.  It runs a
 stacked kernel once on the real parts of the real-forced blocks and once
@@ -60,7 +66,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Tensor3, _require_square, not_conformable
+from .core import (
+    DIRECT_PATH_LIMIT,
+    Tensor3,
+    _circulant_product,
+    _require_square,
+    _transpose_slices,
+    not_conformable,
+)
 from .errors import BlockOpError, DimensionError, MathError, PairingViolation
 from .report import ResidualReport
 
@@ -91,8 +104,26 @@ def real_forced_slice(p: int) -> slice:
     return slice(None, None, p // 2) if p % 2 == 0 else slice(1)
 
 
+class _Operand:
+    """What the two domains of the verification algebra share: the power
+    by repeated products, from the identity of the operand's own type."""
+
+    __slots__ = ()
+
+    def power(self, k: int):
+        """The k-th t-product power: repeated products, the identity at
+        k = 0."""
+        _require_square(self, "power")
+        if k < 0:
+            raise ValueError("power exponent must be nonnegative")
+        result = type(self).identity(*self.dims[1:]) if k == 0 else self
+        for _ in range(k - 1):
+            result = result @ self
+        return result
+
+
 @dataclass(frozen=True, eq=False)
-class FourierBlocks:
+class FourierBlocks(_Operand):
     """The Fourier blocks 0..floor(p/2) of a real m x n x p tensor.
 
     ``blocks`` has shape (p // 2 + 1, m, n).  Block p - k is the conjugate
@@ -173,7 +204,8 @@ class FourierBlocks:
         block = self.blocks[k]
         return block.real if k in real_forced_indices(self.p) else block
 
-    # The verification algebra: the reports write each identity with these
+    # The verification algebra above DIRECT_PATH_LIMIT (SliceStack's at or
+    # below it; see operands): the reports write each identity with these
     # on the half spectra of their operands and measure it by distance,
     # which refuses an overflow anywhere in its making as MathError.  Its
     # products keep numpy's overflow warning, which a report switches off
@@ -194,17 +226,6 @@ class FourierBlocks:
         return FourierBlocks._wrap(self.blocks.conj().transpose(0, 2, 1),
                                    self.p)
 
-    def power(self, k: int) -> "FourierBlocks":
-        """The half spectrum of the k-th t-product power: a stacked matrix
-        power by repeated block products."""
-        _require_square(self, "power")
-        if k < 0:
-            raise ValueError("power exponent must be nonnegative")
-        result = FourierBlocks.identity(*self.dims[1:]) if k == 0 else self
-        for _ in range(k - 1):
-            result = result @ self
-        return result
-
     def distance(self, other: "FourierBlocks") -> float:
         """max|entry| of the real tensor self - other over its slices: one
         certified irfft of the difference blocks.
@@ -212,13 +233,15 @@ class FourierBlocks:
         Unequal dims are a DimensionError, as in Tensor3 subtraction.  The
         imaginary parts irfft drops are certified as :func:`assemble_real`
         certifies them.  A non-finite residual, from a block product or a
-        transform beyond the float64 range, is a MathError.
+        transform beyond the float64 range, is a MathError, and so is a
+        non-finite residue of those dropped parts, which leaves the slices
+        finite.
         """
         if self.p != other.p or self.blocks.shape != other.blocks.shape:
             raise DimensionError(f"dims {self.dims} != {other.dims}")
-        slices, _ = _certified_irfft(self.blocks - other.blocks, self.p)
+        slices, residue = _certified_irfft(self.blocks - other.blocks, self.p)
         residual = float(np.abs(slices).max())
-        if not math.isfinite(residual):
+        if not (math.isfinite(residual) and math.isfinite(residue)):
             raise MathError(IDENTITY_OVERFLOW)
         return residual
 
@@ -273,6 +296,76 @@ class FourierBlocks:
                 raise
             except ValueError as exc:
                 raise BlockOpError(f"block operation failed: {exc}", k) from exc
+
+
+class SliceStack(_Operand):
+    """The (p, m, n) slice stack of a real m x n x p tensor as an operand
+    of the verification algebra: :class:`FourierBlocks`' ``@``, ``.T``,
+    ``power``, ``identity`` and ``distance``, on the slices with no
+    transform.  The reports verify on it at desk scale (:func:`operands`).
+    """
+
+    __slots__ = ("slices",)
+
+    def __init__(self, slices: np.ndarray):
+        self.slices = slices
+
+    @classmethod
+    def identity(cls, n: int, p: int) -> "SliceStack":
+        """The n x n x p identity tensor, on slices built once per (n, p)
+        and kept for the 16 most recently used."""
+        return cls(_identity_slices(n, p))
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        p, m, n = self.slices.shape
+        return m, n, p
+
+    def __matmul__(self, other: "SliceStack") -> "SliceStack":
+        """The t-product self * other, by :func:`core.tprod`'s direct
+        block-circulant product.  Dims that do not conform are refused as
+        :func:`core.tprod` refuses them."""
+        (p, _, n), (q, k, _) = self.slices.shape, other.slices.shape
+        if n != k or p != q:
+            raise not_conformable(self.dims, other.dims)
+        return SliceStack(_circulant_product(self.slices, other.slices))
+
+    @property
+    def T(self) -> "SliceStack":
+        """The tensor transpose, as :func:`core.transpose` forms it."""
+        return SliceStack(_transpose_slices(self.slices))
+
+    def distance(self, other: "SliceStack") -> float:
+        """max|entry| of self - other.  Unequal dims are a DimensionError,
+        and a non-finite residual, from a product beyond the float64
+        range, is a MathError, as :meth:`FourierBlocks.distance` has
+        them."""
+        if self.slices.shape != other.slices.shape:
+            raise DimensionError(f"dims {self.dims} != {other.dims}")
+        residual = float(np.abs(self.slices - other.slices).max())
+        if not math.isfinite(residual):
+            raise MathError(IDENTITY_OVERFLOW)
+        return residual
+
+
+@functools.lru_cache(maxsize=16)
+def _identity_slices(n: int, p: int) -> np.ndarray:
+    """Read-only slices of the n x n x p identity: I_n, then zeros."""
+    eye = np.zeros((p, n, n))
+    eye[0] = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def operands(*tensors: Tensor3) -> tuple:
+    """The operands a report verifies ``tensors`` on: their slice stacks
+    (:class:`SliceStack`) when p * max(m, n) of every one is within
+    :data:`core.DIRECT_PATH_LIMIT`, where the direct product is the
+    cheaper one, and their half spectra (:func:`to_fourier`) above it."""
+    size = max(p * max(m, n) for m, n, p in (t.dims for t in tensors))
+    if size <= DIRECT_PATH_LIMIT:
+        return tuple(SliceStack(t.array) for t in tensors)
+    return tuple(to_fourier(t) for t in tensors)
 
 
 def mirror_blocks(evaluated, p: int) -> np.ndarray:

@@ -11,8 +11,11 @@ scale S = max_k sigma_1(A_k), from one :class:`_Spectrum` built once.
 0 once per tensor, by the test :func:`t_inverse` decides invertibility
 by, so on an invertible tensor they run its block map and nothing else.
 Residual allowances scale quadratically with the data magnitude because
-the defining identities are triple products.  The reports check those
-identities on the half spectra of their operands (see :mod:`tprod.report`).
+the defining identities are triple products.  The pseudoinverse and
+inverse reports check those identities on the slices of their operands at
+desk scale and on their half spectra above it; the Drazin, group and
+witness reports check them on the half spectra at every size (see
+:mod:`tprod.report`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import kernels
 from .core import Tensor3, _require_square
 from .errors import MathError, Singular
-from .fourier import FourierBlocks, assemble_real, to_fourier
+from .fourier import FourierBlocks, assemble_real, operands, to_fourier
 from .report import ResidualReport
 
 
@@ -114,8 +117,8 @@ def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     m, n, p = a.dims
     with ResidualReport("tinv") as report:
         t_gi = gi_tolerance(a)
-        fa, fx = to_fourier(a), to_fourier(x)
-        eye = FourierBlocks.identity(n, p)
+        fa, fx = operands(a, x)
+        eye = type(fa).identity(n, p)
         report.add_identity("left_inverse", fx @ fa, eye, t_gi)
         report.add_identity("right_inverse", fa @ fx, eye, t_gi)
     return report
@@ -150,7 +153,7 @@ def penrose_report(a: Tensor3, x: Tensor3) -> ResidualReport:
     """Residuals of the four Penrose equations under the t-product."""
     with ResidualReport("pinv") as report:
         t_gi = gi_tolerance(a)
-        fa, fx = to_fourier(a), to_fourier(x)
+        fa, fx = operands(a, x)
         ax = fa @ fx
         xa = fx @ fa
         report.add_identity("axa_equals_a", ax @ fa, fa, t_gi)
@@ -201,7 +204,13 @@ def t_drazin(a: Tensor3) -> DrazinResult:
 
 def drazin_report(a: Tensor3, ad: Tensor3, index: int) -> ResidualReport:
     """Residuals of the three Drazin identities at the given index.  At
-    index 0, A^0 = I and the power identity is A*A^D = I."""
+    index 0, A^0 = I and the power identity is A*A^D = I.
+
+    They are verified on the half spectrum at every size, never on the
+    slices (:func:`~tprod.fourier.operands`).  For a large A^D the residual
+    of A^D*A*A^D = A^D is rounding the size of :func:`gi_tolerance`, which
+    does not grow with A^D, so its verdict would follow the domain's
+    rounding rather than the answer."""
     with ResidualReport("drazin") as report:
         t_gi = gi_tolerance(a)
         fa, fd = to_fourier(a), to_fourier(ad)
@@ -254,7 +263,9 @@ def t_group(a: Tensor3) -> Tensor3:
 
 
 def group_report(a: Tensor3, g: Tensor3) -> ResidualReport:
-    """Residuals of the three group-inverse identities."""
+    """Residuals of the three group-inverse identities, verified on the
+    half spectrum at every size, as :func:`drazin_report` verifies its
+    own."""
     with ResidualReport("group") as report:
         t_gi = gi_tolerance(a)
         fa, fg = to_fourier(a), to_fourier(g)
@@ -291,7 +302,10 @@ def unit_regular_witness(a: Tensor3) -> UnitRegularWitness:
 
 
 def witness_report(a: Tensor3, w: Tensor3) -> ResidualReport:
-    """Residuals of the unit-regular witness identities."""
+    """Residuals of the unit-regular witness identities.  They are
+    verified on the half spectrum at every size, never on the slices
+    (:func:`~tprod.fourier.operands`), because w's inverse comes from the
+    block SVDs of :func:`blockwise_inverse`."""
     m, n, p = a.dims
     with ResidualReport("witness") as report:
         t_gi = gi_tolerance(a)

@@ -6,13 +6,24 @@ form is stable: ``{operation, checks: [{name, residual, tolerance, pass}],
 pass, seconds}``.
 
 An identity ``lhs = rhs`` is measured one way, as max|lhs - rhs| over
-all slice entries (:meth:`~tprod.fourier.FourierBlocks.distance`,
-recorded by :meth:`ResidualReport.add_identity`).  The reports verify on
-the half spectrum: each transforms its input and every factor it is given
-once, writes each identity as stacked products of Fourier blocks
-0..floor(p/2) (A*X*A = A holds exactly when A_k X_k A_k = A_k for every
-block k), and takes the residual blocks to the slices by one certified
-irfft per identity.  Each report computes its own default allowances;
+all slice entries (``distance``, recorded by
+:meth:`ResidualReport.add_identity`), in one of two equal forms chosen by
+size (:func:`~tprod.fourier.operands`, under the rule
+:data:`~tprod.core.DIRECT_PATH_LIMIT` by which ``tprod`` picks its path).
+At desk scale, p * max(m, n) within the limit, a report verifies on the
+slices (:class:`~tprod.fourier.SliceStack`): each product is a
+block-circulant product, as ``tprod``'s direct path forms it, and no
+transform runs.  Above it a report verifies on the half spectrum
+(:class:`~tprod.fourier.FourierBlocks`): it transforms its input and
+every factor it is given once, writes each identity as stacked products
+of Fourier blocks 0..floor(p/2) (A*X*A = A holds exactly when A_k X_k A_k
+= A_k for every block k), and takes the residual blocks to the slices by
+one certified irfft per identity.  Four reports verify on the half
+spectrum at every size: tjordan_report and witness_report, which invert a
+factor through its block SVDs, and drazin_report and group_report, whose
+outer identity X*A*X = X has, for a large X, a residual that is rounding
+the size of its allowance, so that its verdict would follow the domain.
+Each report computes its own default allowances;
 :meth:`ResidualReport.with_tolerance` replaces them all at once, which is
 how the CLI's ``--tol`` is applied.
 """
@@ -75,8 +86,9 @@ class ResidualReport:
         return check
 
     def add_identity(self, name: str, lhs, rhs, tolerance: float) -> Check:
-        """Check the identity lhs = rhs of two half spectra
-        (:class:`~tprod.fourier.FourierBlocks`) by ``lhs.distance(rhs)``."""
+        """Check the identity lhs = rhs of two operands of one domain
+        (:class:`~tprod.fourier.SliceStack` or
+        :class:`~tprod.fourier.FourierBlocks`) by ``lhs.distance(rhs)``."""
         return self.add(name, lhs.distance(rhs), tolerance)
 
     def with_tolerance(self, tolerance: float) -> "ResidualReport":

@@ -21,6 +21,7 @@ from tprod import (
     inverse_transform,
     is_orthogonal,
     is_t_symmetric,
+    scalar_mul,
     t_drazin,
     t_group,
     t_index,
@@ -31,10 +32,12 @@ from tprod import (
     t_svd,
     to_fourier,
     tprod,
+    transpose,
     unit_regular_witness,
 )
-from tprod import fourier
+from tprod import core, fourier
 from tprod.fourier import (
+    SliceStack,
     lift_multi,
     mirror_blocks,
     pair_tolerance,
@@ -191,6 +194,91 @@ class TestIdentityAndDistance:
                 FourierBlocks(blocks, p).distance(zeros)
             assert type(excinfo.value) is MathError
             assert str(excinfo.value) == fourier.IDENTITY_OVERFLOW
+
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_a_nan_that_irfft_drops_is_an_overflow(self, k):
+        # irfft never reads the imaginary part of the DC (k = 0) or Nyquist
+        # (k = 2) block: a NaN there leaves finite slices and a NaN residue,
+        # which distance refuses as assemble_real refuses those blocks
+        blocks = to_fourier(gen(4, 2, 2, 4)).blocks.copy()
+        blocks[k, 0, 0] = complex(blocks[k, 0, 0].real, np.nan)
+        fb = FourierBlocks(blocks, 4)
+        with pytest.raises(MathError) as excinfo:
+            fb.distance(FourierBlocks(np.zeros_like(blocks), 4))
+        assert type(excinfo.value) is MathError
+        assert str(excinfo.value) == fourier.IDENTITY_OVERFLOW
+        with pytest.raises(BlockOpError):
+            assemble_real(fb)
+
+
+class TestSliceStack:
+    """The verification algebra on the slices: the operations of the half
+    spectrum's, by tprod's direct path, with no transform."""
+
+    @pytest.mark.parametrize("m, n, l, p", [(1, 1, 1, 1), (2, 3, 2, 4),
+                                            (3, 3, 3, 5), (4, 2, 3, 6)])
+    def test_the_operations_are_tprods(self, m, n, l, p):
+        a, b = gen(1, m, n, p), gen(2, n, l, p)
+        x, y = SliceStack(a.array), SliceStack(b.array)
+        assert x.dims == a.dims
+        direct, fourier_path = (tprod(a, b, path=path)
+                                for path in ("direct", "fourier"))
+        np.testing.assert_array_equal((x @ y).slices, direct.array)
+        np.testing.assert_array_equal(x.T.slices, transpose(a).array)
+        assert ((x @ y).distance(SliceStack(fourier_path.array))
+                == (direct - fourier_path).max_abs)
+        # the same identity in both domains, to rounding
+        fa = to_fourier(a)
+        assert ((x.T @ x).distance(SliceStack.identity(n, p))
+                == pytest.approx((fa.T @ fa).distance(
+                    FourierBlocks.identity(n, p)), rel=1e-9, abs=1e-14))
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 4), (3, 5)])
+    def test_identity_and_power(self, n, p):
+        eye = SliceStack.identity(n, p)
+        assert SliceStack.identity(n, p).slices is eye.slices
+        assert not eye.slices.flags.writeable
+        np.testing.assert_array_equal(eye.slices, Tensor3.identity(n, p).array)
+        a = gen(n, n, n, p)
+        x = SliceStack(a.array)
+        assert x.power(0).slices is eye.slices
+        assert x.power(1) is x
+        assert max_abs(x.power(3).slices - core.power(a, 3).array) \
+            <= 1e-13 * (1 + core.power(a, 3).max_abs)
+        with pytest.raises(ValueError, match="nonnegative"):
+            x.power(-1)
+        with pytest.raises(DimensionError, match="power requires square"):
+            SliceStack(gen(1, 2, 3, p).array).power(2)
+
+    def test_refusals_match_the_half_spectrum(self):
+        a, b = gen(3, 2, 3, 5), gen(3, 3, 2, 5)
+        for x, y in ((SliceStack(a.array), SliceStack(b.array)),
+                     (to_fourier(a), to_fourier(b))):
+            with pytest.raises(DimensionError,
+                               match=r"dims \(2, 3, 5\) != \(3, 2, 5\)"):
+                x.distance(y)
+            with pytest.raises(DimensionError,
+                               match="cannot t-multiply 2x3x5 by 2x3x5"):
+                x @ x
+
+    def test_an_overflowed_residual_is_a_math_error(self):
+        x = SliceStack(scalar_mul(1e200, gen(3, 3, 3, 4)).array)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MathError) as excinfo:
+                (x @ x).distance(x)
+        assert str(excinfo.value) == fourier.IDENTITY_OVERFLOW
+
+    # p * max(m, n) of the largest operand decides: 64 or 80 here
+    @pytest.mark.parametrize("dims, domain", [
+        (((2, 2, 16), (4, 2, 16)), SliceStack),
+        (((2, 2, 16), (5, 2, 16)), FourierBlocks),
+    ])
+    def test_operands_follow_the_direct_path_limit(self, dims, domain):
+        tensors = [gen(k, *d) for k, d in enumerate(dims)]
+        xs = fourier.operands(*tensors)
+        assert [type(x) for x in xs] == [domain] * len(tensors)
+        assert [x.dims for x in xs] == [t.dims for t in tensors]
 
 
 class TestFourierBlocksEquality:

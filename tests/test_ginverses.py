@@ -676,13 +676,33 @@ class TestDecisionBudget:
 class TestTransformBudget:
     """The forward (``np.fft.rfft``) and inverse (``np.fft.irfft``)
     transforms each op makes together with its report, on the inputs of
-    TestDecisionBudget.  A report transforms its input and every factor
-    itself, and takes one irfft per identity: it never reuses the op's own
-    blocks or shares one transform between identities."""
+    TestDecisionBudget and on 3x3x32 and 2x3x32 ones.  The reports follow
+    tprod's direct-path rule (``fourier.operands``): at desk scale, p *
+    max(m, n) within DIRECT_PATH_LIMIT, they verify on the slices and make
+    no transform, except the four that verify on the half spectrum at
+    every size (see tprod.report).  Above the limit a report transforms
+    its input and every factor itself, and takes one irfft per identity:
+    it never reuses the op's own blocks or shares one transform between
+    identities."""
 
-    # (rfft, irfft): the op's forward transform of a, one irfft per
-    # assembled factor, then its report's transforms
-    WITH_REPORT = {
+    # (rfft, irfft) at desk scale: the op's forward transform of a and one
+    # irfft per assembled factor; the t-Jordan, Drazin, group and witness
+    # reports then transform as they do above the limit
+    AT_DESK = {
+        "t_svd": (1, 3),
+        "t_schur": (1, 2),
+        "t_jordan": (4, 4),
+        "idem": (1, 3),
+        "t_inverse": (1, 1),
+        "t_pinv_blocks": (1, 1),
+        "t_pinv_svd": (1, 1),
+        "t_drazin": (3, 4),
+        "t_index": (1, 0),
+        "t_group": (3, 4),
+        "witness": (3, 6),
+    }
+    # above the limit, the same plus every report's own transforms
+    ABOVE_LIMIT = {
         "t_svd": (5, 6),
         "t_schur": (4, 4),
         "t_jordan": (4, 4),
@@ -737,18 +757,30 @@ class TestTransformBudget:
             out[name] = (counts["rfft"], counts["irfft"])
         return out
 
+    def square(self, counts, a, kind, table):
+        expected = {name: (1, 0) if name in self.RAISES[kind] else budget
+                    for name, budget in table.items()}
+        assert self.spent(counts, a, self.OPS) == expected
+
+    def rectangular(self, counts, a, table):
+        ops = ("t_svd", "t_pinv_blocks", "t_pinv_svd")
+        assert self.spent(counts, a, ops) == {name: table[name] for name in ops}
+
     @pytest.mark.parametrize("kind", sorted(RAISES))
     def test_square_ops(self, counts, kind):
         a = (mixed_index_tensor() if kind == "mixed_index"
              else gen(1, 3, 3, 4, kind))
-        expected = {name: (1, 0) if name in self.RAISES[kind] else budget
-                    for name, budget in self.WITH_REPORT.items()}
-        assert self.spent(counts, a, self.OPS) == expected
+        self.square(counts, a, kind, self.AT_DESK)
 
     def test_rectangular_ops(self, counts):
-        ops = ("t_svd", "t_pinv_blocks", "t_pinv_svd")
-        assert self.spent(counts, gen(1, 2, 3, 5), ops) == {
-            name: self.WITH_REPORT[name] for name in ops}
+        self.rectangular(counts, gen(1, 2, 3, 5), self.AT_DESK)
+
+    @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "t_symmetric"])
+    def test_square_ops_above_the_limit(self, counts, kind):
+        self.square(counts, gen(1, 3, 3, 32, kind), kind, self.ABOVE_LIMIT)
+
+    def test_rectangular_ops_above_the_limit(self, counts):
+        self.rectangular(counts, gen(1, 2, 3, 32), self.ABOVE_LIMIT)
 
 
 class TestRealness:

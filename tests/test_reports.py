@@ -1,11 +1,13 @@
 """The nine reports against a slice-domain oracle that uses no FFT.
 
-The reports verify on the half spectrum: they transform their operands
-once and take each identity's residual blocks to the slices by one
-certified irfft.  The oracle below recomputes every check from the
-definitions instead: t-products are bcirc products, the transpose reverses
-slices 2..p, inverses come from inverting bcirc, and only tjordan_report's
-cond(P) reads Fourier blocks, from an explicit DFT sum.
+Most reports verify where tprod's direct-path rule puts them: on the
+slices, by block-circulant products, when p * max(m, n) is within
+DIRECT_PATH_LIMIT, and above it on the half spectrum, where they transform
+their operands once and take each identity's residual blocks to the
+slices by one certified irfft.  The oracle below recomputes every check
+from the definitions instead: t-products are bcirc products, the transpose
+reverses slices 2..p, inverses come from inverting bcirc, and only
+tjordan_report's cond(P) reads Fourier blocks, from an explicit DFT sum.
 
 Both measure the same exact residual in floating point, so they may differ
 by the rounding of either.  That allowance is bounded by the standard
@@ -39,6 +41,8 @@ from tprod import (
 from tprod import cli
 from tprod import factorizations as fz
 from tprod import ginverses as gi
+from tprod.core import DIRECT_PATH_LIMIT
+from tprod.fourier import FourierBlocks, SliceStack, operands
 
 EPS = np.finfo(np.float64).eps
 
@@ -299,10 +303,11 @@ def test_report_matches_slice_domain_oracle(name, m, n, p, kind, seed):
 # overflow inside a report
 
 
-def _overflowing(name):
-    """Arguments of report ``name`` with which one of its identities
-    leaves the float64 range while every operand stays inside it."""
-    a = gen(3, 3, 3, 4)
+def _overflowing(name, p):
+    """Arguments of report ``name``, 3x3xp, with which one of its
+    identities leaves the float64 range while every operand stays inside
+    it."""
+    a = gen(3, 3, 3, p)
     big = lambda c: scalar_mul(c, a)  # noqa: E731
     return {
         # x * a * x overflows, while a * x * a stays inside the range
@@ -320,8 +325,12 @@ def _overflowing(name):
     }[name]
 
 
+# 3x3x4 verifies on the slices, 3x3x32 on the half spectrum, except the
+# t-Jordan, witness, Drazin and group reports, which take the half
+# spectrum at both
+@pytest.mark.parametrize("p", [4, 32])
 @pytest.mark.parametrize("name", REPORTS)
-def test_overflowing_identity_is_a_math_error(name):
+def test_overflowing_identity_is_a_math_error(name, p):
     # under an outer error state that raises, a FloatingPointError would
     # show a report that does not set its own; pytest also turns numpy's
     # RuntimeWarning into an error, so the warning must stay quiet too
@@ -330,7 +339,39 @@ def test_overflowing_identity_is_a_math_error(name):
         with pytest.raises(MathError,
                            match="^an identity residual overflowed the "
                                  "float64 range$"):
-            report_fn(*_overflowing(name))
+            report_fn(*_overflowing(name, p))
+
+
+# ---------------------------------------------------------------------------
+# the domain a report verifies in
+
+
+# p * max(m, n) = 64, the limit, verifies on the slices, and 65 on the half
+# spectrum; the t-Jordan, witness, Drazin and group reports take the half
+# spectrum on both sides
+HALF_SPECTRUM_ONLY = ("tjordan", "witness", "drazin", "group")
+SQUARE_SIDES = [(4, 4, 16, SliceStack), (5, 5, 13, FourierBlocks)]
+RECTANGULAR_SIDES = [(4, 2, 16, SliceStack), (2, 5, 13, FourierBlocks)]
+
+
+@pytest.mark.parametrize("name, m, n, p, domain", [
+    (name, *side) for name in REPORTS
+    for side in SQUARE_SIDES + RECTANGULAR_SIDES * (name in RECTANGULAR)
+])
+def test_direct_path_limit_decides_the_domain(name, m, n, p, domain,
+                                              monkeypatch):
+    assert (p * max(m, n) <= DIRECT_PATH_LIMIT) == (domain is SliceStack)
+    a, factors, report_fn, _ = _case(name, m, n, p, "dense", 7)
+    tensors = [f for f in factors if isinstance(f, Tensor3)]
+    assert {type(x) for x in operands(a, *tensors)} == {domain}
+    # a report on the slices transforms nothing
+    rffts = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *args, **kw: rffts.append(1) or rfft(*args, **kw))
+    assert report_fn(a, *factors).passed
+    assert (not rffts) == (domain is SliceStack
+                           and name not in HALF_SPECTRUM_ONLY)
 
 
 # ---------------------------------------------------------------------------
