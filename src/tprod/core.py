@@ -14,6 +14,8 @@ in which block (r, c) is slice (r - c) mod p, never block by block.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError, MathError, NotBlockCirculant
@@ -44,13 +46,14 @@ class Tensor3:
     Parameters
     ----------
     data : array_like
-        Shape (p, m, n): the p frontal slices in order.
+        Shape (p, m, n): the p frontal slices in order, finite and real
+        (a complex array only with imaginary part exactly zero).
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C")
+        arr = _real(data, "tensor entries").astype(np.float64, order="C")
         if arr.ndim != 3:
             raise DimensionError(
                 f"expected a (p, m, n) slice stack, got {arr.ndim} axes"
@@ -79,9 +82,7 @@ class Tensor3:
     @classmethod
     def identity(cls, n: int, p: int) -> "Tensor3":
         """The multiplicative identity: slice 1 is I_n, later slices are 0."""
-        data = np.zeros((p, n, n))
-        data[0] = np.eye(n)
-        return cls(data)
+        return cls(_identity_slices(n, p))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -126,7 +127,8 @@ class Tensor3:
             return NotImplemented
         if self.dims != other.dims:
             raise DimensionError(f"dims {self.dims} != {other.dims}")
-        return Tensor3(self._data - other._data)
+        return _entrywise(np.subtract, self._data, other._data,
+                          f"a difference of {_shape(self.dims)} tensors")
 
     @property
     def T(self) -> "Tensor3":
@@ -137,18 +139,28 @@ class Tensor3:
         return f"Tensor3({m}x{n}x{p})"
 
 
+@functools.lru_cache(maxsize=16)
+def _identity_slices(n: int, p: int) -> np.ndarray:
+    """Read-only slices of the n x n x p identity: I_n, then zeros.  The
+    16 most recently used (n, p) are kept, not built again."""
+    eye = np.zeros((p, n, n))
+    eye[0] = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 class BlockCirculant:
     """An mp x np matrix viewed as a p x p grid of m x n blocks.
 
     The constructor checks shape divisibility and, as :class:`Tensor3`
-    does, finiteness; the circulant structure itself is validated by
-    :func:`bcirc_inv`.
+    does, realness and finiteness; the circulant structure itself is
+    validated by :func:`bcirc_inv`.
     """
 
     __slots__ = ("_matrix", "_m", "_n", "_p")
 
     def __init__(self, matrix, p: int):
-        mat = np.array(matrix, dtype=np.float64)
+        mat = _real(matrix, "block circulant entries").astype(np.float64)
         if mat.ndim != 2:
             raise DimensionError("block circulant data must be a matrix")
         if p < 1 or mat.shape[0] % p or mat.shape[1] % p:
@@ -204,7 +216,7 @@ def unfold(t: Tensor3) -> np.ndarray:
 
 def fold(matrix, p: int) -> Tensor3:
     """Inverse of :func:`unfold`; rows must divide evenly into p slices."""
-    mat = np.asarray(matrix, dtype=np.float64)
+    mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise DimensionError("fold expects a matrix")
     if p < 1 or mat.shape[0] % p:
@@ -360,11 +372,37 @@ def _transpose_slices(stack: np.ndarray) -> np.ndarray:
 def add(a: Tensor3, b: Tensor3) -> Tensor3:
     if a.dims != b.dims:
         raise DimensionError(f"dims {a.dims} != {b.dims}")
-    return Tensor3(a.array + b.array)
+    return _entrywise(np.add, a.array, b.array,
+                      f"a sum of {_shape(a.dims)} tensors")
 
 
 def scalar_mul(alpha: float, t: Tensor3) -> Tensor3:
-    return Tensor3(float(alpha) * t.array)
+    """alpha * t; a non-finite or complex alpha is a ValueError."""
+    alpha = float(_real(alpha, "the scalar"))
+    if not np.isfinite(alpha):
+        raise ValueError("the scalar must be finite (no NaN/Inf)")
+    return _entrywise(np.multiply, alpha, t.array,
+                      f"a multiple of a {_shape(t.dims)} tensor")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _entrywise(ufunc, x, y, what: str) -> Tensor3:
+    """The tensor ufunc(x, y) of finite operands, whose non-finite entries
+    can only have overflowed: a MathError, as in :func:`tprod`, with
+    numpy's warning kept quiet."""
+    try:
+        return Tensor3(ufunc(x, y))
+    except ValueError as exc:
+        raise MathError(f"{what} overflowed the float64 range") from exc
+
+
+def _real(data, what: str) -> np.ndarray:
+    """``data`` as an array of its real parts.  An imaginary part that is
+    not exactly zero is refused, never silently dropped."""
+    arr = np.asarray(data)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        raise ValueError(f"{what} must be real (nonzero imaginary part)")
+    return arr.real
 
 
 def _require_square(a, name: str) -> None:

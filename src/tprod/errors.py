@@ -22,7 +22,7 @@ class MathError(TprodError):
     """Base class for failures of a mathematical precondition or algorithm.
 
     ``block_index`` names the Fourier block a per-block operation failed on
-    (the lift sets it); the message then leads with that block.
+    (``FourierBlocks.map`` sets it); the message then leads with that block.
     """
 
     def __init__(self, message, block_index=None):

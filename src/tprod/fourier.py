@@ -49,8 +49,6 @@ on the complex rest, names the Fourier block of a kernel failure, and
 joins the results over blocks 0..floor(p/2).  Every op runs its kernels
 on it, and no other code batches the real-forced blocks apart from the
 complex ones.
-:func:`lift_multi`, a per-matrix front end that no op calls and ``tprod``
-does not export, is kept only until the benchmark stops tracing it.
 
 The full p-block stack (:func:`mirror_blocks`, :func:`check_pairing`,
 :func:`inverse_transform`) serves only the unpaired demonstrations and the
@@ -70,11 +68,13 @@ from .core import (
     DIRECT_PATH_LIMIT,
     Tensor3,
     _circulant_product,
+    _identity_slices,
     _require_square,
     _transpose_slices,
     not_conformable,
 )
 from .errors import BlockOpError, DimensionError, MathError, PairingViolation
+from .kernels import _retired
 from .report import ResidualReport
 
 
@@ -348,15 +348,6 @@ class SliceStack(_Operand):
         return residual
 
 
-@functools.lru_cache(maxsize=16)
-def _identity_slices(n: int, p: int) -> np.ndarray:
-    """Read-only slices of the n x n x p identity: I_n, then zeros."""
-    eye = np.zeros((p, n, n))
-    eye[0] = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def operands(*tensors: Tensor3) -> tuple:
     """The operands a report verifies ``tensors`` on: their slice stacks
     (:class:`SliceStack`) when p * max(m, n) of every one is within
@@ -503,34 +494,4 @@ def _require_paired(report: ResidualReport) -> None:
         )
 
 
-def lift_multi(
-    fb: FourierBlocks, op: Callable[[np.ndarray, int], tuple]
-) -> tuple[FourierBlocks, ...]:
-    """Run a per-block map on blocks 0..floor(p/2) through
-    :meth:`FourierBlocks.map`.
-
-    No op calls it: every op makes stacked :meth:`FourierBlocks.map`
-    calls.  It is kept only until the benchmark stops tracing it.
-
-    ``op(block, k)`` gets :meth:`FourierBlocks.block` (real on the
-    real-forced indices) and returns a tuple of matrices; each factor
-    family comes back as one :class:`FourierBlocks`.  A failure is named as
-    by :meth:`FourierBlocks.map`, so a complex factor at a real-forced
-    block is a BlockOpError; a result that is not a tuple is a TypeError.
-    """
-
-    def per_block(stack, indices):
-        outs = [op(block, int(k)) for block, k in zip(stack, indices)]
-        for out in outs:
-            if not isinstance(out, tuple):
-                raise TypeError(
-                    "block operation must return a tuple of matrices, got "
-                    f"{type(out).__name__}"
-                )
-        families = tuple(np.stack(family) for family in zip(*outs))
-        if not np.iscomplexobj(stack) and any(map(np.iscomplexobj, families)):
-            raise ValueError("a factor is complex at a real-forced block")
-        return families
-
-    families = fb.map(per_block, np.arange(fb.p // 2 + 1))
-    return tuple(FourierBlocks(family, fb.p) for family in families)
+lift_multi = _retired("lift_multi", "FourierBlocks.map", "fourier")

@@ -9,10 +9,10 @@ run on the half spectrum through ``FourierBlocks.map``.
 :func:`hermitian_stack` is the Schur and the Jordan kernel of Hermitian
 stacks.  A matrix is the tensor with p = 1, so it has no kernels of its
 own: the ten per-matrix names the benchmark's tracer still wraps are
-stubs (:func:`_retired`) that name their replacement.  Every rank
-decision goes through one :class:`RankCutoff`, and the Jordan form
-refuses any matrix whose eigenvector basis is numerically rank
-deficient (DEFECT_RANK_TOL).
+stubs that name their replacement, made by :func:`_retired` as
+``fourier.lift_multi``'s is.  Every rank decision goes through one
+:class:`RankCutoff`, and the Jordan form refuses any matrix whose
+eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
 LAPACK's drivers assume finite input: every kernel refuses a stack holding
 NaN or inf with the one ValueError of :func:`_require_finite`.
 Everything here is deterministic for fixed input, so every tensor op
@@ -478,15 +478,14 @@ def _rank_margin(cutoff: RankCutoff, sigma, sigma_sq) -> float:
     return margin
 
 
-def _retired(name: str, replacement: str):
-    """A stub for the retired per-matrix kernel ``name``: a matrix a is
-    the tensor ``Tensor3(a[None])``, whose op gives the same bits, and a
-    complex matrix takes the stack kernel on ``a[None]``.  It stays bound
-    only while the benchmark's tracer wraps the name."""
+def _retired(name: str, replacement: str, module: str = "kernels"):
+    """A stub for the retired name ``module.name``: it raises
+    NotImplementedError naming ``replacement``.  It stays bound only while
+    the benchmark's tracer wraps the name."""
 
     def retired(*args, **kwargs):
         raise NotImplementedError(
-            f"kernels.{name} is retired; use {replacement}")
+            f"{module}.{name} is retired; use {replacement}")
 
     retired.__name__ = retired.__qualname__ = name
     return retired

@@ -41,20 +41,28 @@ def test_every_traced_span_resolves():
     assert not missing, missing
 
 
-# the per-matrix kernels retired in favour of the ops at p = 1, with the
-# replacement each stub's error names; the tracer still wraps them
+# the retired names, with the replacement each stub's error names; the
+# tracer still wraps them: the per-matrix kernels, retired in favour of the
+# ops at p = 1, and the per-matrix front end of FourierBlocks.map
 RETIRED = {
-    "svd": "t_svd(Tensor3(a[None])) or svd_stack(a[None])",
-    "schur_complex": "schur_stack(a[None])",
-    "schur_real_ordered": "t_schur(Tensor3(a[None])) or schur_stack(a[None])",
-    "jordan_complex": "jordan_stack(a[None])",
-    "jordan_real": "t_jordan(Tensor3(a[None])) or jordan_stack(a[None])",
-    "rank_normal_form":
+    ("tprod.kernels", "svd"): "t_svd(Tensor3(a[None])) or svd_stack(a[None])",
+    ("tprod.kernels", "schur_complex"): "schur_stack(a[None])",
+    ("tprod.kernels", "schur_real_ordered"):
+        "t_schur(Tensor3(a[None])) or schur_stack(a[None])",
+    ("tprod.kernels", "jordan_complex"): "jordan_stack(a[None])",
+    ("tprod.kernels", "jordan_real"):
+        "t_jordan(Tensor3(a[None])) or jordan_stack(a[None])",
+    ("tprod.kernels", "rank_normal_form"):
         "idempotent_factorization(Tensor3(a[None])) or rank_normal_factors",
-    "mp_inverse": "t_pinv(Tensor3(a[None])) or pinv_from_svd",
-    "matrix_index": "t_index(Tensor3(a[None])) or drazin_indices",
-    "drazin_inverse": "t_drazin(Tensor3(a[None])) or drazin_stack",
-    "group_inverse": "t_group(Tensor3(a[None])) or drazin_from_powers",
+    ("tprod.kernels", "mp_inverse"):
+        "t_pinv(Tensor3(a[None])) or pinv_from_svd",
+    ("tprod.kernels", "matrix_index"):
+        "t_index(Tensor3(a[None])) or drazin_indices",
+    ("tprod.kernels", "drazin_inverse"):
+        "t_drazin(Tensor3(a[None])) or drazin_stack",
+    ("tprod.kernels", "group_inverse"):
+        "t_group(Tensor3(a[None])) or drazin_from_powers",
+    ("tprod.fourier", "lift_multi"): "FourierBlocks.map",
 }
 
 
@@ -63,25 +71,25 @@ def test_retired_kernels_are_stubs_the_tracer_still_wraps():
     NotImplementedError naming its replacement.  Once the tracer drops
     these spans this fails: then delete the stubs and this test."""
     spans = set(_load("tracer").SPANS.values())
-    stubs = [getattr(tprod.kernels, name) for name in RETIRED]
-    assert all(map(callable, stubs))
-    assert len(set(map(id, stubs))) == len(RETIRED)
-    for name, replacement in RETIRED.items():
-        assert ("tprod.kernels", name) in spans
+    stubs = {(modname, name): getattr(importlib.import_module(modname), name)
+             for modname, name in RETIRED}
+    assert all(map(callable, stubs.values()))
+    assert len(set(map(id, stubs.values()))) == len(RETIRED)
+    for (modname, name), stub in stubs.items():
+        assert (modname, name) in spans
         with pytest.raises(NotImplementedError) as excinfo:
-            getattr(tprod.kernels, name)(np.eye(2))
+            stub(np.eye(2))
         assert str(excinfo.value) == (
-            f"kernels.{name} is retired; use {replacement}")
+            f"{modname.removeprefix('tprod.')}.{name} is retired; "
+            f"use {RETIRED[modname, name]}")
 
 
 def test_traced_run_matches_untraced():
-    """``--trace 1`` wraps ``lift_multi``'s op to count the blocks it
-    evaluates, so a change to the lift's calling convention shows here.
-    No op calls the lift any more, so ``run`` calls it directly."""
+    """``--trace 1`` wraps the traced functions without changing what they
+    return."""
     a = tprod.gen(0, 3, 3, 4)
 
     def run():
-        tprod.fourier.lift_multi(tprod.to_fourier(a), lambda b, k: (b,))
         schur, svd = tprod.t_schur(a), tprod.t_svd(a)
         return [schur.u.array, schur.t.array, svd.u.array, svd.s.array,
                 svd.v.array, svd.fourier_singular_values]
@@ -92,7 +100,6 @@ def test_traced_run_matches_untraced():
         traced = run()
     for want, got in zip(untraced, traced):
         np.testing.assert_array_equal(got, want)
-    assert tracer.stats["fourier.lift_multi"]["blocks"] == 3  # p // 2 + 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -72,6 +72,34 @@ class TestTensor3:
         np.testing.assert_array_equal(eye.slice(1), np.zeros((3, 3)))
 
 
+class TestRealInput:
+    """A complex input is taken only when its imaginary part is exactly
+    zero; any other is refused, never silently dropped.  pytest turns
+    numpy's ComplexWarning into an error, so none may escape either."""
+
+    # each makes its object from z and returns the array it stores
+    MAKERS = {
+        "Tensor3": lambda z: Tensor3(np.ones((1, 2, 2)) * z).array,
+        "BlockCirculant":
+            lambda z: BlockCirculant(np.ones((2, 2)) * z, 1).matrix,
+        "fold": lambda z: fold(np.ones((2, 2)) * z, 1).array,
+        "scalar_mul":
+            lambda z: scalar_mul(np.complex128(z), gen(0, 2, 2, 1)).array,
+    }
+
+    @pytest.mark.parametrize("name", MAKERS)
+    @pytest.mark.parametrize("z", [1 + 2j, 1j, complex(1.0, np.nan)])
+    def test_a_nonzero_imaginary_part_is_refused(self, name, z):
+        with pytest.raises(ValueError, match="must be real"):
+            self.MAKERS[name](z)
+
+    @pytest.mark.parametrize("name", MAKERS)
+    def test_a_zero_imaginary_part_is_taken(self, name):
+        taken = self.MAKERS[name](2 + 0j)
+        assert taken.dtype == np.float64
+        np.testing.assert_array_equal(taken, self.MAKERS[name](2.0))
+
+
 class TestUnfoldFold:
     def test_unfold_identity(self):
         eye = Tensor3.identity(2, 2)
@@ -336,6 +364,21 @@ class TestArithmetic:
     def test_scalar_mul(self):
         t = gen(5, 2, 2, 3)
         np.testing.assert_array_equal(scalar_mul(2.0, t).array, 2.0 * t.array)
+
+    def test_overflow_is_a_math_error(self):
+        # as in tprod; pytest turns numpy's RuntimeWarning into an error,
+        # so this also checks that the overflow warning is kept quiet
+        a = scalar_mul(1.7e308, Tensor3(np.ones((2, 2, 2))))
+        for overflow in (lambda: add(a, a), lambda: a + a,
+                         lambda: a - scalar_mul(-1, a),
+                         lambda: scalar_mul(10, a)):
+            with pytest.raises(MathError, match="overflowed the float64 range"):
+                overflow()
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_scalar_is_bad_input(self, alpha):
+        with pytest.raises(ValueError, match="scalar must be finite"):
+            scalar_mul(alpha, Tensor3.zeros(2, 2, 2))
 
     def test_power_zero_is_identity(self):
         t = gen(6, 3, 3, 2)

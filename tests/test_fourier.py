@@ -38,7 +38,6 @@ from tprod import (
 from tprod import core, fourier
 from tprod.fourier import (
     SliceStack,
-    lift_multi,
     mirror_blocks,
     pair_tolerance,
     real_forced_indices,
@@ -148,6 +147,11 @@ class TestFourierBlocksStorage:
         assert not fb.blocks.flags.writeable
         arr[0, 0, 0] = 1.0
         assert fb.blocks[0, 0, 0] == 1.0
+
+    def test_requires_the_half_spectrum(self):
+        full = to_fourier(gen(0, 2, 2, 4)).full()
+        with pytest.raises(ValueError, match=r"must have shape \(3, m, n\)"):
+            FourierBlocks(full, 4)
 
 
 class TestIdentityAndDistance:
@@ -632,73 +636,8 @@ class TestPairingSufficiency:
             assert max_abs(fb.blocks[1].imag) > 1e-6  # generic block is complex
 
 
-class TestLift:
-    def test_identity_map_remirrors(self):
-        fb = to_fourier(gen(4, 3, 3, 5))
-        (out,) = lift_multi(fb, lambda block, k: (block,))
-        assert max_abs(out.blocks - fb.blocks) <= 1e-14
-        # mirrored halves are exact conjugates
-        blocks = out.full()
-        for k in range(3, 5):
-            np.testing.assert_array_equal(blocks[k], np.conj(blocks[5 - k]))
-
-    def test_square_map_matches_tprod(self):
-        for seed in range(10):
-            t = gen(seed, 3, 3, 4)
-            (sq,) = lift_multi(to_fourier(t), lambda b, k: (b @ b,))
-            out = assemble_real(sq)[0]
-            expected = tprod(t, t)
-            assert max_abs((out - expected).array) <= 1e-11 * (1 + t.max_abs) ** 2
-
-    def test_pinv_map_matches_bcirc_oracle(self):
-        for seed in range(5):
-            t = gen(seed, 2, 3, 3)
-            (fx,) = lift_multi(to_fourier(t), lambda b, k: (pinv(b),))
-            x = assemble_real(fx)[0]
-            oracle = np.linalg.pinv(bcirc(t).matrix)
-            assert max_abs(bcirc(x).matrix - oracle) <= 1e-9
-
-    def test_deterministic(self):
-        fb = to_fourier(gen(9, 3, 3, 6))
-
-        def phi(b, k):
-            return (pinv(b),)
-
-        (first,) = lift_multi(fb, phi)
-        (second,) = lift_multi(fb, phi)
-        np.testing.assert_array_equal(first.blocks, second.blocks)
-
-    def test_requires_the_half_spectrum(self):
-        full = to_fourier(gen(0, 2, 2, 4)).full()
-        with pytest.raises(ValueError):
-            lift_multi(FourierBlocks(full, 4), lambda b, k: (b,))
-
-    def test_block_op_error_carries_index(self):
-        fb = to_fourier(gen(1, 2, 2, 5))
-
-        def explode(block, k):
-            if k == 2:
-                raise ValueError("boom")
-            return (block,)
-
-        with pytest.raises(BlockOpError) as excinfo:
-            lift_multi(fb, explode)
-        assert excinfo.value.block_index == 2
-
-    def test_a_result_that_is_not_a_tuple_propagates(self):
-        fb = to_fourier(gen(2, 2, 2, 4))
-        with pytest.raises(TypeError, match="tuple of matrices"):
-            lift_multi(fb, lambda b, k: b)
-
-    def test_complex_output_on_real_forced_block_rejected(self):
-        fb = to_fourier(gen(2, 2, 2, 4))
-        with pytest.raises(BlockOpError) as excinfo:
-            lift_multi(fb, lambda b, k: (b.astype(complex) * 1j,))
-        assert excinfo.value.block_index == 0
-
-
 @st.composite
-def lift_cases(draw):
+def map_cases(draw):
     """A real tensor (m, n in 1..4, p in 1..9) and an evaluated index."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     p = draw(st.integers(1, 9))
@@ -706,45 +645,9 @@ def lift_cases(draw):
     return t, draw(st.integers(0, p // 2))
 
 
-class TestLiftProperties:
-    @settings(max_examples=60)
-    @given(lift_cases())
-    def test_mirrored_pairs_and_real_forced_blocks(self, case):
-        t, _ = case
-        fb = to_fourier(t)
-        seen = []
-
-        def op(block, k):
-            seen.append(k)
-            return block, block @ block.conj().T
-
-        outs = lift_multi(fb, op)
-        # each block 0..p//2 once, in the order of fb.map's calls
-        assert seen == map_order(fb)
-        for out in outs:
-            blocks = out.full()
-            for k in range(fb.p):
-                np.testing.assert_array_equal(
-                    blocks[(fb.p - k) % fb.p], np.conj(blocks[k])
-                )
-            for k in real_forced_indices(fb.p):
-                assert not out.blocks[k].imag.any()
-
-    @settings(max_examples=60)
-    @given(lift_cases(), st.booleans())
-    def test_failure_names_its_block(self, case, math_error):
-        t, bad = case
-        exc_type = DefectiveBlock if math_error else ValueError
-
-        def op(block, k):
-            if k == bad:
-                raise exc_type("boom")
-            return (block,)
-
-        with pytest.raises(DefectiveBlock if math_error else BlockOpError) as excinfo:
-            lift_multi(to_fourier(t), op)
-        assert excinfo.value.block_index == bad
-        assert str(excinfo.value).count("Fourier block") == 1
+def pinv_stack(stack):
+    """The pseudoinverse of every block of a stack, one block at a time."""
+    return np.stack([pinv(b) for b in stack])
 
 
 def map_order(fb):
@@ -758,7 +661,7 @@ class TestMapBatches:
     spectrum, failures named by block."""
 
     @settings(max_examples=60)
-    @given(lift_cases(), st.booleans())
+    @given(map_cases(), st.booleans())
     def test_failure_names_its_block(self, case, math_error):
         t, bad = case
         fb = to_fourier(t)
@@ -794,7 +697,7 @@ class TestMapBatches:
         np.testing.assert_array_equal(ks, np.arange(h))
 
     @settings(max_examples=60)
-    @given(lift_cases(), st.booleans())
+    @given(map_cases(), st.booleans())
     def test_args_split_like_the_blocks(self, case, math_error):
         t, bad = case
         fb = to_fourier(t)
@@ -821,6 +724,45 @@ class TestMapBatches:
             fb.map(fail_at_bad, np.arange(h))
         assert excinfo.value.block_index == bad
         assert str(excinfo.value).count("Fourier block") == 1
+
+    def test_square_map_matches_tprod(self):
+        for seed in range(10):
+            t = gen(seed, 3, 3, 4)
+            fb = to_fourier(t)
+            (sq,) = fb.map(lambda s: s @ s)
+            out = assemble_real(FourierBlocks(sq, fb.p))[0]
+            expected = tprod(t, t)
+            assert max_abs((out - expected).array) <= 1e-11 * (1 + t.max_abs) ** 2
+
+    def test_pinv_map_matches_bcirc_oracle(self):
+        for seed in range(5):
+            t = gen(seed, 2, 3, 3)
+            fb = to_fourier(t)
+            (fx,) = fb.map(pinv_stack)
+            x = assemble_real(FourierBlocks(fx, fb.p))[0]
+            oracle = np.linalg.pinv(bcirc(t).matrix)
+            assert max_abs(bcirc(x).matrix - oracle) <= 1e-9
+
+    def test_deterministic(self):
+        fb = to_fourier(gen(9, 3, 3, 6))
+        (first,), (second,) = fb.map(pinv_stack), fb.map(pinv_stack)
+        np.testing.assert_array_equal(first, second)
+
+    @settings(max_examples=60)
+    @given(map_cases())
+    def test_mirrored_pairs_and_real_forced_blocks(self, case):
+        t, _ = case
+        fb = to_fourier(t)
+        families = fb.map(lambda s: (s, s @ s.conj().transpose(0, 2, 1)))
+        for family in families:
+            out = FourierBlocks(family, fb.p)
+            blocks = out.full()
+            for k in range(fb.p):
+                np.testing.assert_array_equal(
+                    blocks[(fb.p - k) % fb.p], np.conj(blocks[k])
+                )
+            for k in real_forced_indices(fb.p):
+                assert not out.blocks[k].imag.any()
 
 
 class TestSimilarityIdentity:
