@@ -142,7 +142,10 @@ class Tensor3:
 @functools.lru_cache(maxsize=16)
 def _identity_slices(n: int, p: int) -> np.ndarray:
     """Read-only slices of the n x n x p identity: I_n, then zeros.  The
-    16 most recently used (n, p) are kept, not built again."""
+    16 most recently used (n, p) are kept, not built again.  A dimension
+    below 1 is a DimensionError."""
+    if min(n, p) < 1:
+        raise DimensionError(f"dimensions must be positive, got {(n, n, p)}")
     eye = np.zeros((p, n, n))
     eye[0] = np.eye(n)
     eye.setflags(write=False)

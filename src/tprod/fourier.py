@@ -173,8 +173,9 @@ class FourierBlocks(_Operand):
         """The half spectrum of the n x n x p identity tensor: I_n in
         every block, a read-only view of one n x n array.  The reports
         compare against it several times per op, so the 16 most recently
-        used (n, p) are kept, not built again."""
-        eye = np.eye(n, dtype=np.complex128)
+        used (n, p) are kept, not built again.  Its dims are checked as
+        the identity's slices check them."""
+        eye = _identity_slices(n, p)[0].astype(np.complex128)
         return cls._wrap(np.broadcast_to(eye, (p // 2 + 1, n, n)), p)
 
     @classmethod

@@ -10,6 +10,10 @@ scale S = max_k sigma_1(A_k), from one :class:`_Spectrum` built once.
 :func:`t_index`, :func:`t_drazin` and :func:`t_group` decide Drazin index
 0 once per tensor, by the test :func:`t_inverse` decides invertibility
 by, so on an invertible tensor they run its block map and nothing else.
+Above desk scale that test first tries the block map itself, a certified
+LU inverse (:func:`kernels.certified_inverse`): on a tensor it certifies,
+these four ops and square :func:`t_pinv_blocks` take no SVD, and the
+pseudoinverse is the t-inverse bit for bit.
 Residual allowances scale quadratically with the data magnitude because
 the defining identities are triple products.  The pseudoinverse and
 inverse reports check those identities on the slices of their operands at
@@ -26,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .core import Tensor3, _require_square
+from .core import DIRECT_PATH_LIMIT, Tensor3, _require_square
 from .errors import MathError, Singular
 from .fourier import FourierBlocks, assemble_real, operands, to_fourier
 from .report import ResidualReport
@@ -49,23 +53,60 @@ class _Spectrum:
     """One op's half spectrum ``fb``, the result families of the SVD
     ``kernel`` it runs on it, their singular values ``sigma`` (the
     kernel's only or second result) and the tensor's rank cutoff
-    (:func:`kernels.rank_cutoff`): the one source of the op's decisions."""
+    (:func:`kernels.rank_cutoff`): the one source of the op's decisions.
 
-    def __init__(self, fb: FourierBlocks, kernel: Callable):
+    With ``certify``, a square spectrum above desk scale (p * n above
+    DIRECT_PATH_LIMIT, the rule of :func:`~tprod.fourier.operands`) first
+    takes the stacked LU inverse of every block, the real-forced batch
+    first, and keeps it as ``certified`` only if
+    :func:`kernels.certified_inverse` proves every block's smallest
+    singular value above the cutoff.  The tensor is then invertible, and
+    the kernel does not run: ``families``, ``sigma`` and ``cutoff`` are
+    never set.  Otherwise ``certified`` is None and the kernel runs as
+    without ``certify``, so every decision, output and error on a tensor
+    that is not certified is the kernel's.  At desk scale the
+    singular-value pass costs less than the certificate, so it runs
+    there unconditionally."""
+
+    def __init__(self, fb: FourierBlocks, kernel: Callable,
+                 certify: bool = False):
         self.fb = fb
-        self.families = fb.map(kernel)
-        self.sigma = self.families[0 if len(self.families) == 1 else 1]
-        self.cutoff = kernels.rank_cutoff(self.sigma, fb.dims)
+        self.certified = self._certified_inverse() if certify else None
+        if self.certified is None:
+            self.families = fb.map(kernel)
+            self.sigma = self.families[0 if len(self.families) == 1 else 1]
+            self.cutoff = kernels.rank_cutoff(self.sigma, fb.dims)
+
+    def _certified_inverse(self) -> np.ndarray | None:
+        m, n, p = self.fb.dims
+        if m != n or p * n <= DIRECT_PATH_LIMIT:
+            return None
+        norms, floor = kernels.inverse_certificate_scale(self.fb.blocks,
+                                                         self.fb.dims)
+        try:
+            return self.fb.map(
+                lambda blocks, block_norms: kernels.certified_inverse(
+                    blocks, block_norms, floor),
+                norms)[0]
+        except kernels._Uncertified:
+            return None
 
     def singular_block(self) -> int | None:
         """The first block whose smallest singular value lies at or below
         the cutoff (:meth:`~kernels.RankCutoff.invertible`); None when
-        there is none, so the tensor is invertible and of Drazin index 0."""
+        there is none, so the tensor is invertible and of Drazin index 0,
+        as it is when ``certified``."""
+        if self.certified is not None:
+            return None
         singular = np.flatnonzero(~self.cutoff.invertible(self.sigma))
         return int(singular[0]) if singular.size else None
 
     def inverse(self) -> np.ndarray:
-        """The inverse of every block, by one stacked LU ``inv`` per batch."""
+        """The inverse of every block, by one stacked LU ``inv`` per batch:
+        the ``certified`` one, which is the same call on the same
+        batches."""
+        if self.certified is not None:
+            return self.certified
         return self.fb.map(np.linalg.inv)[0]
 
     def map(self, kernel: Callable, *args) -> tuple:
@@ -88,13 +129,12 @@ class _Spectrum:
                 for f in families]
 
 
-def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
-    """The half spectrum of the t-inverse, and the singular values of the
-    blocks that decided it exists (:meth:`_Spectrum.singular_block`):
-    every block's smallest singular value must lie above the tensor's rank
-    cutoff, or Singular names the first block where it does not."""
+def _invertible(fb: FourierBlocks, certify: bool = False) -> _Spectrum:
+    """The spectrum of a tensor every block of which has its smallest
+    singular value above the tensor's rank cutoff; Singular names the
+    first block where it does not."""
     _require_square(fb, "t_inverse")
-    spec = _Spectrum(fb, kernels.singular_values)
+    spec = _Spectrum(fb, kernels.singular_values, certify)
     k = spec.singular_block()
     if k is not None:
         sigma_min = float(spec.sigma[k, -1])
@@ -103,13 +143,25 @@ def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
             block_index=k,
             sigma_min=sigma_min,
         )
+    return spec
+
+
+def blockwise_inverse(fb: FourierBlocks) -> tuple[FourierBlocks, np.ndarray]:
+    """The half spectrum of the t-inverse, and the singular values of the
+    blocks that decided it exists (:meth:`_Spectrum.singular_block`).  It
+    always takes the singular-value pass, whose values
+    ``tjordan_report`` reads."""
+    spec = _invertible(fb)
     return FourierBlocks(spec.inverse(), fb.p), spec.sigma
 
 
 def t_inverse(a: Tensor3) -> Tensor3:
     """Two-sided t-inverse; requires every Fourier block invertible,
-    i.e. its smallest singular value above the tensor's rank cutoff."""
-    return assemble_real(blockwise_inverse(to_fourier(a))[0])[0]
+    i.e. its smallest singular value above the tensor's rank cutoff.
+    Above desk scale a certified LU inverse decides that without the
+    singular-value pass (:class:`_Spectrum`)."""
+    spec = _invertible(to_fourier(a), certify=True)
+    return spec.real(spec.inverse())[0]
 
 
 def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
@@ -126,8 +178,12 @@ def inverse_report(a: Tensor3, x: Tensor3) -> ResidualReport:
 
 def t_pinv_blocks(a: Tensor3) -> Tensor3:
     """Moore-Penrose inverse via blockwise matrix pseudoinverses, from the
-    thin SVDs of the half spectrum."""
-    spec = _Spectrum(to_fourier(a), kernels.svd_reduced)
+    thin SVDs of the half spectrum.  A square tensor that :class:`_Spectrum`
+    certifies invertible, above desk scale, is its t-inverse, and gets
+    :func:`t_inverse`'s bits without an SVD."""
+    spec = _Spectrum(to_fourier(a), kernels.svd_reduced, certify=True)
+    if spec.certified is not None:
+        return spec.real(spec.certified)[0]
     return spec.real(spec.pinv(spec.families[2]))[0]
 
 
@@ -168,7 +224,7 @@ def t_index(a: Tensor3) -> int:
     decided at the cutoff :func:`t_drazin` takes; 0 exactly when
     :func:`t_inverse` does not raise Singular, by the same test."""
     _require_square(a, "t_index")
-    spec = _Spectrum(to_fourier(a), kernels.singular_values)
+    spec = _Spectrum(to_fourier(a), kernels.singular_values, certify=True)
     if spec.singular_block() is None:
         return 0
     index, _ = spec.map(_index_and_square)
@@ -192,7 +248,7 @@ def t_drazin(a: Tensor3) -> DrazinResult:
     tensor takes :func:`kernels.drazin_stack` at the same cutoff.
     """
     _require_square(a, "t_drazin")
-    spec = _Spectrum(to_fourier(a), kernels.singular_values)
+    spec = _Spectrum(to_fourier(a), kernels.singular_values, certify=True)
     if spec.singular_block() is None:
         x, index = spec.inverse(), 0
     else:
@@ -245,7 +301,7 @@ def t_group(a: Tensor3) -> Tensor3:
     where the A_k^3 of another block would overflow.
     """
     _require_square(a, "t_group")
-    spec = _Spectrum(to_fourier(a), kernels.singular_values)
+    spec = _Spectrum(to_fourier(a), kernels.singular_values, certify=True)
     if spec.singular_block() is None:
         return spec.real(spec.inverse())[0]
     index, square = spec.map(_index_and_square)

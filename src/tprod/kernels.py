@@ -13,6 +13,9 @@ stubs that name their replacement, made by :func:`_retired` as
 ``fourier.lift_multi``'s is.  Every rank decision goes through one
 :class:`RankCutoff`, and the Jordan form refuses any matrix whose
 eigenvector basis is numerically rank deficient (DEFECT_RANK_TOL).
+:func:`certified_inverse` is a stacked LU inverse that proves its
+blocks' smallest singular values above a floor from its own residual,
+so an invertible tensor needs no SVD to be found invertible.
 LAPACK's drivers assume finite input: every kernel refuses a stack holding
 NaN or inf with the one ValueError of :func:`_require_finite`.
 Everything here is deterministic for fixed input, so every tensor op
@@ -47,6 +50,11 @@ POWER_OVERFLOW = "a matrix power overflowed the float64 range"
 
 EPS = np.finfo(np.float64).eps
 
+# certified_inverse: a certified block's smallest singular value exceeds
+# _CERTIFY_MARGIN times the rank cutoff, so the singular-value pass would
+# also have found it above the cutoff, LAPACK's error in sigma included.
+_CERTIFY_MARGIN = 4.0
+
 
 @dataclass(frozen=True)
 class RankCutoff:
@@ -80,6 +88,11 @@ class RankCutoff:
         return sigma[..., -1] > self.at()
 
 
+def _rtol(dims) -> float:
+    m, n, p = dims
+    return p * max(m, n) * EPS
+
+
 def rank_cutoff(sigma, dims) -> RankCutoff:
     """The rank cutoff of an m x n x p tensor.
 
@@ -89,10 +102,7 @@ def rank_cutoff(sigma, dims) -> RankCutoff:
     ``numpy.linalg.matrix_rank``'s rule for the mp x np matrix bcirc(A).
     A matrix is the case p = 1, with S its largest singular value.
     """
-    m, n, p = dims
-    rtol = p * max(m, n) * EPS
-    scale = float(np.max(sigma, initial=0.0))
-    return RankCutoff(rtol, scale)
+    return RankCutoff(_rtol(dims), float(np.max(sigma, initial=0.0)))
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -101,10 +111,13 @@ def _require_finite(a: np.ndarray) -> None:
 
 
 def _lapack(fn, failure: str, a: np.ndarray, **kwargs):
-    """``fn(a, **kwargs)`` for numpy's svd, eig or eigh ``fn``: a non-finite
-    ``a`` is refused, and a LinAlgError becomes ConvergenceError(failure).
-    np.linalg.inv, in drazin_from_powers and ginverses, runs
-    unguarded: a guarded SVD of the same stack always runs before it."""
+    """``fn(a, **kwargs)`` for numpy's svd, eig, eigh or inv ``fn``: a
+    non-finite ``a`` is refused, and a LinAlgError becomes
+    ConvergenceError(failure).  The LU ``inv`` runs here in
+    :func:`certified_inverse`, which certifies its own result.  Elsewhere
+    (``drazin_from_powers``, ``ginverses._Spectrum.inverse``) it runs
+    unguarded, on a stack whose singular values a guarded SVD has just
+    found above the rank cutoff."""
     _require_finite(a)
     try:
         return fn(a, **kwargs)
@@ -378,6 +391,71 @@ def pinv_from_svd(u, sigma, vh, threshold: float, below: float = 0.0):
     return np.conj(vh[..., :r, :].swapaxes(-1, -2)) @ (
         d[..., :, None] * np.conj(u[..., :r].swapaxes(-1, -2))
     )
+
+
+class _Uncertified(Exception):
+    """A stacked LU inverse that :func:`certified_inverse` cannot certify.
+    It is neither a MathError nor a ValueError, so ``FourierBlocks.map``
+    passes it on unnamed and the whole map stops at the batch that
+    raised it."""
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norms of a real or complex stack of matrices, as the
+    square roots of their sums of squares."""
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+@np.errstate(all="ignore")
+def inverse_certificate_scale(blocks: np.ndarray, dims):
+    """The Frobenius norms of the blocks of an m x n x p tensor's half
+    spectrum, and the floor that :func:`certified_inverse` holds each
+    block's smallest singular value above: _CERTIFY_MARGIN times the rank
+    cutoff (:func:`rank_cutoff`) taken at max_k ||A_k||_F >= S."""
+    norms = _frobenius(blocks)
+    return norms, _CERTIFY_MARGIN * _rtol(dims) * float(norms.max())
+
+
+@np.errstate(all="ignore")
+def certified_inverse(stack: np.ndarray, norms: np.ndarray,
+                      floor: float) -> np.ndarray:
+    """Inverses of a stack of square matrices by one stacked LU ``inv``,
+    each certified to have its smallest singular value above ``floor``;
+    _Uncertified when any is not.  ``norms`` are Frobenius norms at least
+    the matrices' own, as :func:`inverse_certificate_scale` gives them
+    (a complex block's bounds its real part's).
+
+    With the residual R = A X - I formed in floating point, rho = ||R||_F
+    + gamma_(n+3) (||A||_F ||X||_F + sqrt(n)) bounds the exact
+    ||A X - I||_F: gamma_(n+2) covers a complex inner product of length n,
+    and one more rounding the subtraction of I.  When rho < 1, the bound
+    of Higham (*Accuracy and Stability of Numerical Algorithms*, ch. 14)
+    gives sigma_min(A) >= (1 - rho) / ||X||_F.  A matrix is certified when
+    rho < 1/2 and that bound exceeds ``floor``; the rounding of the norms
+    and of the bound lies far inside _CERTIFY_MARGIN.  An exactly singular
+    pivot, or a norm, residual or floor that is not finite, certifies
+    nothing.  So does a norm whose squares underflowed: rho < 1/2 makes
+    ||A||_F ||X||_F at least 1/2, so the norm of that block's inverse
+    overflows.  A non-finite ``stack`` is refused as :func:`_lapack`
+    refuses it.
+    """
+    try:
+        x = _lapack(np.linalg.inv, "LU inverse failed", stack)
+    except ConvergenceError:  # an exactly zero pivot
+        raise _Uncertified from None
+    n = stack.shape[-1]
+    residual = stack @ x
+    residual.reshape(len(x), -1)[:, ::n + 1] -= 1.0
+    x_norms = _frobenius(x)
+    nu = (n + 3) * EPS / 2
+    rho = _frobenius(residual) + nu / (1 - nu) * (norms * x_norms
+                                                   + math.sqrt(n))
+    if not ((rho < 0.5) & (1.0 - rho > floor * x_norms)).all():
+        raise _Uncertified
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")

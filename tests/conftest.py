@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tprod import Tensor3, kernels, read_tensor
+from tprod import FourierBlocks, Tensor3, assemble_real, kernels, read_tensor, to_fourier
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,3 +69,22 @@ def group_of_one(a, cutoff: kernels.RankCutoff) -> np.ndarray:
     if index[0] > 1:
         raise kernels.no_group_inverse(a, cutoff)
     return kernels.drazin_from_powers(stack, cutoff, index, powers)[0]
+
+
+def place_sigma_min(a: Tensor3, k: int, factor: float) -> Tensor3:
+    """a with the smallest singular value of its Fourier block k (k taken
+    modulo the p // 2 + 1 stored blocks) set to ``factor`` times the
+    tensor's rank cutoff (:func:`kernels.rank_cutoff`), to the rounding
+    of one transform.  The cutoff's scale is that of the other singular
+    values, which the change leaves as they are."""
+    fa = to_fourier(a)
+    k %= len(fa.blocks)
+    (sigma,) = fa.map(kernels.singular_values)
+    scale = np.delete(sigma, k, axis=0)[:, 0].max(initial=0.0)
+    if sigma.shape[1] > 1:
+        scale = max(scale, sigma[k, 0])
+    u, s, vh = np.linalg.svd(fa.block(k))
+    s[-1] = factor * kernels.rank_cutoff(sigma, a.dims).rtol * scale
+    blocks = np.array(fa.blocks)
+    blocks[k] = (u * s) @ vh
+    return assemble_real(FourierBlocks(blocks, fa.p))[0]

@@ -173,6 +173,20 @@ class TestIdentityAndDistance:
             assert not x.power(0).blocks.flags.writeable
         assert FourierBlocks.identity(n, p) == eye
 
+    @pytest.mark.parametrize("make, n, p", [
+        (Tensor3.identity, 2, 0),
+        (SliceStack.identity, 2, 0),
+        (SliceStack.identity, 0, 2),
+        (FourierBlocks.identity, 0, 2),
+        (FourierBlocks.identity, 2, 0),
+    ], ids=["tensor3-p0", "slices-p0", "slices-n0", "fourier-n0",
+            "fourier-p0"])
+    def test_identity_refuses_a_dimension_below_one(self, make, n, p):
+        with pytest.raises(DimensionError,
+                           match=r"dimensions must be positive, got "
+                                 rf"\({n}, {n}, {p}\)"):
+            make(n, p)
+
     def test_distance_refuses_unequal_dims(self):
         # p = 4 and p = 5 both store three blocks
         blocks = to_fourier(gen(3, 2, 2, 5)).blocks

@@ -13,6 +13,7 @@ from tprod import (
     FourierBlocks,
     GroupInverseNotExist,
     MathError,
+    ResidualReport,
     Singular,
     Tensor3,
     TprodError,
@@ -33,9 +34,21 @@ from tprod import (
     unit_regular_witness,
 )
 from tprod import core, factorizations, ginverses, kernels
-from tprod.ginverses import penrose_report, witness_report
+from tprod.generate import KINDS
+from tprod.ginverses import (
+    group_report,
+    inverse_report,
+    penrose_report,
+    witness_report,
+)
 
-from conftest import drazin_of_one, group_of_one, matrix_cutoff, max_abs
+from conftest import (
+    drazin_of_one,
+    group_of_one,
+    matrix_cutoff,
+    max_abs,
+    place_sigma_min,
+)
 
 
 def nilpotent_block_tensor() -> Tensor3:
@@ -46,20 +59,23 @@ def nilpotent_block_tensor() -> Tensor3:
 MIXED_INDICES = (0, 1, 0, 2)
 
 
-def mixed_index_tensor() -> Tensor3:
-    """3x3x6 tensor made from its Fourier blocks 0..3, of the Drazin
-    indices MIXED_INDICES: invertible at the real-forced block 0 and the
-    complex block 2, index 1 at the complex block 1 and index 2 at the
-    real-forced (Nyquist) block 3."""
+def mixed_index_tensor(p: int = 6) -> Tensor3:
+    """3x3xp tensor, p even and at least 6, made from its Fourier blocks
+    0..p/2.  Blocks 0..3 have the Drazin indices MIXED_INDICES: invertible
+    at the real-forced block 0 and the complex block 2, index 1 at the
+    complex block 1 and index 2 at block 3, the Nyquist block at p = 6.
+    The blocks after 3 are copies of block 0, so above p = 6 both
+    real-forced blocks are invertible and the complex ones are not."""
     s = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0]])
     s_inv = np.linalg.inv(s)
-    blocks = np.stack([
+    head = [
         np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 2.0]]),
         s @ np.diag([1 + 1j, 2 - 0.5j, 0]) @ s_inv,
         np.array([[3, 1j, 0], [0.5, 2 - 1j, 1], [0, 1, 4]]),
         s @ np.array([[1.5, 0, 0], [0, 0, 1], [0, 0, 0]]) @ s_inv,
-    ])
-    return assemble_real(FourierBlocks(blocks, 6))[0]
+    ]
+    blocks = np.stack(head + head[:1] * (p // 2 - 3))
+    return assemble_real(FourierBlocks(blocks, p))[0]
 
 
 class TestTInverse:
@@ -630,6 +646,48 @@ class TestDecisionBudget:
         },
     }
 
+    # the ops that take the certified LU inverse, and t_pinv_svd, on
+    # 3x3x32 inputs, above DIRECT_PATH_LIMIT: an invertible tensor makes
+    # one inv per batch and no SVD; any other makes the calls it makes at
+    # desk scale plus the invs of the failed attempt, the real-forced
+    # batch's alone where that batch is singular (rank_deficient; both
+    # real-forced blocks of mixed_index_tensor(32) are invertible)
+    ABOVE_LIMIT = {
+        "dense": {
+            "t_inverse": {"inv": 2},
+            "t_pinv_blocks": {"inv": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"inv": 2},
+            "t_index": {"inv": 2},
+            "t_group": {"inv": 2},
+        },
+        "t_symmetric": {
+            "t_inverse": {"inv": 2},
+            "t_pinv_blocks": {"inv": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"inv": 2},
+            "t_index": {"inv": 2},
+            "t_group": {"inv": 2},
+        },
+        "rank_deficient": {
+            "t_inverse": {"inv": 1, "rank_cutoff": 1, "svd": 2},  # Singular
+            "t_pinv_blocks": {"inv": 1, "rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"inv": 1, "rank_cutoff": 1, "svd": 6},
+            "t_index": {"inv": 1, "rank_cutoff": 1, "svd": 4},
+            "t_group": {"inv": 1, "rank_cutoff": 1, "svd": 6},
+        },
+        "mixed_index": {
+            "t_inverse": {"inv": 2, "rank_cutoff": 1, "svd": 2},  # Singular
+            "t_pinv_blocks": {"inv": 2, "rank_cutoff": 1, "svd": 2},
+            "t_pinv_svd": {"rank_cutoff": 1, "svd": 2},
+            "t_drazin": {"inv": 2, "rank_cutoff": 1, "svd": 6},
+            "t_index": {"inv": 2, "rank_cutoff": 1, "svd": 4},
+            # GroupInverseNotExist
+            "t_group": {"inv": 2, "rank_cutoff": 1, "svd": 6},
+        },
+    }
+
     @pytest.fixture
     def counts(self, monkeypatch):
         made = Counter()
@@ -663,6 +721,13 @@ class TestDecisionBudget:
         a = (mixed_index_tensor() if kind == "mixed_index"
              else gen(1, 3, 3, 4, kind))
         assert self.spent(counts, a, self.OPS) == self.SQUARE[kind]
+
+    @pytest.mark.parametrize("kind", sorted(ABOVE_LIMIT))
+    def test_square_ops_above_the_limit(self, counts, kind):
+        a = (mixed_index_tensor(32) if kind == "mixed_index"
+             else gen(1, 3, 3, 32, kind))
+        table = self.ABOVE_LIMIT[kind]
+        assert self.spent(counts, a, table) == table
 
     def test_rectangular_ops(self, counts):
         ops = ("t_svd", "t_pinv_blocks", "t_pinv_svd")
@@ -781,6 +846,172 @@ class TestTransformBudget:
 
     def test_rectangular_ops_above_the_limit(self, counts):
         self.rectangular(counts, gen(1, 2, 3, 32), self.ABOVE_LIMIT)
+
+
+def _rows(report) -> list:
+    return [(c.name, c.residual, c.tolerance) for c in report.checks]
+
+
+def _outcome(fn, a):
+    """What ``fn(a)`` gives, arrays as bytes and reports as their rows, or
+    the error it raises."""
+    try:
+        out = fn(a)
+    except TprodError as exc:
+        return type(exc), str(exc), getattr(exc, "block_index", None)
+    return [x.array.tobytes() if isinstance(x, Tensor3)
+            else _rows(x) if isinstance(x, ResidualReport) else x
+            for x in out]
+
+
+class TestCertifiedInverse:
+    """The certified LU inverse that t_inverse, t_drazin, t_group, t_index
+    and square t_pinv take above DIRECT_PATH_LIMIT (``_Spectrum`` with
+    ``certify``).  It keeps its blocks only where the singular-value pass
+    finds the tensor invertible, and they are that pass's inverse bit for
+    bit; anywhere else the op is the singular-value route's.  pytest turns
+    any RuntimeWarning into an error, so none leaks from either route."""
+
+    OPS = {
+        "t_drazin": lambda a: (lambda r: (r.ad, r.index, r.report))(
+            t_drazin(a)),
+        "t_group": lambda a: (lambda g: (g, group_report(a, g)))(t_group(a)),
+        "t_index": lambda a: (t_index(a),),
+        "t_inverse": lambda a: (lambda x: (x, inverse_report(a, x)))(
+            t_inverse(a)),
+    }
+
+    @staticmethod
+    def certified(a):
+        return ginverses._Spectrum(to_fourier(a), kernels.singular_values,
+                                   certify=True).certified
+
+    def outcomes(self, a, monkeypatch=None) -> dict:
+        """Every op's outcome on a; with ``monkeypatch``, by the
+        singular-value route alone."""
+        if monkeypatch is None:
+            return {name: _outcome(op, a) for name, op in self.OPS.items()}
+        with monkeypatch.context() as m:
+            m.setattr(ginverses._Spectrum, "_certified_inverse",
+                      lambda self: None)
+            return self.outcomes(a)
+
+    @given(
+        n=st.integers(1, 6),
+        extra=st.integers(1, 24),
+        kind=st.sampled_from(("dense", "t_symmetric", "rank_deficient")),
+        seed=st.integers(0, 2**16),
+        k=st.integers(0, 64),
+        e=st.floats(np.log10(0.5), 2.0),
+    )
+    def test_certifies_only_what_the_singular_values_decide(
+        self, n, extra, kind, seed, k, e
+    ):
+        # one block's smallest singular value at 0.5 to 100 times the cutoff
+        p = core.DIRECT_PATH_LIMIT // n + extra
+        fa = to_fourier(place_sigma_min(gen(seed, n, n, p, kind), k, 10.0**e))
+        certified = ginverses._Spectrum(fa, kernels.singular_values,
+                                        certify=True).certified
+        if certified is None:
+            return
+        spec = ginverses._Spectrum(fa, kernels.singular_values)
+        assert spec.singular_block() is None
+        inverse = spec.inverse()
+        assert certified.dtype == inverse.dtype
+        np.testing.assert_array_equal(certified, inverse)
+
+    def test_certifies_well_inside_the_cutoff(self):
+        for factor, certified in ((3.0, False), (20.0, True)):
+            a = place_sigma_min(gen(4, 3, 3, 32), 5, factor)
+            assert (self.certified(a) is not None) == certified
+
+    def test_takes_the_size_rule_of_the_direct_path(self, monkeypatch):
+        # p * n = 65 takes the certificate; at 64 and below no op does
+        assert self.certified(gen(1, 1, 1, 65)) is not None
+
+        def refuse(*args):
+            raise AssertionError("the certificate ran at desk scale")
+
+        monkeypatch.setattr(kernels, "inverse_certificate_scale", refuse)
+        for m, p in ((1, 64), (2, 32), (4, 16), (8, 8), (3, 4)):
+            for kind in KINDS:
+                a = gen(2, m, m, p, kind)
+                for op in TestDecisionBudget.OPS.values():
+                    try:
+                        op(a)
+                    except TprodError:
+                        pass
+
+    def test_zero_and_exactly_singular_tensors_fall_back(self, monkeypatch):
+        # a zero last row in every slice, and so in every block: the LU
+        # meets an exactly zero pivot
+        rows = gen(3, 3, 3, 32).array.copy()
+        rows[:, -1] = 0.0
+        singular = Tensor3(rows)
+        stack = to_fourier(singular).blocks[1:16]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(stack)
+        with pytest.raises(kernels._Uncertified):
+            kernels.certified_inverse(stack, np.ones(len(stack)), 1e-12)
+        for a in (Tensor3.zeros(3, 3, 32), singular):
+            assert self.certified(a) is None
+            outcomes = self.outcomes(a)
+            assert outcomes["t_inverse"][0] is Singular
+            assert outcomes == self.outcomes(a, monkeypatch)
+
+    def test_non_finite_blocks_raise_the_same_block_op_error(self, monkeypatch):
+        # finite slices whose transform overflows at the odd blocks
+        big = gen(5, 3, 3, 32).array.copy()
+        big[0] += 1.7e308
+        big[16] -= 1.7e308
+        a = Tensor3(big)
+        with pytest.raises(BlockOpError) as sigma_pass:
+            ginverses._Spectrum(to_fourier(a), kernels.singular_values)
+        assert sigma_pass.value.block_index == 1
+        outcomes = self.outcomes(a)
+        assert outcomes == self.outcomes(a, monkeypatch)
+        for outcome in outcomes.values():
+            assert outcome == (BlockOpError, str(sigma_pass.value), 1)
+        with pytest.raises(BlockOpError) as pinv:
+            t_pinv(a)
+        assert str(pinv.value) == str(sigma_pass.value)
+        with pytest.raises(ValueError, match="must be finite"):
+            kernels.certified_inverse(to_fourier(a).blocks[1:16],
+                                      np.ones(15), 1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**900, 2.0**-900, 1e300, 1e-300])
+    def test_fails_closed_beyond_the_range_of_the_norms(self, monkeypatch,
+                                                        scale):
+        for kind in ("dense", "t_symmetric"):
+            a = scalar_mul(scale, gen(6, 3, 3, 32, kind))
+            assert self.certified(a) is None
+            assert self.outcomes(a) == self.outcomes(a, monkeypatch)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "shape", [(3, 3, 32), (4, 4, 17), (5, 5, 13), (16, 16, 8),
+                  (4, 4, 512)])
+    def test_ops_are_the_singular_value_route_bit_for_bit(
+        self, monkeypatch, shape, kind
+    ):
+        for scale in (1.0, 2.0**300, 2.0**-300):
+            a = scalar_mul(scale, gen(7, *shape, kind))
+            certified = self.certified(a) is not None
+            assert certified == (kind != "rank_deficient")
+            assert self.outcomes(a) == self.outcomes(a, monkeypatch)
+            if not certified:
+                continue
+            x = t_pinv(a)
+            assert x == t_inverse(a)
+            # the SVD route stays an independent cross-check; at 2^-300
+            # both fail penrose_report's absolute allowance alike
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "certified_inverse", None)
+                y = t_pinv(a, route="svd")
+            assert max_abs((x - y).array) <= 1e-9 * x.max_abs
+            passed = penrose_report(a, x).passed
+            assert passed == penrose_report(a, y).passed
+            assert passed or scale < 1.0
 
 
 class TestRealness:

@@ -379,6 +379,19 @@ def test_cli_drazin_group_and_tinv_write_one_file_on_invertible_input(tmp_path):
     assert written[0] == written[1] == written[2]
 
 
+def test_cli_pinv_writes_the_tinv_file_on_a_certified_tensor(tmp_path):
+    # above DIRECT_PATH_LIMIT, an invertible tensor whose LU inverse is
+    # certified gets the t-inverse's bits from pinv as well
+    a = tmp_path / "A.tns"
+    write_tensor(a, gen(7, 3, 3, 32))
+    written = set()
+    for command in ("pinv", "tinv", "drazin", "group"):
+        out = tmp_path / f"{command}.tns"
+        assert cli_main([command, str(a), "-o", str(out), "--quiet"]) == 0
+        written.add(out.read_bytes())
+    assert len(written) == 1
+
+
 @pytest.mark.parametrize("command", ["drazin", "group"])
 def test_cli_drazin_power_overflow_is_named_without_lapack_noise(tmp_path, command):
     # the Drazin index needs A^2, whose entries leave the float64 range
