@@ -50,7 +50,7 @@ class Tensor3:
         (a complex array only with imaginary part exactly zero).
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "__weakref__")
 
     def __init__(self, data):
         arr = _real(data, "tensor entries").astype(np.float64, order="C")

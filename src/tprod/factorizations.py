@@ -393,7 +393,7 @@ def tjordan_report(
     if partition is None:
         partition = _partition(j, bidiagonal=True)
     with ResidualReport("tjordan") as report:
-        fp = to_fourier(pt)
+        fa, fp = to_fourier(a), to_fourier(pt)
         p_inv, sigma = blockwise_inverse(fp)
         # cap the conditioning multiplier where t_jordan refuses an
         # eigenvector basis: beyond it the transform is numerically
@@ -401,7 +401,7 @@ def tjordan_report(
         # factors verify
         kappa = max(1.0, float((sigma[:, 0] / sigma[:, -1]).max()))
         t_rec = rec_tolerance(a) * min(kappa, 1 / kernels.DEFECT_RANK_TOL)
-        fa, fj = to_fourier(a), to_fourier(j)
+        fj = to_fourier(j)
         report.add_identity("reconstruction", fp @ fj @ p_inv, fa, t_rec)
         report.add_identity(
             "invertibility", fp @ p_inv, FourierBlocks.identity(n, p), t_rec

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -382,11 +383,38 @@ def mirror_blocks(evaluated, p: int) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
+# to_fourier's last result, with a weak reference to its tensor
+_last = _EMPTY = (lambda: None, None)
+
+
+def _forget(ref) -> None:
+    """Empty the slot when its tensor dies, so no dead spectrum stays."""
+    global _last
+    if _last[0] is ref:
+        _last = _EMPTY
+
+
 def to_fourier(t: Tensor3) -> FourierBlocks:
     """Forward block transform of a real tensor: ``np.fft.rfft`` along the
     slice axis, blocks 0..floor(p/2) with exactly real DC and Nyquist
-    blocks.  An overflow is kept, unwarned, for the kernels to refuse."""
+    blocks.  An overflow is kept, unwarned, for the kernels to refuse.
+
+    The last result is kept, read-only, with a weak reference to its
+    tensor, and returned again while that same tensor object is asked
+    for, so an op and its report transform their input once between
+    them.  Any other tensor replaces it in one assignment: concurrent
+    callers can at worst transform twice."""
+    global _last
+    ref, fb = _last
+    if ref() is not t:
+        fb = _rfft(t)
+        _last = (weakref.ref(t, _forget), fb)
+    return fb
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rfft(t: Tensor3) -> FourierBlocks:
+    """:func:`to_fourier`'s transform, made when its kept one misses."""
     return FourierBlocks._wrap(np.fft.rfft(t.array, axis=0), t.dims[2])
 
 

@@ -13,7 +13,8 @@ by, so on an invertible tensor they run its block map and nothing else.
 Above desk scale that test first tries the block map itself, a certified
 LU inverse (:func:`kernels.certified_inverse`): on a tensor it certifies,
 these four ops and square :func:`t_pinv_blocks` take no SVD, and the
-pseudoinverse is the t-inverse bit for bit.
+pseudoinverse is the t-inverse bit for bit.  :func:`witness_report`
+inverts w by the same test.
 Residual allowances scale quadratically with the data magnitude because
 the defining identities are triple products.  The pseudoinverse and
 inverse reports check those identities on the slices of their operands at
@@ -360,14 +361,14 @@ def unit_regular_witness(a: Tensor3) -> UnitRegularWitness:
 def witness_report(a: Tensor3, w: Tensor3) -> ResidualReport:
     """Residuals of the unit-regular witness identities.  They are
     verified on the half spectrum at every size, never on the slices
-    (:func:`~tprod.fourier.operands`), because w's inverse comes from the
-    block SVDs of :func:`blockwise_inverse`."""
+    (:func:`~tprod.fourier.operands`), because w's inverse is taken on
+    its blocks, by the test :func:`t_inverse` makes."""
     m, n, p = a.dims
     with ResidualReport("witness") as report:
         t_gi = gi_tolerance(a)
         fa, fw = to_fourier(a), to_fourier(w)
         report.add_identity("von_neumann", fa @ fw @ fa, fa, t_gi)
-        w_inv, _ = blockwise_inverse(fw)
+        w_inv = FourierBlocks(_invertible(fw, certify=True).inverse(), p)
         report.add_identity("witness_invertibility", fw @ w_inv,
                             FourierBlocks.identity(n, p), t_gi)
     return report

@@ -14,15 +14,16 @@ At desk scale, p * max(m, n) within the limit, a report verifies on the
 slices (:class:`~tprod.fourier.SliceStack`): each product is a
 block-circulant product, as ``tprod``'s direct path forms it, and no
 transform runs.  Above it a report verifies on the half spectrum
-(:class:`~tprod.fourier.FourierBlocks`): it transforms its input and
-every factor it is given once, writes each identity as stacked products
-of Fourier blocks 0..floor(p/2) (A*X*A = A holds exactly when A_k X_k A_k
-= A_k for every block k), and takes the residual blocks to the slices by
-one certified irfft per identity.  Four reports verify on the half
-spectrum at every size: tjordan_report and witness_report, which invert a
-factor through its block SVDs, and drazin_report and group_report, whose
-outer identity X*A*X = X has, for a large X, a residual that is rounding
-the size of its allowance, so that its verdict would follow the domain.
+(:class:`~tprod.fourier.FourierBlocks`): it transforms every factor it is
+given once, finds its input's transform kept from the op
+(:func:`~tprod.fourier.to_fourier`), writes each identity as stacked
+products of Fourier blocks 0..floor(p/2) (A*X*A = A holds exactly when
+A_k X_k A_k = A_k for every block k), and takes the residual blocks to the
+slices by one certified irfft per identity.  Four reports verify on the
+half spectrum at every size: tjordan_report and witness_report, which
+invert a factor blockwise, and drazin_report and group_report, whose outer
+identity X*A*X = X has, for a large X, a residual that is rounding the
+size of its allowance, so that its verdict would follow the domain.
 Each report computes its own default allowances;
 :meth:`ResidualReport.with_tolerance` replaces them all at once, which is
 how the CLI's ``--tol`` is applied.

@@ -1,5 +1,13 @@
 """Tests for the Fourier-domain engine and conjugate pairing."""
 
+import dataclasses
+import gc
+import sys
+import threading
+import time
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +20,7 @@ from tprod import (
     FourierBlocks,
     MathError,
     PairingViolation,
+    ResidualReport,
     Tensor3,
     assemble_real,
     bcirc,
@@ -135,6 +144,203 @@ class TestToFourier:
         assert pairing[0] == 0
         if p % 2 == 0 and p > 1:
             assert pairing[p // 2] == p // 2
+
+
+def unshared(monkeypatch):
+    """Switch off the result to_fourier keeps: every call transforms."""
+    monkeypatch.setattr(fourier, "_last", (lambda: None, None))
+    monkeypatch.setattr(fourier, "weakref",
+                        SimpleNamespace(ref=lambda t, forget: lambda: None))
+
+
+def counted_rfft(monkeypatch) -> list:
+    """Count the calls of np.fft.rfft, one list entry each."""
+    made, rfft = [], np.fft.rfft
+
+    def counting(*args, **kwargs):
+        made.append(None)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return made
+
+
+def outcome(value):
+    """A result as plain data: arrays as (dtype, shape, bytes), tensors as
+    their arrays, reports as their rows without ``seconds``, and result
+    classes and tuples field by field."""
+    if isinstance(value, ResidualReport):
+        return [(c.name, c.residual, c.tolerance) for c in value.checks]
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name)
+                      for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(outcome(v) for v in value)
+    if isinstance(value, Tensor3):
+        value = value.array
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def reported(report, a, x):
+    """x with report(a, x), as an op whose result has no report of its
+    own is verified."""
+    return x, report(a, x)
+
+
+# the benchmark's ops, called as perfbench/workloads.py calls them
+BENCH_OPS = {
+    "tprod": lambda a: tprod(a, a if a.dims[0] == a.dims[1]
+                             else transpose(a)),
+    "t_svd": t_svd,
+    "t_pinv": lambda a: reported(penrose_report, a, t_pinv(a)),
+    "t_drazin": t_drazin,
+    "t_schur": t_schur,
+    "t_jordan": t_jordan,
+    "idempotent_factorization": idempotent_factorization,
+    "unit_regular_witness": unit_regular_witness,
+    "t_group": lambda a: reported(group_report, a, t_group(a)),
+    "t_pinv_svd": lambda a: reported(penrose_report, a,
+                                     t_pinv(a, route="svd")),
+    "t_inverse": lambda a: reported(inverse_report, a, t_inverse(a)),
+}
+
+
+class TestSharedTransform:
+    """to_fourier keeps its last result, with a weak reference to its
+    tensor, and returns it again for the same tensor object."""
+
+    # the 11 ops and tprod, each with its report
+    OPS = dict(BENCH_OPS, t_index=t_index)
+
+    def test_the_same_tensor_gets_the_same_read_only_spectrum(self):
+        t = gen(0, 3, 2, 7)
+        fb = to_fourier(t)
+        assert to_fourier(t) is fb
+        assert not fb.blocks.flags.writeable
+        assert outcome(fb.blocks) == outcome(np.fft.rfft(t.array, axis=0))
+
+    def test_an_equal_tensor_is_transformed_on_its_own(self, monkeypatch):
+        t = gen(0, 3, 2, 7)
+        fb = to_fourier(t)
+        made = counted_rfft(monkeypatch)
+        twin = Tensor3(t.array)
+        assert to_fourier(twin) is not fb
+        assert to_fourier(twin) == fb
+        assert len(made) == 1
+
+    def test_the_kept_spectrum_does_not_keep_its_tensor(self):
+        t = gen(0, 3, 2, 7)
+        ref, spectrum = weakref.ref(t), weakref.ref(to_fourier(t))
+        del t
+        gc.collect()
+        assert ref() is None
+        assert fourier._last[0]() is None
+        # nor its spectrum, once its tensor is gone
+        assert spectrum() is None
+        assert fourier._last[1] is None
+
+    def test_threads_get_their_own_tensors_spectra(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # lets them and inside every transform: a result handed to the
+        # wrong tensor breaks equality
+        rfft = fourier._rfft
+        monkeypatch.setattr(fourier, "_rfft",
+                            lambda t: (time.sleep(1e-5), rfft(t))[1])
+        tensors = [[gen(2 * k + i, 2, 2, 3 + k % 2) for i in (0, 1)]
+                   for k in range(4)]
+        wrong, start = [], threading.Barrier(len(tensors))
+
+        def work(pair):
+            start.wait(timeout=60)
+            for i in range(600):
+                t = pair[i // 2 % 2]  # twice in a row: a miss, then a hit
+                try:
+                    blocks = to_fourier(t).blocks
+                except Exception as exc:  # reported by the main thread
+                    wrong.append(exc)
+                    continue
+                if not np.array_equal(blocks, np.fft.rfft(t.array, axis=0)):
+                    wrong.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(pair,))
+                       for pair in tensors]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize("p", [4, 32])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_no_op_writes_into_the_kept_spectrum(self, name, p):
+        a = gen(2, 3, 3, p)
+        fa = to_fourier(a)
+        self.OPS[name](a)
+        fresh = outcome(np.fft.rfft(a.array, axis=0))
+        assert outcome(fa.blocks) == fresh
+        assert outcome(to_fourier(a).blocks) == fresh
+
+
+BENCH_KINDS = ("dense", "rank_deficient", "t_symmetric")
+CORE_OPS = ("tprod", "t_svd", "t_pinv", "t_drazin", "t_schur")
+RECTANGULAR_OPS = ("tprod", "t_svd", "t_pinv")
+
+
+def _grid(shapes, kinds) -> list:
+    return [(shape, kind) for shape in shapes for kind in kinds]
+
+
+class TestBenchmarkInputs:
+    """The in-process workloads of perfbench/workloads.py, rebuilt here
+    from the library calls they make: every op's outputs, report rows and
+    errors are the same with to_fourier's kept result as without it, on
+    the first round of the workload's pool, one input of every (shape,
+    kind), run back to back as the benchmark runs them."""
+
+    WORKLOADS = {
+        "slice_heavy": (_grid([(4, 4, 512)], BENCH_KINDS), CORE_OPS),
+        "block_heavy": (_grid([(64, 64, 16)], BENCH_KINDS), CORE_OPS),
+        "desk_scale": (
+            _grid(((2, 2, 4), (3, 3, 5), (4, 4, 6), (3, 3, 4)), BENCH_KINDS)
+            + _grid(((3, 5, 4), (3, 5, 5)), BENCH_KINDS[:2]),
+            CORE_OPS + ("t_jordan", "idempotent_factorization",
+                        "unit_regular_witness", "t_group", "t_pinv_svd",
+                        "t_inverse")),
+    }
+
+    def run(self, workload, seed=1) -> list:
+        combos, ops = self.WORKLOADS[workload]
+        results = []
+        for index, ((m, n, p), kind) in enumerate(combos):
+            a = gen(seed * 100_003 + index, m, n, p, kind)
+            for name in ops if m == n else RECTANGULAR_OPS:
+                if name == "t_inverse" and kind == "rank_deficient":
+                    continue
+                try:
+                    results.append(outcome(BENCH_OPS[name](a)))
+                except Exception as exc:  # as the benchmark counts them
+                    results.append((type(exc).__name__, str(exc)))
+        return results
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_the_kept_transform_changes_no_result(self, monkeypatch,
+                                                  workload):
+        made = counted_rfft(monkeypatch)
+        shared = self.run(workload)
+        shared_rffts = len(made)
+        made.clear()
+        with monkeypatch.context() as m:
+            unshared(m)
+            assert self.run(workload) == shared
+        assert shared_rffts < len(made)
 
 
 class TestFourierBlocksStorage:
@@ -301,8 +507,8 @@ class TestSliceStack:
 
 class TestFourierBlocksEquality:
     def test_equal_blocks_compare_equal(self):
-        a = gen(3, 2, 3, 5)
-        fa, fb = to_fourier(a), to_fourier(a)
+        fa = to_fourier(gen(3, 2, 3, 5))
+        fb = FourierBlocks(fa.blocks.copy(), fa.p)
         assert fa is not fb
         assert fa == fb
         assert not fa != fb

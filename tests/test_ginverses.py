@@ -572,8 +572,9 @@ class TestDecisionBudget:
     """The LAPACK calls (``kernels._lapack``, by function) and the rank
     cutoffs (``kernels.rank_cutoff``) each op takes.  An op takes one
     cutoff per tensor it judges, its report included: the witness judges
-    a and then, in witness_report, w, and tjordan_report judges p.  The
-    decisions add no SVD pass to the one the op runs."""
+    a and then, in witness_report, w (above desk scale by the certified
+    inverse, with no cutoff), and tjordan_report judges p.  The decisions
+    add no SVD pass to the one the op runs."""
 
     OPS = {
         "t_svd": factorizations.t_svd,
@@ -646,12 +647,14 @@ class TestDecisionBudget:
         },
     }
 
-    # the ops that take the certified LU inverse, and t_pinv_svd, on
-    # 3x3x32 inputs, above DIRECT_PATH_LIMIT: an invertible tensor makes
-    # one inv per batch and no SVD; any other makes the calls it makes at
-    # desk scale plus the invs of the failed attempt, the real-forced
-    # batch's alone where that batch is singular (rank_deficient; both
-    # real-forced blocks of mixed_index_tensor(32) are invertible)
+    # the ops that take the certified LU inverse, t_pinv_svd and the
+    # witness, on 3x3x32 inputs, above DIRECT_PATH_LIMIT: an invertible
+    # tensor makes one inv per batch and no SVD; any other makes the calls
+    # it makes at desk scale plus the invs of the failed attempt, the
+    # real-forced batch's alone where that batch is singular
+    # (rank_deficient; both real-forced blocks of mixed_index_tensor(32)
+    # are invertible).  The witness takes its op's SVD pass, and its
+    # report certifies w, which is invertible by construction.
     ABOVE_LIMIT = {
         "dense": {
             "t_inverse": {"inv": 2},
@@ -660,6 +663,7 @@ class TestDecisionBudget:
             "t_drazin": {"inv": 2},
             "t_index": {"inv": 2},
             "t_group": {"inv": 2},
+            "witness": {"inv": 2, "rank_cutoff": 1, "svd": 2},
         },
         "t_symmetric": {
             "t_inverse": {"inv": 2},
@@ -668,6 +672,7 @@ class TestDecisionBudget:
             "t_drazin": {"inv": 2},
             "t_index": {"inv": 2},
             "t_group": {"inv": 2},
+            "witness": {"inv": 2, "rank_cutoff": 1, "svd": 2},
         },
         "rank_deficient": {
             "t_inverse": {"inv": 1, "rank_cutoff": 1, "svd": 2},  # Singular
@@ -676,6 +681,7 @@ class TestDecisionBudget:
             "t_drazin": {"inv": 1, "rank_cutoff": 1, "svd": 6},
             "t_index": {"inv": 1, "rank_cutoff": 1, "svd": 4},
             "t_group": {"inv": 1, "rank_cutoff": 1, "svd": 6},
+            "witness": {"inv": 2, "rank_cutoff": 1, "svd": 2},
         },
         "mixed_index": {
             "t_inverse": {"inv": 2, "rank_cutoff": 1, "svd": 2},  # Singular
@@ -685,6 +691,7 @@ class TestDecisionBudget:
             "t_index": {"inv": 2, "rank_cutoff": 1, "svd": 4},
             # GroupInverseNotExist
             "t_group": {"inv": 2, "rank_cutoff": 1, "svd": 6},
+            "witness": {"inv": 2, "rank_cutoff": 1, "svd": 2},
         },
     }
 
@@ -746,39 +753,40 @@ class TestTransformBudget:
     max(m, n) within DIRECT_PATH_LIMIT, they verify on the slices and make
     no transform, except the four that verify on the half spectrum at
     every size (see tprod.report).  Above the limit a report transforms
-    its input and every factor itself, and takes one irfft per identity:
-    it never reuses the op's own blocks or shares one transform between
-    identities."""
+    every factor itself, and takes one irfft per identity; it never reuses
+    the op's blocks of a factor or shares one transform between
+    identities.  The input's transform is shared: ``to_fourier`` keeps its
+    last result, so a report finds the one its op made of a."""
 
     # (rfft, irfft) at desk scale: the op's forward transform of a and one
     # irfft per assembled factor; the t-Jordan, Drazin, group and witness
-    # reports then transform as they do above the limit
+    # reports then transform each factor as they do above the limit
     AT_DESK = {
         "t_svd": (1, 3),
         "t_schur": (1, 2),
-        "t_jordan": (4, 4),
+        "t_jordan": (3, 4),
         "idem": (1, 3),
         "t_inverse": (1, 1),
         "t_pinv_blocks": (1, 1),
         "t_pinv_svd": (1, 1),
-        "t_drazin": (3, 4),
+        "t_drazin": (2, 4),
         "t_index": (1, 0),
-        "t_group": (3, 4),
-        "witness": (3, 6),
+        "t_group": (2, 4),
+        "witness": (2, 6),
     }
-    # above the limit, the same plus every report's own transforms
+    # above the limit, the same plus every report's transforms of factors
     ABOVE_LIMIT = {
-        "t_svd": (5, 6),
-        "t_schur": (4, 4),
-        "t_jordan": (4, 4),
-        "idem": (5, 5),
-        "t_inverse": (3, 3),
-        "t_pinv_blocks": (3, 5),
-        "t_pinv_svd": (3, 5),
-        "t_drazin": (3, 4),
+        "t_svd": (4, 6),
+        "t_schur": (3, 4),
+        "t_jordan": (3, 4),
+        "idem": (4, 5),
+        "t_inverse": (2, 3),
+        "t_pinv_blocks": (2, 5),
+        "t_pinv_svd": (2, 5),
+        "t_drazin": (2, 4),
         "t_index": (1, 0),
-        "t_group": (3, 4),
-        "witness": (3, 6),
+        "t_group": (2, 4),
+        "witness": (2, 6),
     }
     # an op that raises stops after the forward transform of a
     RAISES = {
@@ -814,9 +822,11 @@ class TestTransformBudget:
     def spent(self, counts, a, ops) -> dict:
         out = {}
         for name in ops:
+            # a fresh copy: no op finds the transform the one before kept
+            copy = Tensor3(a.array)
             counts.clear()
             try:
-                self.OPS[name](a)
+                self.OPS[name](copy)
             except TprodError:
                 pass
             out[name] = (counts["rfft"], counts["irfft"])
@@ -846,6 +856,13 @@ class TestTransformBudget:
 
     def test_rectangular_ops_above_the_limit(self, counts):
         self.rectangular(counts, gen(1, 2, 3, 32), self.ABOVE_LIMIT)
+
+    @pytest.mark.parametrize("same, rfft", [(True, 1), (False, 2)])
+    def test_a_square_transforms_its_factor_once(self, counts, same, rfft):
+        a = gen(1, 3, 3, 32)
+        b = a if same else Tensor3(a.array)
+        tprod(a, b, path="fourier")
+        assert (counts["rfft"], counts["irfft"]) == (rfft, 1)
 
 
 def _rows(report) -> list:
@@ -941,6 +958,25 @@ class TestCertifiedInverse:
                         op(a)
                     except TprodError:
                         pass
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(3, 3, 32), (16, 16, 8)])
+    def test_witness_report_is_the_singular_value_route(self, monkeypatch,
+                                                        shape, kind):
+        # at 2^300 and 2^-300 both routes refuse the w of a rank-deficient
+        # a as Singular (ROADMAP item 1)
+        def witness(a):
+            res = unit_regular_witness(a)
+            return res.w, res.report
+
+        assert self.certified(witness(gen(7, *shape, kind))[0]) is not None
+        for scale in (1.0, 2.0**300, 2.0**-300):
+            a = scalar_mul(scale, gen(7, *shape, kind))
+            outcome = _outcome(witness, a)
+            with monkeypatch.context() as m:
+                m.setattr(ginverses._Spectrum, "_certified_inverse",
+                          lambda self: None)
+                assert _outcome(witness, a) == outcome
 
     def test_zero_and_exactly_singular_tensors_fall_back(self, monkeypatch):
         # a zero last row in every slice, and so in every block: the LU
